@@ -123,8 +123,6 @@ const USAGE: &str = "usage:
   mocktails catalog
   mocktails trace <NAME> -o <FILE.mtrace>
   mocktails profile <FILE.mtrace> -o <FILE.mprofile> [--cycles N]
-                    [--sampled [--clusters N] [--sample-seed N]
-                     [--frontier FILE]]   (sampled-fidelity fit)
   mocktails synth <FILE.mprofile> -o <FILE.mtrace> [--seed N]
   mocktails validate <NAME> [--cycles N] [--max-requests N]
   mocktails stats <FILE.mtrace|FILE.csv|NAME>
@@ -139,7 +137,7 @@ const USAGE: &str = "usage:
                   [--shards N] [--max-conns N] [--shard-budget N]
                   [--store DIR]   (crash-recoverable profile store)
   mocktails client fit <FILE.mtrace> --addr HOST:PORT -o <FILE.mprofile>
-                   [--cycles N] [--sampled [--clusters N]]
+                   [--cycles N]
   mocktails client synth <FILE.mprofile> --addr HOST:PORT -o <FILE.mtrace>
                    [--seed N] [--chunk N] [--fingerprint HEX (instead of FILE)]
   mocktails client couple <FILE.mprofile> --addr HOST:PORT -o <FILE.mtrace>
@@ -292,43 +290,7 @@ fn cmd_profile(args: &[&String]) -> Result<(), CliError> {
     let cycles = parse_u64(args, "--cycles", 500_000)?;
     let config = phase_config(cycles)?;
     let trace = load_trace(input)?;
-    let sampled = args.iter().any(|a| a.as_str() == "--sampled");
-    if !sampled {
-        for flag in ["--clusters", "--sample-seed", "--frontier"] {
-            if flag_value(args, flag).is_some() {
-                return Err(usage(format!("{flag} requires --sampled")));
-            }
-        }
-    }
-    let profile = if sampled {
-        let clusters = parse_u64(args, "--clusters", 16)?;
-        if clusters == 0 {
-            return Err(usage("--clusters must be at least 1"));
-        }
-        let sample = mocktails_sample::SampleConfig {
-            clusters: usize::try_from(clusters).map_err(|_| usage("--clusters too large"))?,
-            seed: parse_u64(args, "--sample-seed", 0)?,
-        };
-        let fit = mocktails_sample::sampled_fit(&trace, &config, &sample, Parallelism::current());
-        if let Some(frontier) = flag_value(args, "--frontier") {
-            write_atomically(&frontier, |w| {
-                w.write_all(fit.report.render().as_bytes())
-                    .map_err(|e| io_error(&frontier, e))
-            })?;
-        }
-        println!(
-            "sampled fit: {} clusters over {} partitions, cost reduction {:.1}x, \
-             mean error {:.4}, max error {:.4}",
-            fit.report.clusters().len(),
-            fit.report.partitions(),
-            fit.report.cost_reduction(),
-            fit.report.mean_error(),
-            fit.report.max_error(),
-        );
-        fit.profile
-    } else {
-        Profile::fit(&trace, &config)
-    };
+    let profile = Profile::fit(&trace, &config);
     write_atomically(&out, |w| {
         profile
             .write(w)
@@ -625,35 +587,17 @@ fn cmd_client(args: &[&String]) -> Result<(), CliError> {
             let input = positional(args, 1)?;
             let out = flag_value(args, "-o").ok_or_else(|| usage("missing -o <FILE>"))?;
             let cycles = parse_u64(args, "--cycles", 500_000)?;
-            let sampled = args.iter().any(|a| a.as_str() == "--sampled");
-            if !sampled && flag_value(args, "--clusters").is_some() {
-                return Err(usage("--clusters requires --sampled"));
-            }
-            let clusters = if sampled {
-                let n = parse_u64(args, "--clusters", 16)?;
-                if n == 0 {
-                    return Err(usage("--clusters must be at least 1"));
-                }
-                u32::try_from(n).map_err(|_| usage("--clusters too large"))?
-            } else {
-                0
-            };
             let trace_bytes = std::fs::read(input).map_err(|e| io_error(input, e))?;
             let mut client = client_connect(args)?;
             let fit = client
-                .fit_clustered(cycles, clusters, trace_bytes)
+                .fit(cycles, trace_bytes)
                 .map_err(|e| classify_serve_error(input, e))?;
             write_atomically(&out, |w| {
                 w.write_all(&fit.profile_bytes)
                     .map_err(|e| io_error(&out, e))
             })?;
             println!(
-                "fitted via server{}: fingerprint {:#018x}, cache {}, {} bytes to {out}",
-                if sampled {
-                    format!(" (sampled, {clusters} clusters)")
-                } else {
-                    String::new()
-                },
+                "fitted via server: fingerprint {:#018x}, cache {}, {} bytes to {out}",
                 fit.fingerprint,
                 if fit.cache_hit { "hit" } else { "miss" },
                 fit.profile_bytes.len(),

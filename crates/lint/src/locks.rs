@@ -61,15 +61,7 @@ use crate::rules::Diagnostic;
 /// holding a lock across an iteration stalls the pipeline. The pool is
 /// exempt by design — its condvar loops are the implementation of
 /// waiting, and its guards are wait-sanctioned anyway.
-const L014_CRATES: [&str; 7] = [
-    "core",
-    "trace",
-    "workloads",
-    "baselines",
-    "serve",
-    "store",
-    "sample",
-];
+const L014_CRATES: [&str; 6] = ["core", "trace", "workloads", "baselines", "serve", "store"];
 
 /// Call names treated as blocking regardless of argument shape. Shared
 /// with the L016–L019 effects pass, so "blocking" means the same thing to

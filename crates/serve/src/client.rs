@@ -162,25 +162,8 @@ impl Client {
     /// Transport failures, or the server's typed error as
     /// [`ServeError::Remote`].
     pub fn fit(&mut self, cycles: u64, trace_bytes: Vec<u8>) -> Result<FitOutcome, ServeError> {
-        self.fit_clustered(cycles, 0, trace_bytes)
-    }
-
-    /// Like [`Client::fit`], but asks the server for a sampled-fidelity
-    /// fit with `clusters` k-means clusters (`0` = full fit): only each
-    /// cluster's representative partition is modeled server-side.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::fit`].
-    pub fn fit_clustered(
-        &mut self,
-        cycles: u64,
-        clusters: u32,
-        trace_bytes: Vec<u8>,
-    ) -> Result<FitOutcome, ServeError> {
         self.send(&Request::FitProfile {
             cycles,
-            clusters,
             trace_bytes,
         })?;
         match self.recv()? {

@@ -32,13 +32,11 @@
 //! [`mocktails_core::Profile::synthesize`] output for the same profile
 //! and seed, at any worker-thread count.
 //!
-//! Two closed-loop additions ride the same machinery (protocol v3):
-//! `FitProfile` can request a *sampled-fidelity* fit
-//! ([`mocktails_sample`]) that clusters leaf partitions and models only
-//! representatives, and `CoupledSynthesize` streams a synthesis paced
-//! chunk-by-chunk against the [`mocktails_dram`] simulator — the paper's
-//! Fig. 1 Option B against a live server, with each `CoupledChunk`
-//! carrying the simulated time reached and the stalls fed back.
+//! `CoupledSynthesize` closes the loop (protocol v3): it streams a
+//! synthesis paced chunk-by-chunk against the [`mocktails_dram`]
+//! simulator — the paper's Fig. 1 Option B against a live server, with
+//! each `CoupledChunk` carrying the simulated time reached and the stalls
+//! fed back.
 
 pub mod cache;
 pub mod client;

@@ -223,11 +223,6 @@ pub struct ServeMetrics {
     /// Simulated stall cycles the DRAM model fed back into coupled
     /// generators.
     pub coupled_stall_cycles_total: AtomicU64,
-    /// `FitProfile` requests that asked for a sampled fit (clusters > 0).
-    pub sample_fit_requests_total: AtomicU64,
-    /// Clusters formed across all sampled fits actually computed (cache
-    /// hits excluded).
-    pub sample_clusters_total: AtomicU64,
     /// Profiles live in the persistent store (gauge; 0 without a store).
     pub store_profiles: AtomicU64,
     /// Persistent store write-ahead-log size in bytes (gauge).
@@ -268,11 +263,6 @@ pub struct ServeMetrics {
     pub fit_latency_micros: Histogram,
     /// Synthesis stream duration (start to end frame).
     pub synth_latency_micros: Histogram,
-    /// Per-cluster mean similarity error of sampled fits, in parts per
-    /// million (the accuracy side of the accuracy/cost frontier). Not a
-    /// latency, but the fixed-bucket histogram resolves it fine: 1.0 of
-    /// total-variation distance is 1_000_000 ppm.
-    pub sample_frontier_error_ppm: Histogram,
     /// Queue-to-wire latency of each response frame (enqueue on the
     /// connection's write queue until its last byte hits the socket).
     pub frame_latency_micros: Histogram,
@@ -318,8 +308,6 @@ impl ServeMetrics {
                 "coupled_stall_cycles_total",
                 &self.coupled_stall_cycles_total,
             ),
-            ("sample_fit_requests_total", &self.sample_fit_requests_total),
-            ("sample_clusters_total", &self.sample_clusters_total),
             ("store_profiles", &self.store_profiles),
             ("store_wal_bytes", &self.store_wal_bytes),
             ("store_wal_appends_total", &self.store_wal_appends_total),
@@ -359,8 +347,6 @@ impl ServeMetrics {
         self.fit_latency_micros.render_into("fit_latency", &mut out);
         self.synth_latency_micros
             .render_into("synth_latency", &mut out);
-        self.sample_frontier_error_ppm
-            .render_into("sample_frontier_error_ppm", &mut out);
         self.frame_latency_micros
             .render_into("frame_latency", &mut out);
         let _ = writeln!(out, "uptime_micros {now_micros}");
@@ -466,8 +452,6 @@ mod tests {
             "coupled_chunks_total",
             "coupled_streamed_requests_total",
             "coupled_stall_cycles_total",
-            "sample_fit_requests_total",
-            "sample_clusters_total",
             "store_profiles",
             "store_wal_bytes",
             "store_wal_appends_total",
@@ -494,7 +478,6 @@ mod tests {
         assert!(text.contains("queue_wait_count 0"));
         assert!(text.contains("fit_latency_count 0"));
         assert!(text.contains("synth_latency_count 0"));
-        assert!(text.contains("sample_frontier_error_ppm_count 0"));
         assert!(text.contains("frame_latency_count 0"));
         assert!(text.contains("frame_latency_p50_micros 0"));
         assert!(text.contains("frame_latency_p99_micros 0"));

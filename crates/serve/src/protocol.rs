@@ -9,8 +9,8 @@
 //! requests                              responses
 //! 1 Hello      { version u32 }          1 HelloOk    { version u32 }
 //! 2 FitProfile { cycles u64,            2 FitResult  { fingerprint u64,
-//!                clusters u32,                         cache_hit u8,
-//!                trace bytes* }                        profile bytes* }
+//!                trace bytes* }                        cache_hit u8,
+//!                                                      profile bytes* }
 //! 3 Synthesize { seed u64,              3 SynthStart { total u64 }
 //!                chunk_len u32,         4 SynthChunk { count u32, records* }
 //!                source }               5 SynthEnd   { total u64,
@@ -38,7 +38,7 @@ use crate::error::{ErrorCode, ServeError};
 
 /// Version of the message set defined in this module; negotiated by
 /// `Hello`/`HelloOk` before anything else is processed.
-pub const PROTOCOL_VERSION: u32 = 3;
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Where a `Synthesize`/`Stats` request finds its profile.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,9 +62,6 @@ pub enum Request {
     FitProfile {
         /// Temporal window (cycles) for the hierarchy's first layer.
         cycles: u64,
-        /// Cluster count for a sampled-fidelity fit (`mocktails-sample`),
-        /// or `0` for a full fit of every leaf partition.
-        clusters: u32,
         /// The encoded trace (`mocktails_trace::codec` format).
         trace_bytes: Vec<u8>,
     },
@@ -301,12 +298,10 @@ impl Request {
             }
             Self::FitProfile {
                 cycles,
-                clusters,
                 trace_bytes,
             } => {
                 buf.push(2);
                 put_u64(&mut buf, *cycles);
-                put_u32(&mut buf, *clusters);
                 buf.extend_from_slice(trace_bytes);
             }
             Self::Synthesize {
@@ -359,7 +354,6 @@ impl Request {
             }
             2 => Self::FitProfile {
                 cycles: c.u64("fit cycles")?,
-                clusters: c.u32("fit cluster count")?,
                 trace_bytes: c.rest(),
             },
             3 => Self::Synthesize {
@@ -573,12 +567,10 @@ mod tests {
             },
             Request::FitProfile {
                 cycles: 500_000,
-                clusters: 0,
                 trace_bytes: vec![1, 2, 3, 4, 5],
             },
             Request::FitProfile {
                 cycles: 0,
-                clusters: 16,
                 trace_bytes: Vec::new(),
             },
             Request::Synthesize {
@@ -728,8 +720,8 @@ mod tests {
         assert!(Request::decode(&[3, 1, 2]).is_err());
         // Stats with a fingerprint source cut inside the fingerprint.
         assert!(Request::decode(&[4, 0, 1, 2, 3]).is_err());
-        // FitProfile cut inside the cluster count.
-        assert!(Request::decode(&[2, 0, 0, 0, 0, 0, 0, 0, 0, 9]).is_err());
+        // FitProfile cut inside the cycle window.
+        assert!(Request::decode(&[2, 0, 0, 0, 0, 9]).is_err());
         // CoupledSynthesize cut inside the seed.
         assert!(Request::decode(&[10, 1, 2]).is_err());
         // CoupledChunk cut inside the simulated-cycle counter.

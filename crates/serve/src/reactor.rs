@@ -521,7 +521,6 @@ fn route_request(
         }
         Request::FitProfile {
             cycles,
-            clusters,
             trace_bytes,
         } => {
             if reject_if_draining(shared, conn, now) {
@@ -532,7 +531,7 @@ fn route_request(
                 return;
             };
             submit_one_shot(shared, conn, now, Some(slot), move |shared, tx| {
-                server::fit_job(shared, tx, cycles, clusters, &trace_bytes);
+                server::fit_job(shared, tx, cycles, &trace_bytes);
             });
         }
         Request::Synthesize {

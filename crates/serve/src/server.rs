@@ -29,7 +29,6 @@ use mocktails_core::{
 use mocktails_dram::{DramConfig, MemorySystem};
 use mocktails_pool::bounded::{SubmitError, WorkerPool};
 use mocktails_pool::Parallelism;
-use mocktails_sample::{sampled_fit, SampleConfig};
 use mocktails_store::{ProfileStore, StoreOptions};
 use mocktails_trace::codec::RecordEncoder;
 use mocktails_trace::{fnv1a, DecodeOptions, Fingerprinter, TraceError};
@@ -584,23 +583,10 @@ fn profile_error_frame(e: &ProfileError) -> (ErrorCode, String) {
     }
 }
 
-/// Worker-side body of `FitProfile`. `clusters == 0` fits every leaf
-/// partition; a positive value runs the sampled-fidelity fit
-/// ([`mocktails_sample::sampled_fit`]) with that many clusters.
-pub(crate) fn fit_job(
-    shared: &Shared,
-    tx: &ConnTx,
-    cycles: u64,
-    clusters: u32,
-    trace_bytes: &[u8],
-) {
+/// Worker-side body of `FitProfile`.
+pub(crate) fn fit_job(shared: &Shared, tx: &ConnTx, cycles: u64, trace_bytes: &[u8]) {
     let metrics = &shared.metrics;
     metrics.fit_requests_total.fetch_add(1, Ordering::SeqCst);
-    if clusters > 0 {
-        metrics
-            .sample_fit_requests_total
-            .fetch_add(1, Ordering::SeqCst);
-    }
     let started = shared.clock.now_micros();
     let config = match fit_config(cycles) {
         Ok(config) => config,
@@ -610,11 +596,7 @@ pub(crate) fn fit_job(
             return;
         }
     };
-    // A sampled fit keys separately from the full fit of the same trace:
-    // the cluster count is folded into the fit key so neither aliases
-    // the other in the cache or the store.
-    let key = fit_key(fnv1a(trace_bytes), &config)
-        ^ u64::from(clusters).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let key = fit_key(fnv1a(trace_bytes), &config);
     let now = shared.clock.now_micros();
     let cached = shared.cache.get_by_fit_key(key, now);
     shared.sync_cache_metrics();
@@ -639,34 +621,11 @@ pub(crate) fn fit_job(
             };
             // Workers fit sequentially: concurrency comes from the pool,
             // and the result is bit-identical either way (PR 3 invariant).
-            let profile = if clusters > 0 {
-                let fit = sampled_fit(
-                    &trace,
-                    &config,
-                    &SampleConfig {
-                        clusters: clusters as usize,
-                        seed: 0,
-                    },
-                    Parallelism::sequential(),
-                );
-                metrics
-                    .sample_clusters_total
-                    .fetch_add(fit.report.clusters().len() as u64, Ordering::SeqCst);
-                for cluster in fit.report.clusters() {
-                    // Per-cluster mean similarity error in parts per
-                    // million, so the integer histogram resolves it.
-                    metrics
-                        .sample_frontier_error_ppm
-                        .observe((cluster.mean_error * 1_000_000.0) as u64);
-                }
-                Arc::new(fit.profile)
-            } else {
-                Arc::new(Profile::fit_with(
-                    &trace,
-                    &config,
-                    Parallelism::sequential(),
-                ))
-            };
+            let profile = Arc::new(Profile::fit_with(
+                &trace,
+                &config,
+                Parallelism::sequential(),
+            ));
             let fingerprint = profile.content_fingerprint();
             let now = shared.clock.now_micros();
             shared

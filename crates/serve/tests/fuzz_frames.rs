@@ -18,7 +18,6 @@ fn corpus() -> Vec<Vec<u8>> {
         },
         Request::FitProfile {
             cycles: 500_000,
-            clusters: 0,
             trace_bytes: b"MTRC\x01\x02\x00\x00\x80\x01\x04\x40\x80\x01".to_vec(),
         },
         Request::Synthesize {
@@ -153,7 +152,6 @@ fn truncated_payload_is_typed_error() {
         &mut framed,
         &Request::FitProfile {
             cycles: 1,
-            clusters: 0,
             trace_bytes: vec![0; 64],
         }
         .encode(),

@@ -437,22 +437,40 @@ fn thirty_two_concurrent_clients_complete_without_deadlock() {
 #[test]
 fn version_mismatch_is_refused_with_typed_error() {
     use mocktails_serve::frame::{read_frame, write_frame};
-    use mocktails_serve::{Request, Response};
+    use mocktails_serve::{Request, Response, PROTOCOL_VERSION};
     use std::io::Write;
 
+    // A version-3 `FitProfile`: a `clusters u32` sat between the cycle
+    // window and the trace.
+    let mut old_fit = vec![2u8];
+    old_fit.extend_from_slice(&CYCLES.to_le_bytes());
+    old_fit.extend_from_slice(&0u32.to_le_bytes());
+    old_fit.extend_from_slice(&trace_bytes(&small_trace()));
+
     let (addr, handle) = start_server(ServerConfig::default());
-    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-    let payload = Request::Hello { version: 9999 }.encode();
-    write_frame(&mut stream, &payload).expect("send");
-    stream.flush().expect("flush");
-    let reply = read_frame(&mut stream, 1 << 20)
-        .expect("read")
-        .expect("a frame, not a drop");
-    match Response::decode(&reply).expect("decodable") {
-        Response::Error { code, .. } => assert_eq!(code, ErrorCode::UnsupportedVersion),
-        other => panic!("expected error frame, got {other:?}"),
+    for version in [9999, PROTOCOL_VERSION - 1] {
+        let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+        let mut framed = Vec::new();
+        write_frame(&mut framed, &Request::Hello { version }.encode()).expect("frame hello");
+        write_frame(&mut framed, &old_fit).expect("frame fit");
+        stream.write_all(&framed).expect("send");
+        stream.flush().expect("flush");
+        let reply = read_frame(&mut stream, 1 << 20)
+            .expect("read")
+            .expect("a frame, not a drop");
+        match Response::decode(&reply).expect("decodable") {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::UnsupportedVersion),
+            other => panic!("version {version}: expected error frame, got {other:?}"),
+        }
+        // The refused connection closes without ever answering the
+        // pipelined fit.
+        if let Ok(Some(frame)) = read_frame(&mut stream, 1 << 20) {
+            panic!(
+                "version {version}: answered after refusal: {:?}",
+                Response::decode(&frame)
+            );
+        }
     }
-    drop(stream);
     shut_down(&addr, handle);
 }
 
@@ -704,59 +722,5 @@ fn coupled_chunks_report_monotonic_simulated_time_and_end_cleanly() {
     let text = client.metricsz().expect("metricsz after stream");
     assert!(text.contains("coupled_requests_total 1"), "{text}");
     assert!(text.contains("coupled_chunks_total"), "{text}");
-    shut_down(&addr, handle);
-}
-
-#[test]
-fn sampled_fit_over_the_wire_matches_offline_and_keys_separately() {
-    use mocktails_sample::{sampled_fit, SampleConfig};
-    let trace = small_trace();
-    let upload = trace_bytes(&trace);
-
-    let offline = sampled_fit(
-        &trace,
-        &offline_config(),
-        &SampleConfig {
-            clusters: 4,
-            seed: 0,
-        },
-        Parallelism::sequential(),
-    );
-    let mut offline_bytes = Vec::new();
-    offline.profile.write(&mut offline_bytes).expect("encode");
-
-    let (addr, handle) = start_server(ServerConfig::default());
-    let mut client = Client::connect(&addr).expect("connect");
-
-    let sampled = client
-        .fit_clustered(CYCLES, 4, upload.clone())
-        .expect("sampled fit");
-    assert!(!sampled.cache_hit, "first sampled fit must miss");
-    assert_eq!(
-        sampled.profile_bytes, offline_bytes,
-        "server sampled fit differs from offline sampled_fit"
-    );
-
-    // The same request repeats as a cache hit; the full fit of the same
-    // trace keys separately and produces a different profile.
-    let again = client
-        .fit_clustered(CYCLES, 4, upload.clone())
-        .expect("repeat sampled fit");
-    assert!(again.cache_hit, "identical sampled fit must hit");
-    assert_eq!(again.fingerprint, sampled.fingerprint);
-
-    let full = client.fit(CYCLES, upload).expect("full fit");
-    assert!(!full.cache_hit, "full fit must not alias the sampled fit");
-    assert_ne!(full.fingerprint, sampled.fingerprint);
-
-    // Both profiles synthesize the whole trace.
-    let synth = client
-        .synthesize(SEED, 512, ProfileSource::Fingerprint(sampled.fingerprint))
-        .expect("synthesize from sampled profile");
-    assert_eq!(synth.total_requests, trace.len() as u64);
-
-    let text = client.metricsz().expect("metricsz");
-    assert!(text.contains("sample_fit_requests_total 2"), "{text}");
-    assert!(text.contains("sample_clusters_total 4"), "{text}");
     shut_down(&addr, handle);
 }

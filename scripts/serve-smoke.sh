@@ -3,9 +3,11 @@
 # byte-identical to the offline pipeline. Fits and synthesizes one
 # catalog workload twice — once through the CLI's offline commands, once
 # through a server on an ephemeral loopback port — and byte-compares the
-# artifacts. Honours MOCKTAILS_THREADS like every other gate, so running
-# it at 1 and 4 threads proves the serving layer preserves the
-# workspace's determinism invariant.
+# artifacts. A coupled (Fig. 1 Option B) stream — every chunk paced
+# through the server's DRAM model — must then reassemble to the same
+# bytes at two chunk sizes. Honours MOCKTAILS_THREADS like every other
+# gate, so running it at 1 and 4 threads proves the serving layer
+# preserves the workspace's determinism invariant.
 # Run from the repository root:  ./scripts/serve-smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -49,6 +51,10 @@ ADDR="$(cat "$WORK/port")"
   -o "$WORK/srv.mprofile" --cycles "$CYCLES"
 "$BIN" client synth "$WORK/srv.mprofile" --addr "$ADDR" \
   -o "$WORK/srv-synth.mtrace" --seed "$SEED"
+for chunk in 512 64; do
+  "$BIN" client couple "$WORK/srv.mprofile" --addr "$ADDR" \
+    -o "$WORK/coupled-$chunk.mtrace" --seed "$SEED" --chunk "$chunk"
+done
 "$BIN" client metricsz --addr "$ADDR" >"$WORK/metrics.txt"
 "$BIN" client shutdown --addr "$ADDR"
 wait "$SERVER_PID"
@@ -57,8 +63,13 @@ SERVER_PID=""
 echo "--- byte comparison (server vs offline)"
 cmp "$WORK/ref.mprofile" "$WORK/srv.mprofile"
 cmp "$WORK/ref-synth.mtrace" "$WORK/srv-synth.mtrace"
+cmp "$WORK/coupled-512.mtrace" "$WORK/coupled-64.mtrace"
 grep -q '^requests_total ' "$WORK/metrics.txt" || {
   echo "metricsz output missing requests_total" >&2
   exit 1
 }
-echo "serve loopback smoke passed: profile and synthesized trace byte-identical"
+grep -q '^coupled_requests_total 2' "$WORK/metrics.txt" || {
+  echo "metricsz missing coupled_requests_total=2" >&2
+  exit 1
+}
+echo "serve loopback smoke passed: profile, synthesized and coupled traces byte-identical"

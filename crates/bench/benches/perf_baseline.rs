@@ -6,25 +6,18 @@
 //!
 //! * synthesis throughput (records/sec) — the paper's core loop;
 //! * trace codec throughput (encode and decode MB/s);
-//! * lint wall-clock over the workspace, at three rule-set generations:
-//!   the signature-only v2 set (L001–L011), the v3 set with the
-//!   body-level lock rules (L001–L015), and the full v4 run with the
-//!   interprocedural effect summaries (L016–L019). Two ratios are
-//!   asserted — v3 under 2× v2 (the CFG/lock-pass budget) and v4 under
-//!   1.5× v3 (the effect-summary budget: one SCC pass over an already
-//!   built call graph must not dominate).
+//! * lint wall-clock of one full run (every rule) over the workspace.
 //!
 //! Hand-rolled harness like the other benches (no external bench crate,
 //! so the workspace builds hermetically); medians over a fixed iteration
 //! count keep single-run noise out of the pinned file.
 
-use std::collections::BTreeSet;
 use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
 
 use mocktails_core::{HierarchyConfig, Profile};
-use mocktails_lint::{run_with, RunOptions};
+use mocktails_lint::run;
 use mocktails_trace::codec::{read_trace, write_trace};
 use mocktails_workloads::catalog;
 
@@ -69,30 +62,12 @@ fn main() {
     });
     let decode_secs = median_secs(|| read_trace(&mut encoded.as_slice()).expect("round trip"));
 
-    // Lint wall-clock at the three rule-set generations: v2 (signature
-    // level only, skips CFG construction and the lock pass), v3 (adds
-    // the body-level lock rules), and v4 (adds the interprocedural
-    // effect-summary pass), the last being the default run.
+    // Lint wall-clock of the default full run.
     let crates_root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
-    let v2_rules: BTreeSet<String> = (1..=11).map(|n| format!("L{n:03}")).collect();
-    let v3_rules: BTreeSet<String> = (1..=15).map(|n| format!("L{n:03}")).collect();
-    let files_checked = run_with(&crates_root, &RunOptions::default())
+    let files_checked = run(&crates_root)
         .expect("workspace is readable")
         .files_checked;
-    let timed_rules = |rules: &BTreeSet<String>| {
-        let options = RunOptions {
-            rules: Some(rules.clone()),
-            ..RunOptions::default()
-        };
-        run_with(&crates_root, &options).expect("workspace is readable")
-    };
-    let lint_v2_secs = median_secs(|| timed_rules(&v2_rules));
-    let lint_v3_secs = median_secs(|| timed_rules(&v3_rules));
-    let lint_v4_secs = median_secs(|| {
-        run_with(&crates_root, &RunOptions::default()).expect("workspace is readable")
-    });
-    let ratio = lint_v3_secs / lint_v2_secs;
-    let v4_ratio = lint_v4_secs / lint_v3_secs;
+    let lint_secs = median_secs(|| run(&crates_root).expect("workspace is readable"));
 
     let json = format!(
         "{{\n  \"schema_version\": 1,\n  \"bench\": \"perf_baseline\",\n  \
@@ -101,9 +76,7 @@ fn main() {
          \"records_per_sec\": {records_per_sec:.0}\n  }},\n  \"codec\": {{\n    \
          \"encoded_bytes\": {},\n    \"encode_mb_per_sec\": {:.1},\n    \
          \"decode_mb_per_sec\": {:.1}\n  }},\n  \"lint\": {{\n    \
-         \"files_checked\": {files_checked},\n    \"v2_seconds\": {lint_v2_secs:.4},\n    \
-         \"v3_seconds\": {lint_v3_secs:.4},\n    \"v3_over_v2\": {ratio:.3},\n    \
-         \"v4_seconds\": {lint_v4_secs:.4},\n    \"v4_over_v3\": {v4_ratio:.3}\n  }}\n}}\n",
+         \"files_checked\": {files_checked},\n    \"seconds\": {lint_secs:.4}\n  }}\n}}\n",
         encoded.len(),
         mb / encode_secs,
         mb / decode_secs,
@@ -113,13 +86,4 @@ fn main() {
     let out = crates_root.join("..").join("BENCH_1.json");
     std::fs::write(&out, &json).expect("write BENCH_1.json");
     println!("wrote {}", out.display());
-
-    assert!(
-        ratio < 2.0,
-        "lint v3 ({lint_v3_secs:.4}s) must stay under 2x v2 ({lint_v2_secs:.4}s); got {ratio:.3}x"
-    );
-    assert!(
-        v4_ratio < 1.5,
-        "lint v4 ({lint_v4_secs:.4}s) must stay under 1.5x v3 ({lint_v3_secs:.4}s); got {v4_ratio:.3}x"
-    );
 }

@@ -10,6 +10,10 @@
 //! * streaming p50/p99 — concurrent clients synthesizing by fingerprint,
 //!   every reassembled stream byte-compared against the offline pipeline.
 //!
+//! After writing the file the bench fails on structural regressions: a
+//! missing worker count, a zero connection rate, a streaming p99 outside
+//! (0, 10 s], or a non-positive scaling ratio.
+//!
 //! Hand-rolled harness like the other benches (no external bench crate,
 //! so the workspace builds hermetically); medians over a fixed iteration
 //! count keep single-run noise out of the pinned file.
@@ -220,4 +224,28 @@ fn main() {
     let out = crates_root.join("..").join("BENCH_3.json");
     std::fs::write(&out, &json).expect("write BENCH_3.json");
     println!("wrote {}", out.display());
+
+    for w in WORKER_COUNTS {
+        assert!(
+            points.iter().any(|p| p.workers == w),
+            "BENCH_3.json is missing the workers={w} point"
+        );
+    }
+    for p in &points {
+        assert!(
+            p.conns_per_sec > 0.0,
+            "workers={}: zero connection rate",
+            p.workers
+        );
+        assert!(
+            (1..=10_000_000).contains(&p.stream_p99.as_micros()),
+            "workers={}: streaming p99 {:?} is outside (0, 10 s]",
+            p.workers,
+            p.stream_p99
+        );
+    }
+    assert!(
+        scaling_8_over_1 > 0.0,
+        "non-positive worker-scaling ratio {scaling_8_over_1}"
+    );
 }

@@ -1,8 +1,6 @@
-//! Interprocedural function-effect summaries: rules L016–L019.
+//! Interprocedural effect rules: L016–L019.
 //!
-//! A bottom-up pass over the strongly-connected components of the
-//! name-resolved workspace call graph computes, per function, a
-//! deterministic summary of three effect kinds:
+//! Every function body is scanned for direct sites of three effect kinds:
 //!
 //! * **panic** — `.unwrap()`/`.expect(..)`, the panic-family macros,
 //!   non-constant indexing `x[i]`, and division/remainder by a
@@ -14,38 +12,32 @@
 //! * **alloc** — `Vec`/`VecDeque`/`String`/`Box` construction, `vec!` /
 //!   `format!`, and `.clone()`/`.to_vec()`/`.to_string()`/`.to_owned()`.
 //!
-//! The summary lattice per (function, kind) is `Option<Cause>`: `None`
-//! (no reachable effect) below `Some` (one *witness* — the cheapest
-//! direct site, or the call edge to the cheapest summarized callee).
-//! Joins only ever move `None → Some` and a cause is never rewritten
-//! once assigned, so the fixpoint is monotone and each `Via` link points
-//! at a cause that was already final when the link was created — chain
-//! reconstruction terminates by construction.
-//!
-//! Determinism: the function table is sorted by (file, body start), SCCs
-//! come from a deterministic iterative Tarjan over sorted edges,
-//! components are summarized level-by-level (a level holds SCCs whose
-//! callees are all in lower levels) with [`mocktails_pool::Parallelism`]
-//! fanning out *within* a level and merging in submission order, and
-//! every tie (which direct site, which callee) breaks on a total order
-//! (line, message text, callee qualified name). Reports are therefore
-//! byte-identical across runs and thread counts.
+//! The scan is one independent token walk per function, fanned out over
+//! [`mocktails_pool::Parallelism`] and merged in submission order. Call
+//! edges come from the shared [`crate::graph::FnTable`] through this
+//! pass's own resolution policy ([`effect_callees`]). Every tie (which
+//! direct site, which callee) breaks on a total order (line, message
+//! text, callee qualified name), so reports are byte-identical across
+//! runs and thread counts.
 //!
 //! The rules on top:
 //!
 //! * **L016** — no panic source reachable from `Synthesizer::next`, the
 //!   codec decode paths, or the reactor sweep loop; each finding is
 //!   anchored at the panic site and carries the full `file:line →
-//!   file:line` call chain from the entry point.
+//!   file:line` call chain from the entry point (breadth-first search
+//!   over the raw sites).
 //! * **L017** — no blocking effect reachable from the reactor sweep
-//!   loop. Allowlisted by construction: the `WakeFlag` idle park and the
-//!   nonblocking-socket accept/read/write helpers. Plain `.lock()`
-//!   acquisitions are summarized but not reported here — sharded
-//!   uncontended mutex hops are the serve design's foundation, and
-//!   blocking *while holding* one is already L013's job.
-//! * **L018** — allocation effects (direct or one resolved call deep)
-//!   inside a CFG loop back-edge scope on the synthesis/codec hot path:
-//!   the machine-readable worklist for the buffer-reuse campaign.
+//!   loop, by the same search. Allowlisted by construction: the
+//!   `WakeFlag` idle park and the nonblocking-socket accept/read/write
+//!   helpers. Plain `.lock()` acquisitions are scanned but not reported
+//!   here — sharded uncontended mutex hops are the serve design's
+//!   foundation, and blocking *while holding* one is already L013's job.
+//! * **L018** — allocation effects (direct, or through a resolved call
+//!   whose callee transitively allocates per
+//!   [`crate::graph::propagate`]) inside a CFG loop back-edge scope on
+//!   the synthesis/codec hot path: the machine-readable worklist for the
+//!   buffer-reuse campaign.
 //! * **L019** — `self`-rooted collection growth in the serve crate with
 //!   no same-file shrink (`pop`/`remove`/`truncate`/`clear`/`drain`/
 //!   `mem::take`/...) of the same field: an unbounded queue on the serve
@@ -59,8 +51,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use mocktails_pool::Parallelism;
 
-use crate::cfg::FnCfg;
-use crate::graph::{call_sites, Call, CallResolver, FileAnalysis, FileRole};
+use crate::graph::{call_sites, propagate, Call, FileAnalysis, FnTable, Func, Reach};
 use crate::lexer::{Token, TokenKind};
 use crate::locks::{BLOCKING_ANY, BLOCKING_EMPTY};
 use crate::rules::Diagnostic;
@@ -108,7 +99,7 @@ const SHRINK_METHODS: [&str; 9] = [
 /// prelude/container/iterator methods: a workspace type that happens to
 /// be the *only* local impl of `map` or `shutdown` would otherwise
 /// capture every `iter().map(..)` and `TcpStream::shutdown(..)` call in
-/// the workspace and drag its effects into unrelated summaries. Skipping
+/// the workspace and drag its effects into unrelated chains. Skipping
 /// these edges loses a little recall on genuine local calls spelled the
 /// same way; the direct-site scan still sees their bodies' own effects.
 const STD_METHOD_COLLISIONS: [&str; 30] = [
@@ -129,7 +120,7 @@ const L017_ALLOWLIST: [(Option<&str>, &str); 4] = [
     (None, "accept_burst"),
 ];
 
-/// The three effect kinds a summary tracks.
+/// The three effect kinds a direct site can have.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EffectKind {
     Panic,
@@ -150,99 +141,22 @@ struct Site {
     what: String,
 }
 
-/// The cheapest deterministic witness that a function has an effect.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Cause {
-    /// The body contains the described site.
-    Direct {
-        /// The site description.
-        what: String,
-        /// 1-based line of the site.
-        line: usize,
-    },
-    /// The function calls `callee` (a function-table id with an assigned
-    /// cause) at `line`.
-    Via {
-        /// Function-table id of the callee.
-        callee: usize,
-        /// 1-based line of the call site.
-        line: usize,
-    },
-}
-
-/// Per-function effect summary: for each kind, `None` (provably — under
-/// the conservative call graph — effect-free) or one witness.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct Summary {
-    panic: Option<Cause>,
-    blocking: Option<Cause>,
-    alloc: Option<Cause>,
-}
-
-impl Summary {
-    fn get(&self, kind: EffectKind) -> &Option<Cause> {
-        match kind {
-            EffectKind::Panic => &self.panic,
-            EffectKind::Blocking => &self.blocking,
-            EffectKind::Alloc => &self.alloc,
-        }
-    }
-
-    fn set(&mut self, kind: EffectKind, cause: Cause) {
-        let slot = match kind {
-            EffectKind::Panic => &mut self.panic,
-            EffectKind::Blocking => &mut self.blocking,
-            EffectKind::Alloc => &mut self.alloc,
-        };
-        debug_assert!(slot.is_none(), "causes are write-once");
-        *slot = Some(cause);
-    }
-}
-
-/// One function in the effects analysis.
-struct EffFn<'a> {
-    /// Index of the defining file.
-    file: usize,
-    /// CFG and token ranges.
-    fc: &'a FnCfg,
-    /// Display name: `Type::name` or `name`.
-    qual: String,
-}
-
-/// Runs the effect-summary engine and the four rules over the analyzed
-/// workspace. Returned diagnostics are sorted and deduplicated;
-/// directive filtering happens in [`crate::graph::cross_file`].
+/// Runs the four effect rules over the analyzed workspace. Returned
+/// diagnostics are sorted and deduplicated; directive filtering happens
+/// in [`crate::graph::cross_file`].
 pub(crate) fn effects_analysis(
     files: &[FileAnalysis],
+    table: &FnTable<'_>,
     parallelism: Parallelism,
 ) -> Vec<Diagnostic> {
-    // 1. The function table, in deterministic (file, body-start) order.
-    let mut fns: Vec<EffFn<'_>> = Vec::new();
-    for (fi, f) in files.iter().enumerate() {
-        if f.role != FileRole::Lint {
-            continue;
-        }
-        for fc in &f.fn_cfgs {
-            let qual = match &fc.self_type {
-                Some(ty) => format!("{ty}::{}", fc.name),
-                None => fc.name.clone(),
-            };
-            fns.push(EffFn { file: fi, fc, qual });
-        }
-    }
-    fns.sort_by_key(|i| (i.file, i.fc.body.0));
-
-    // 2. Call edges through the shared resolver, keeping the first call
-    // line per (caller, callee) edge for chain rendering.
-    let resolver = CallResolver::new(
-        fns.iter()
-            .map(|i| (i.fc.name.as_str(), i.fc.self_type.as_deref(), i.file)),
-    );
+    let fns = &table.fns;
+    // Call edges, keeping the first call line per (caller, callee) edge
+    // for chain rendering.
     let mut edges: Vec<BTreeMap<usize, usize>> = vec![BTreeMap::new(); fns.len()];
-    for (id, info) in fns.iter().enumerate() {
-        let tokens = &files[info.file].tokens;
-        for (i, name) in call_sites(tokens, info.fc.body) {
-            for c in effect_callees(&resolver, tokens, i, name, info) {
+    for (id, func) in fns.iter().enumerate() {
+        let tokens = &files[func.file].tokens;
+        for (i, name) in call_sites(tokens, func.fc.body) {
+            for c in effect_callees(table, tokens, i, name, func) {
                 if c != id {
                     edges[id].entry(c).or_insert(tokens[i].line);
                 }
@@ -250,78 +164,37 @@ pub(crate) fn effects_analysis(
         }
     }
 
-    // 3. Direct effect sites, one independent token scan per function —
-    // the expensive part, fanned out over the pool.
+    // Direct effect sites, one independent token scan per function — the
+    // expensive part, fanned out over the pool.
     let ids: Vec<usize> = (0..fns.len()).collect();
     let sites: Vec<Vec<Site>> = parallelism.map(&ids, |&id| {
-        let info = &fns[id];
-        direct_sites(&files[info.file], info.fc.body)
+        let func = &fns[id];
+        direct_sites(&files[func.file], func.fc.body)
     });
 
-    // 4. SCC condensation (iterative Tarjan; components come out in
-    // reverse topological order: callees before callers).
-    let sccs = tarjan_sccs(&edges);
-    let mut scc_of = vec![0usize; fns.len()];
-    for (s, members) in sccs.iter().enumerate() {
-        for &m in members {
-            scc_of[m] = s;
-        }
-    }
-
-    // 5. Bottom-up summaries, parallel per-SCC within each topological
-    // level. A component's level is one above its deepest callee
-    // component, so everything a level needs is already summarized.
-    let mut level = vec![0usize; sccs.len()];
-    for (s, members) in sccs.iter().enumerate() {
-        let mut l = 0;
-        for &m in members {
-            for &c in edges[m].keys() {
-                if scc_of[c] != s {
-                    l = l.max(level[scc_of[c]] + 1);
-                }
-            }
-        }
-        level[s] = l;
-    }
-    let max_level = level.iter().copied().max().unwrap_or(0);
-    let mut summaries: Vec<Summary> = vec![Summary::default(); fns.len()];
-    for l in 0..=max_level {
-        let layer: Vec<usize> = (0..sccs.len()).filter(|&s| level[s] == l).collect();
-        let results: Vec<Vec<(usize, Summary)>> = parallelism.map(&layer, |&s| {
-            summarize_scc(&sccs[s], &edges, &sites, &summaries, &fns)
-        });
-        for scc_summaries in results {
-            for (id, summary) in scc_summaries {
-                summaries[id] = summary;
-            }
-        }
-    }
-
-    // 6. The rules.
     let mut diags = Vec::new();
-    diags.extend(l016_panic_reachability(files, &fns, &edges, &sites));
-    diags.extend(l017_reactor_blocking(files, &fns, &edges, &sites));
-    diags.extend(l018_hot_loop_alloc(
-        files, &fns, &sites, &summaries, &resolver,
-    ));
-    diags.extend(l019_unbounded_growth(files, &fns));
+    diags.extend(l016_panic_reachability(files, fns, &edges, &sites));
+    diags.extend(l017_reactor_blocking(files, fns, &edges, &sites));
+    diags.extend(l018_hot_loop_alloc(files, table, &edges, &sites));
+    diags.extend(l019_unbounded_growth(files, fns));
     diags.sort();
     diags.dedup();
     diags
 }
 
-/// The effects pass's call resolution: the shared [`CallResolver`]
-/// policy, minus method names that collide with std
-/// ([`STD_METHOD_COLLISIONS`]), plus `Self::name` paths rebound to the
-/// caller's impl type (the shared resolver sees the literal `Self` and
-/// finds nothing).
+/// The effects pass's call resolution: the shared
+/// [`crate::graph::CallResolver`] policy, minus method names that collide
+/// with std ([`STD_METHOD_COLLISIONS`]), plus `Self::name` paths rebound
+/// to the caller's impl type (the shared resolver sees the literal `Self`
+/// and finds nothing).
 fn effect_callees(
-    resolver: &CallResolver<'_>,
+    table: &FnTable<'_>,
     tokens: &[Token],
     i: usize,
     name: &str,
-    caller: &EffFn<'_>,
+    caller: &Func<'_>,
 ) -> Vec<usize> {
+    let resolver = &table.resolver;
     let prev = |n: usize| i.checked_sub(n).map(|j| &tokens[j].kind);
     if matches!(prev(1), Some(k) if k.is_op("::"))
         && matches!(prev(2), Some(TokenKind::Ident(ty)) if ty == "Self")
@@ -546,142 +419,13 @@ fn indexes_non_constant(tokens: &[Token], i: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// SCC condensation and summaries
-// ---------------------------------------------------------------------------
-
-/// Iterative Tarjan over the call graph. Deterministic: nodes are visited
-/// in index order and edges in sorted-key order, so the component list —
-/// in reverse topological order, callees first — is a pure function of
-/// the graph.
-fn tarjan_sccs(edges: &[BTreeMap<usize, usize>]) -> Vec<Vec<usize>> {
-    let n = edges.len();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-
-    // Explicit DFS frames: (node, iterator position into its sorted
-    // callee list).
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
-            if *pos == 0 {
-                index[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            let callees: Vec<usize> = edges[v].keys().copied().collect();
-            if *pos < callees.len() {
-                let w = callees[*pos];
-                *pos += 1;
-                if index[w] == usize::MAX {
-                    frames.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&mut (parent, _)) = frames.last_mut() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut component = Vec::new();
-                    while let Some(w) = stack.pop() {
-                        on_stack[w] = false;
-                        component.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    component.sort_unstable();
-                    sccs.push(component);
-                }
-            }
-        }
-    }
-    sccs
-}
-
-/// Summarizes one SCC given final summaries for every lower component.
-/// Members are iterated in sorted order to a fixpoint; a cause is
-/// assigned at most once per (member, kind), so the loop runs at most
-/// `3 * |scc| + 1` rounds.
-fn summarize_scc(
-    members: &[usize],
-    edges: &[BTreeMap<usize, usize>],
-    sites: &[Vec<Site>],
-    done: &[Summary],
-    fns: &[EffFn<'_>],
-) -> Vec<(usize, Summary)> {
-    let member_set: BTreeSet<usize> = members.iter().copied().collect();
-    let mut local: BTreeMap<usize, Summary> = members
-        .iter()
-        .map(|&m| {
-            let mut s = Summary::default();
-            for kind in [EffectKind::Panic, EffectKind::Blocking, EffectKind::Alloc] {
-                if let Some(site) = sites[m].iter().filter(|s| s.kind == kind).min() {
-                    s.set(
-                        kind,
-                        Cause::Direct {
-                            what: site.what.clone(),
-                            line: site.line,
-                        },
-                    );
-                }
-            }
-            (m, s)
-        })
-        .collect();
-
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &m in members {
-            for kind in [EffectKind::Panic, EffectKind::Blocking, EffectKind::Alloc] {
-                if local[&m].get(kind).is_some() {
-                    continue;
-                }
-                // The lexicographically-smallest summarized callee gives
-                // the witness, mirroring the taint tie-break.
-                let candidate = edges[m]
-                    .iter()
-                    .filter(|&(&c, _)| {
-                        let summary = if member_set.contains(&c) {
-                            &local[&c]
-                        } else {
-                            &done[c]
-                        };
-                        summary.get(kind).is_some()
-                    })
-                    .min_by_key(|&(&c, _)| (&fns[c].qual, c));
-                if let Some((&c, &line)) = candidate {
-                    local
-                        .get_mut(&m)
-                        .expect("member is in local") // lint: allow(L001, key set is exactly `members`, inserted above)
-                        .set(kind, Cause::Via { callee: c, line });
-                    changed = true;
-                }
-            }
-        }
-    }
-    local.into_iter().collect()
-}
-
-// ---------------------------------------------------------------------------
 // Entry points and chains
 // ---------------------------------------------------------------------------
 
 /// The L016 entry points: the synthesis iterator, the codec decode
 /// surface, and the reactor sweep loop (which drives the whole conn
 /// state machine).
-fn l016_entries(files: &[FileAnalysis], fns: &[EffFn<'_>]) -> Vec<usize> {
+fn l016_entries(files: &[FileAnalysis], fns: &[Func<'_>]) -> Vec<usize> {
     let mut out = Vec::new();
     for (id, info) in fns.iter().enumerate() {
         let path = files[info.file].path.as_str();
@@ -735,7 +479,7 @@ fn chain_string(
     site_line: usize,
     parent: &BTreeMap<usize, usize>,
     edges: &[BTreeMap<usize, usize>],
-    fns: &[EffFn<'_>],
+    fns: &[Func<'_>],
     files: &[FileAnalysis],
 ) -> String {
     let mut path_ids = vec![target];
@@ -764,7 +508,7 @@ fn chain_string(
 
 fn l016_panic_reachability(
     files: &[FileAnalysis],
-    fns: &[EffFn<'_>],
+    fns: &[Func<'_>],
     edges: &[BTreeMap<usize, usize>],
     sites: &[Vec<Site>],
 ) -> Vec<Diagnostic> {
@@ -805,7 +549,7 @@ fn l016_panic_reachability(
 
 fn l017_reactor_blocking(
     files: &[FileAnalysis],
-    fns: &[EffFn<'_>],
+    fns: &[Func<'_>],
     edges: &[BTreeMap<usize, usize>],
     sites: &[Vec<Site>],
 ) -> Vec<Diagnostic> {
@@ -834,7 +578,7 @@ fn l017_reactor_blocking(
                 .iter()
                 .filter(|s| s.kind == EffectKind::Blocking)
             {
-                // Plain lock acquisitions are summarized but not
+                // Plain lock acquisitions are scanned but not
                 // reported: bounded single-shard hops are the design,
                 // and holding one while blocking is L013's finding.
                 if site.what.ends_with("acquisition") {
@@ -880,19 +624,28 @@ fn l018_path(path: &str) -> bool {
 
 fn l018_hot_loop_alloc(
     files: &[FileAnalysis],
-    fns: &[EffFn<'_>],
+    table: &FnTable<'_>,
+    edges: &[BTreeMap<usize, usize>],
     sites: &[Vec<Site>],
-    summaries: &[Summary],
-    resolver: &CallResolver<'_>,
 ) -> Vec<Diagnostic> {
+    let fns = &table.fns;
+    // Which functions transitively allocate: the first direct site, or
+    // the smallest-named allocating callee.
+    let alloc_site: Vec<Option<&Site>> = sites
+        .iter()
+        .map(|s| s.iter().find(|s| s.kind == EffectKind::Alloc))
+        .collect();
+    let callees: Vec<Vec<usize>> = edges.iter().map(|e| e.keys().copied().collect()).collect();
+    let alloc = propagate(&callees, &alloc_site, |c| fns[c].qual.as_str());
+
     let mut out = Vec::new();
-    for (id, info) in fns.iter().enumerate() {
-        let f = &files[info.file];
+    for (id, func) in fns.iter().enumerate() {
+        let f = &files[func.file];
         if !l018_path(&f.path) {
             continue;
         }
         // Statement token ranges inside any loop-body scope.
-        let cfg = &info.fc.cfg;
+        let cfg = &func.fc.cfg;
         let loop_scopes: BTreeSet<_> = cfg
             .blocks
             .iter()
@@ -923,7 +676,7 @@ fn l018_hot_loop_alloc(
                     rule: "L018",
                     message: format!(
                         "allocation {} inside a hot loop of `{}`; hoist a reusable buffer out of the loop or waive with a reason",
-                        site.what, info.qual
+                        site.what, func.qual
                     ),
                 });
             }
@@ -932,18 +685,18 @@ fn l018_hot_loop_alloc(
         // Calls inside a loop to functions that transitively allocate.
         for &(start, end) in &in_loop {
             for (i, name) in call_sites(&f.tokens, (start, end)) {
-                for c in effect_callees(resolver, &f.tokens, i, name, info) {
-                    if c == id || summaries[c].alloc.is_none() {
+                for c in effect_callees(table, &f.tokens, i, name, func) {
+                    if c == id || alloc[c].is_none() {
                         continue;
                     }
-                    let chain = cause_chain(c, summaries, fns, files);
+                    let chain = alloc_chain(c, &alloc, &alloc_site, edges, fns, files);
                     out.push(Diagnostic {
                         file: f.path.clone(),
                         line: f.tokens[i].line,
                         rule: "L018",
                         message: format!(
                             "call to `{}` inside a hot loop of `{}` transitively allocates: {chain}; hoist a reusable buffer or waive with a reason",
-                            fns[c].qual, info.qual
+                            fns[c].qual, func.qual
                         ),
                     });
                 }
@@ -953,29 +706,25 @@ fn l018_hot_loop_alloc(
     out
 }
 
-/// Renders the `file:line → file:line` witness chain of a summarized
-/// allocation cause, following write-once `Via` links (terminates by
-/// construction; capped defensively).
-fn cause_chain(
+/// Renders the `file:line → file:line` witness chain from `start` to its
+/// allocation site: each call site along the `Via` links, then the site.
+fn alloc_chain(
     start: usize,
-    summaries: &[Summary],
-    fns: &[EffFn<'_>],
+    alloc: &[Option<Reach>],
+    alloc_site: &[Option<&Site>],
+    edges: &[BTreeMap<usize, usize>],
+    fns: &[Func<'_>],
     files: &[FileAnalysis],
 ) -> String {
+    let path = |id: usize| files[fns[id].file].path.as_str();
     let mut steps = Vec::new();
     let mut cur = start;
-    for _ in 0..32 {
-        match &summaries[cur].alloc {
-            Some(Cause::Direct { what, line }) => {
-                steps.push(format!("{}:{} ({what})", files[fns[cur].file].path, line));
-                break;
-            }
-            Some(Cause::Via { callee, line }) => {
-                steps.push(format!("{}:{}", files[fns[cur].file].path, line));
-                cur = *callee;
-            }
-            None => break,
-        }
+    while let Some(Reach::Via(next)) = alloc[cur] {
+        steps.push(format!("{}:{}", path(cur), edges[cur][&next]));
+        cur = next;
+    }
+    if let Some(site) = alloc_site[cur] {
+        steps.push(format!("{}:{} ({})", path(cur), site.line, site.what));
     }
     steps.join(" \u{2192} ")
 }
@@ -984,7 +733,7 @@ fn cause_chain(
 // L019: unbounded growth on the serve path
 // ---------------------------------------------------------------------------
 
-fn l019_unbounded_growth(files: &[FileAnalysis], fns: &[EffFn<'_>]) -> Vec<Diagnostic> {
+fn l019_unbounded_growth(files: &[FileAnalysis], fns: &[Func<'_>]) -> Vec<Diagnostic> {
     // Same-file shrink evidence: field names that are ever capped.
     let mut shrunk: Vec<BTreeSet<String>> = vec![BTreeSet::new(); files.len()];
     for (fi, f) in files.iter().enumerate() {
@@ -1088,18 +837,6 @@ fn self_rooted_receiver(tokens: &[Token], i: usize) -> Option<(String, String)> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tarjan_orders_callees_first() {
-        // 0 -> 1 -> 2, with 1 <-> 3 a cycle.
-        let mut edges: Vec<BTreeMap<usize, usize>> = vec![BTreeMap::new(); 4];
-        edges[0].insert(1, 10);
-        edges[1].insert(2, 20);
-        edges[1].insert(3, 30);
-        edges[3].insert(1, 40);
-        let sccs = tarjan_sccs(&edges);
-        assert_eq!(sccs, vec![vec![2], vec![1, 3], vec![0]]);
-    }
 
     #[test]
     fn non_constant_index_detection() {

@@ -12,6 +12,10 @@
 //!   calls bind only when exactly one impl defines the name — ambiguity
 //!   never produces an edge, so taint spreads through real call chains
 //!   only.
+//! * **The shared call graph** — the function table (`FnTable`), call
+//!   resolution (`CallResolver`) and the bottom-up propagation engine
+//!   (`propagate`) that L008 taint, L013 transitive blocking and L018
+//!   allocation chains all run on.
 //! * **L009** — dead `pub` surface: a `pub` item nothing references
 //!   outside its own definition — in any file, including its own
 //!   (same-crate `pub use` re-exports do not count as references — a
@@ -75,28 +79,14 @@ pub struct FileAnalysis {
     pub diagnostics: Vec<Diagnostic>,
     /// Surviving (unsuppressed) L008 direct sites, for taint seeding.
     pub l008_sites: Vec<L008Site>,
-    /// Per-function control-flow graphs for the body-level lock rules;
-    /// empty for reference files and when body analysis is disabled.
+    /// Per-function control-flow graphs: the workspace function table
+    /// every interprocedural pass shares. Empty for reference files.
     pub fn_cfgs: Vec<FnCfg>,
 }
 
-/// Lexes, parses and per-file-lints one source file, with body-level
-/// (CFG) analysis enabled.
+/// Lexes, parses, per-file-lints and (for lint files) lowers every
+/// function body of one source file to its control-flow graph.
 pub fn analyze_source(path: &Path, src: &str, role: FileRole) -> FileAnalysis {
-    analyze_source_opts(path, src, role, true)
-}
-
-/// Like [`analyze_source`], but `body_analysis: false` skips control-flow
-/// graph construction, leaving [`FileAnalysis::fn_cfgs`] empty — the lint
-/// CLI uses this when a `--rules` filter excludes every body-level rule
-/// (L012–L014), so a signature-only run costs what it did before those
-/// rules existed.
-pub fn analyze_source_opts(
-    path: &Path,
-    src: &str,
-    role: FileRole,
-    body_analysis: bool,
-) -> FileAnalysis {
     let lexed = lex(src);
     let ast = parser::parse(&lexed.tokens);
     let in_test = rules::test_flags(&lexed.tokens);
@@ -117,7 +107,7 @@ pub fn analyze_source_opts(
         }
     }
 
-    let fn_cfgs = if role == FileRole::Lint && body_analysis {
+    let fn_cfgs = if role == FileRole::Lint {
         crate::cfg::build_fn_cfgs(&lexed.tokens, &ast)
     } else {
         Vec::new()
@@ -146,22 +136,16 @@ pub struct CrossFileOptions<'a> {
     pub baselines_dir: &'a Path,
     /// When true, L010 rewrites the baselines instead of diffing them.
     pub update_baselines: bool,
-    /// When true, runs the lock-discipline rules (L012–L014) over the
-    /// per-function CFGs; pointless without body analysis in
-    /// [`analyze_source_opts`].
-    pub lock_rules: bool,
-    /// When true, runs the effect-summary rules (L016–L019); like the
-    /// lock rules, these need body analysis.
-    pub effect_rules: bool,
-    /// Thread configuration for the per-SCC effect-summary stage. The
-    /// merge is in submission order, so the report stays byte-identical
-    /// at any thread count.
+    /// Thread configuration for the effects pass's per-function
+    /// direct-site scan. The merge is in submission order, so the report
+    /// stays byte-identical at any thread count.
     pub parallelism: Parallelism,
 }
 
-/// Runs the cross-file analyses (L008 transitive, L009, L010, and the
-/// L012–L014 lock discipline) over the analyzed workspace. Returned
-/// diagnostics are directive-filtered and sorted.
+/// Runs the cross-file analyses (L008 transitive, L009, L010, the
+/// L012–L014 lock discipline and the L016–L019 effect rules) over the
+/// analyzed workspace. Returned diagnostics are directive-filtered and
+/// sorted.
 ///
 /// # Errors
 ///
@@ -171,16 +155,17 @@ pub fn cross_file(
     files: &[FileAnalysis],
     opts: &CrossFileOptions<'_>,
 ) -> io::Result<Vec<Diagnostic>> {
+    let table = FnTable::new(files);
     let mut diags = Vec::new();
-    diags.extend(taint_analysis(files));
+    diags.extend(taint_analysis(files, &table));
     diags.extend(dead_pub_surface(files));
     diags.extend(api_snapshots(files, opts)?);
-    if opts.lock_rules {
-        diags.extend(crate::locks::lock_analysis(files));
-    }
-    if opts.effect_rules {
-        diags.extend(crate::effects::effects_analysis(files, opts.parallelism));
-    }
+    diags.extend(crate::locks::lock_analysis(files, &table));
+    diags.extend(crate::effects::effects_analysis(
+        files,
+        &table,
+        opts.parallelism,
+    ));
 
     // Cross-file diagnostics honor the same `// lint: allow` directives at
     // the line they point at.
@@ -222,12 +207,170 @@ fn crate_of(path: &str) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Shared conservative call resolution
+// The shared call graph: function table, resolution, propagation
 // ---------------------------------------------------------------------------
 
-/// Conservative name resolution over a workspace function table, shared by
-/// every interprocedural pass (L008 taint, L012–L014 locks, L016–L019
-/// effects) so the rules agree on what the call graph is.
+/// One non-test function with a body.
+pub(crate) struct Func<'a> {
+    /// Index of the defining file in the analyzed slice.
+    pub(crate) file: usize,
+    /// The function's CFG and token ranges.
+    pub(crate) fc: &'a FnCfg,
+    /// Display name: `Type::name` or `name`.
+    pub(crate) qual: String,
+}
+
+/// The workspace function table every interprocedural pass (L008 taint,
+/// L012–L014 locks, L016–L019 effects) shares, built once from the
+/// per-file CFGs. A function's id is its index; the order is (file, body
+/// start), so ids are a pure function of the analyzed files.
+pub(crate) struct FnTable<'a> {
+    /// The functions, by id.
+    pub(crate) fns: Vec<Func<'a>>,
+    /// Call resolution over [`FnTable::fns`].
+    pub(crate) resolver: CallResolver<'a>,
+}
+
+impl<'a> FnTable<'a> {
+    pub(crate) fn new(files: &'a [FileAnalysis]) -> Self {
+        let mut fns: Vec<Func<'a>> = Vec::new();
+        for (file, f) in files.iter().enumerate() {
+            for fc in &f.fn_cfgs {
+                let qual = match &fc.self_type {
+                    Some(ty) => format!("{ty}::{}", fc.name),
+                    None => fc.name.clone(),
+                };
+                fns.push(Func { file, fc, qual });
+            }
+        }
+        fns.sort_by_key(|f| (f.file, f.fc.body.0));
+        let resolver = CallResolver::new(
+            fns.iter()
+                .map(|f| (f.fc.name.as_str(), f.fc.self_type.as_deref(), f.file)),
+        );
+        FnTable { fns, resolver }
+    }
+}
+
+/// How a function reaches an effect, as computed by [`propagate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Reach {
+    /// Its own body contains a direct site.
+    Direct,
+    /// It calls this function id, which reaches the effect.
+    Via(usize),
+}
+
+/// Propagates an effect from the functions with a `direct` site to every
+/// transitive caller over `edges` (each caller's sorted callee ids).
+///
+/// Bottom-up over [`tarjan_sccs`]: every callee outside a component is
+/// final before the component's members are read. A caller's witness is
+/// its reaching callee with the smallest `(qual(id), id)`. Inside a
+/// component, members take turns in id order until none changes, and a
+/// `Via` link only ever names a callee that already reaches the effect,
+/// so following the links always ends at a `Direct` function.
+pub(crate) fn propagate<T, K: Ord>(
+    edges: &[Vec<usize>],
+    direct: &[Option<T>],
+    qual: impl Fn(usize) -> K,
+) -> Vec<Option<Reach>> {
+    let mut reach: Vec<Option<Reach>> = direct
+        .iter()
+        .map(|d| d.as_ref().map(|_| Reach::Direct))
+        .collect();
+    for component in tarjan_sccs(edges) {
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for &m in &component {
+                if reach[m].is_some() {
+                    continue;
+                }
+                let witness = edges[m]
+                    .iter()
+                    .copied()
+                    .filter(|&c| reach[c].is_some())
+                    .min_by_key(|&c| (qual(c), c));
+                if let Some(c) = witness {
+                    reach[m] = Some(Reach::Via(c));
+                    changed = true;
+                }
+            }
+        }
+    }
+    reach
+}
+
+/// The function at the end of `id`'s witness chain: the one whose own
+/// body holds the direct site (`id` itself when it reaches nothing).
+pub(crate) fn witness_root(reach: &[Option<Reach>], mut id: usize) -> usize {
+    while let Some(Reach::Via(next)) = reach[id] {
+        id = next;
+    }
+    id
+}
+
+/// Iterative Tarjan over `edges` (each node's sorted successor ids).
+/// Deterministic: nodes are visited in index order and successors in
+/// list order, so the component list — in reverse topological order,
+/// successors first, each component sorted — is a pure function of the
+/// graph.
+pub(crate) fn tarjan_sccs(edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    let n = edges.len();
+    let mut index = vec![usize::MAX; n];
+    let mut low = vec![0usize; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut next_index = 0usize;
+    let mut sccs: Vec<Vec<usize>> = Vec::new();
+
+    // Explicit DFS frames: (node, position in its successor list).
+    for root in 0..n {
+        if index[root] != usize::MAX {
+            continue;
+        }
+        let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
+        while let Some(&mut (v, ref mut pos)) = frames.last_mut() {
+            if *pos == 0 {
+                index[v] = next_index;
+                low[v] = next_index;
+                next_index += 1;
+                stack.push(v);
+                on_stack[v] = true;
+            }
+            if let Some(&w) = edges[v].get(*pos) {
+                *pos += 1;
+                if index[w] == usize::MAX {
+                    frames.push((w, 0));
+                } else if on_stack[w] {
+                    low[v] = low[v].min(index[w]);
+                }
+            } else {
+                frames.pop();
+                if let Some(&mut (parent, _)) = frames.last_mut() {
+                    low[parent] = low[parent].min(low[v]);
+                }
+                if low[v] == index[v] {
+                    let mut component = Vec::new();
+                    while let Some(w) = stack.pop() {
+                        on_stack[w] = false;
+                        component.push(w);
+                        if w == v {
+                            break;
+                        }
+                    }
+                    component.sort_unstable();
+                    sccs.push(component);
+                }
+            }
+        }
+    }
+    sccs
+}
+
+/// Conservative name resolution over the [`FnTable`], shared by every
+/// interprocedural pass so the rules start from one call graph.
 ///
 /// The resolution policy:
 ///
@@ -242,6 +385,14 @@ fn crate_of(path: &str) -> String {
 /// chains they can actually prove. Results are memoised per (call shape,
 /// caller file), which makes repeated resolution of the same hot names —
 /// every pass re-walks the same bodies — a map lookup.
+///
+/// The passes do not all resolve the same way. The L016–L019 effects
+/// pass (`effects::effect_callees`) adds two rules of its own on top:
+/// `Self::name` rebinds to the caller's impl type (this resolver sees the
+/// literal `Self` and finds nothing), and method calls whose name
+/// collides with a std method (`map`, `next`, `shutdown`, ...) are never
+/// resolved. L008 and L013 use this resolver as is; the lock pass only
+/// keeps std lock vocabulary (`lock`, `wait`, `drop`, ...) away from it.
 pub(crate) struct CallResolver<'a> {
     /// Free functions by name.
     free_by_name: BTreeMap<&'a str, Vec<usize>>,
@@ -395,153 +546,61 @@ pub(crate) fn call_sites(tokens: &[Token], body: (usize, usize)) -> Vec<(usize, 
 // L008: determinism taint
 // ---------------------------------------------------------------------------
 
-/// One function definition in the workspace call graph.
-#[derive(Debug)]
-struct FnDef {
-    file: usize,
-    name: String,
-    /// The impl'd type (or trait, for default methods), if a method.
-    self_type: Option<String>,
-    body: (usize, usize),
-    line: usize,
-    /// Display name: `Type::name` or `name`.
-    qual: String,
-}
-
-/// Why a function is tainted, for the diagnostic message.
-#[derive(Debug, Clone)]
-enum Cause {
-    /// The function body contains the described direct site.
-    Direct(String),
-    /// The function calls `qual`, whose root cause is the description.
-    Via(String, String),
-}
-
-fn taint_analysis(files: &[FileAnalysis]) -> Vec<Diagnostic> {
-    // Collect every non-test function with a body, workspace-wide.
-    let mut fns: Vec<FnDef> = Vec::new();
-    for (fi, f) in files.iter().enumerate() {
-        if f.role != FileRole::Lint {
-            continue;
-        }
-        collect_fns(&f.ast.items, fi, None, &mut fns);
-    }
-    // Deterministic order regardless of collection details.
-    fns.sort_by_key(|a| (a.file, a.body.0));
-
-    // The shared conservative resolver over the function table.
-    let resolver = CallResolver::new(
-        fns.iter()
-            .map(|fd| (fd.name.as_str(), fd.self_type.as_deref(), fd.file)),
-    );
-
-    // Seed taint from surviving direct sites.
-    let mut cause: Vec<Option<Cause>> = vec![None; fns.len()];
-    for (id, fd) in fns.iter().enumerate() {
-        for site in &files[fd.file].l008_sites {
-            if site.tok >= fd.body.0 && site.tok < fd.body.1 {
-                cause[id] = Some(Cause::Direct(site.what.clone()));
-                break;
-            }
-        }
-    }
-
-    // Resolve call edges: caller -> callees.
-    let mut callees: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); fns.len()];
-    for (id, fd) in fns.iter().enumerate() {
-        let tokens = &files[fd.file].tokens;
-        for (i, name) in call_sites(tokens, fd.body) {
-            for c in resolver.resolve_callees(tokens, i, name, fd.file) {
-                if c != id {
-                    callees[id].insert(c);
-                }
-            }
-        }
-    }
-
-    // Fixpoint: a caller of a tainted function is tainted. Iterating fns in
-    // index order until stable keeps the cause assignment deterministic.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for id in 0..fns.len() {
-            if cause[id].is_some() {
-                continue;
-            }
-            // The lexicographically-smallest tainted callee gives the cause.
-            let tainted_callee = callees[id]
+fn taint_analysis(files: &[FileAnalysis], table: &FnTable<'_>) -> Vec<Diagnostic> {
+    let fns = &table.fns;
+    // Seed taint from the first surviving direct site in each body.
+    let direct: Vec<Option<&str>> = fns
+        .iter()
+        .map(|f| {
+            let (start, end) = f.fc.body;
+            files[f.file]
+                .l008_sites
                 .iter()
-                .filter_map(|&c| cause[c].as_ref().map(|why| (c, why)))
-                .min_by_key(|&(c, _)| (&fns[c].qual, c));
-            if let Some((c, why)) = tainted_callee {
-                let root = match why {
-                    Cause::Direct(what) => what.clone(),
-                    Cause::Via(_, root) => root.clone(),
-                };
-                cause[id] = Some(Cause::Via(fns[c].qual.clone(), root));
-                changed = true;
-            }
-        }
-    }
+                .find(|s| s.tok >= start && s.tok < end)
+                .map(|s| s.what.as_str())
+        })
+        .collect();
+
+    let edges: Vec<Vec<usize>> = fns
+        .iter()
+        .map(|f| {
+            let tokens = &files[f.file].tokens;
+            let mut callees: Vec<usize> = call_sites(tokens, f.fc.body)
+                .into_iter()
+                .flat_map(|(i, name)| table.resolver.resolve_callees(tokens, i, name, f.file))
+                .collect();
+            callees.sort_unstable();
+            callees.dedup();
+            callees
+        })
+        .collect();
+    let reach = propagate(&edges, &direct, |c| fns[c].qual.as_str());
 
     // Report transitive taint for functions on the synthesis path. Direct
     // sites already carry their own per-file L008 diagnostics.
     let mut out = Vec::new();
-    for (id, fd) in fns.iter().enumerate() {
-        if let Some(Cause::Via(callee, root)) = &cause[id] {
-            let f = &files[fd.file];
-            if !rules::Scope::of(Path::new(&f.path)).wants_determinism() {
-                continue;
-            }
-            out.push(Diagnostic {
-                file: f.path.clone(),
-                line: fd.line,
-                rule: "L008",
-                message: format!(
-                    "fn `{}` calls `{callee}`, which transitively performs {root}; the synthesis path must be deterministic",
-                    fd.qual
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// Recursively collects callable function definitions (free fns, inherent
-/// and trait-impl methods, trait default methods), skipping test code.
-fn collect_fns(items: &[Item], file: usize, self_type: Option<&str>, out: &mut Vec<FnDef>) {
-    for item in items {
-        if item.in_test {
+    for (id, func) in fns.iter().enumerate() {
+        let Some(Reach::Via(callee)) = reach[id] else {
+            continue;
+        };
+        let Some(root) = direct[witness_root(&reach, id)] else {
+            continue;
+        };
+        let f = &files[func.file];
+        if !rules::Scope::of(Path::new(&f.path)).wants_determinism() {
             continue;
         }
-        match item.kind {
-            ItemKind::Fn => {
-                if let Some(body) = item.body {
-                    let qual = match self_type {
-                        Some(ty) => format!("{ty}::{}", item.name),
-                        None => item.name.clone(),
-                    };
-                    out.push(FnDef {
-                        file,
-                        name: item.name.clone(),
-                        self_type: self_type.map(str::to_string),
-                        body,
-                        line: item.line,
-                        qual,
-                    });
-                }
-            }
-            ItemKind::Mod => collect_fns(&item.children, file, None, out),
-            ItemKind::Impl => {
-                let ty = item.self_type.as_deref();
-                collect_fns(&item.children, file, ty, out);
-            }
-            ItemKind::Trait => {
-                collect_fns(&item.children, file, Some(item.name.as_str()), out);
-            }
-            _ => {}
-        }
+        out.push(Diagnostic {
+            file: f.path.clone(),
+            line: func.fc.line,
+            rule: "L008",
+            message: format!(
+                "fn `{}` calls `{}`, which transitively performs {root}; the synthesis path must be deterministic",
+                func.qual, fns[callee].qual
+            ),
+        });
     }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -1023,8 +1082,6 @@ mod tests {
         let opts = CrossFileOptions {
             baselines_dir: &dir,
             update_baselines: false,
-            lock_rules: true,
-            effect_rules: false,
             parallelism: Parallelism::sequential(),
         };
         cross_file(files, &opts)
@@ -1078,6 +1135,49 @@ mod tests {
         assert_eq!(r.resolve(&Call::Bare("unique_fn".into()), 2), vec![5]);
         // Memoised: a second identical query returns the same answer.
         assert_eq!(r.resolve(&Call::Bare("helper".into()), 0), vec![3]);
+    }
+
+    #[test]
+    fn tarjan_orders_callees_first() {
+        // 0 -> 1 -> 2, with 1 <-> 3 a cycle.
+        let edges = vec![vec![1], vec![2, 3], vec![], vec![1]];
+        assert_eq!(tarjan_sccs(&edges), vec![vec![2], vec![1, 3], vec![0]]);
+    }
+
+    #[test]
+    fn propagate_names_the_smallest_reaching_callee() {
+        // 0 calls 1 ("z", direct) and 2 ("a"), which reaches 3 (direct).
+        // 2 reaches the effect only through a higher id, yet 0 must see
+        // it and name "a".
+        let names = ["top", "z", "a", "leaf"];
+        let edges = vec![vec![1, 2], vec![], vec![3], vec![]];
+        let direct = [None, Some(()), None, Some(())];
+        let reach = propagate(&edges, &direct, |c| names[c]);
+        assert_eq!(
+            reach,
+            vec![
+                Some(Reach::Via(2)),
+                Some(Reach::Direct),
+                Some(Reach::Via(3)),
+                Some(Reach::Direct)
+            ]
+        );
+        assert_eq!(witness_root(&reach, 0), 3);
+    }
+
+    #[test]
+    fn propagate_chains_through_a_cycle_end_at_a_direct_site() {
+        // 0 <-> 1 is a cycle; only 1 reaches 2 (direct). 0's witness must
+        // be 1, never a link back into itself.
+        let names = ["a", "b", "c", "d"];
+        let edges = vec![vec![1], vec![0, 2], vec![], vec![]];
+        let direct = [None, None, Some(()), None];
+        let reach = propagate(&edges, &direct, |c| names[c]);
+        assert_eq!(reach[0], Some(Reach::Via(1)));
+        assert_eq!(reach[1], Some(Reach::Via(2)));
+        assert_eq!(reach[3], None);
+        assert_eq!(witness_root(&reach, 0), 2);
+        assert_eq!(witness_root(&reach, 3), 3);
     }
 
     #[test]
@@ -1277,16 +1377,12 @@ mod tests {
         let update = CrossFileOptions {
             baselines_dir: &dir,
             update_baselines: true,
-            lock_rules: true,
-            effect_rules: false,
             parallelism: Parallelism::sequential(),
         };
         cross_file(&files, &update).expect("baseline write");
         let check = CrossFileOptions {
             baselines_dir: &dir,
             update_baselines: false,
-            lock_rules: true,
-            effect_rules: false,
             parallelism: Parallelism::sequential(),
         };
         // Unchanged surface: clean.

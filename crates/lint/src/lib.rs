@@ -71,9 +71,12 @@
 //! L012–L014 are body-level: [`cfg`] lowers every non-test function into
 //! a control-flow graph, [`dataflow`] runs a guard-region analysis over
 //! it, and the lock pass combines both with the symbol graph's call
-//! edges. L016–L019 are interprocedural: a bottom-up pass over
-//! call-graph SCCs computes per-function panic/blocking/allocation
-//! effect summaries, parallelized per-SCC with deterministic merging.
+//! edges. The CFGs double as the workspace function table, which
+//! [`graph`] builds once with one call resolver. L008 taint, L013
+//! transitive blocking and L018 allocation chains each ask one shared
+//! bottom-up propagation over the call graph's strongly connected
+//! components which callee reaches the effect; L016/L017 search the
+//! call graph breadth-first from their entry points.
 //!
 //! Escape hatch: `// lint: allow(L001, reason)` on the violating line or
 //! the line above. The reason is mandatory and is itself reviewed. Rule
@@ -151,10 +154,10 @@ pub fn run(crates_root: &Path) -> io::Result<Report> {
 ///
 /// The per-file stage (lex, parse, per-file rules, CFG lowering) runs on
 /// the configured [`Parallelism`]; the cross-file stage (L008 taint,
-/// L009, L010, the L012–L014 lock pass) is a pure sequential function of
-/// the per-file results. Both stages are
-/// deterministic, so the returned report is byte-identical across runs
-/// and thread counts.
+/// L009, L010, the L012–L014 lock pass, the L016–L019 effect rules) is a
+/// pure function of the per-file results. Both stages are deterministic,
+/// so the returned report is byte-identical across runs and thread
+/// counts. A `--rules` filter only narrows the report; every pass runs.
 ///
 /// # Errors
 ///
@@ -171,23 +174,8 @@ pub fn run_with(crates_root: &Path, options: &RunOptions) -> io::Result<Report> 
         inputs.push((path, src, FileRole::Reference));
     }
 
-    // Body-level analysis (CFG lowering + the lock and effects passes)
-    // only pays for itself when one of L012–L014 or L016–L019 is
-    // actually requested; a `--rules` run restricted to the v2 rule set
-    // costs v2 time.
-    let lock_rules = options
-        .rules
-        .as_ref()
-        .is_none_or(|r| ["L012", "L013", "L014"].iter().any(|x| r.contains(*x)));
-    let effect_rules = options.rules.as_ref().is_none_or(|r| {
-        ["L016", "L017", "L018", "L019"]
-            .iter()
-            .any(|x| r.contains(*x))
-    });
-    let body_rules = lock_rules || effect_rules;
-
     let analyses = options.parallelism.map(&inputs, |(path, src, role)| {
-        graph::analyze_source_opts(path, src, *role, body_rules)
+        graph::analyze_source(path, src, *role)
     });
 
     let files_checked = analyses.iter().filter(|a| a.role == FileRole::Lint).count();
@@ -203,8 +191,6 @@ pub fn run_with(crates_root: &Path, options: &RunOptions) -> io::Result<Report> 
         &CrossFileOptions {
             baselines_dir,
             update_baselines: options.update_baselines,
-            lock_rules,
-            effect_rules,
             parallelism: options.parallelism,
         },
     )?);

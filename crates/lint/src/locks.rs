@@ -7,10 +7,12 @@
 //! * [`crate::dataflow`] iterates a guard-region analysis over it: which
 //!   lock guards are live at each statement, where they were acquired,
 //!   and whether a condvar `wait` sanctions them.
-//! * The same conservative name resolution the L008 taint pass uses
-//!   turns bare, qualified and method calls into workspace call edges,
-//!   so blocking behaviour and lock acquisitions propagate through real
-//!   call chains only — ambiguity never produces an edge.
+//! * The shared [`crate::graph::FnTable`] and its conservative call
+//!   resolver turn bare, qualified and method calls into workspace call
+//!   edges, so blocking behaviour and lock acquisitions propagate through
+//!   real call chains only — ambiguity never produces an edge.
+//!   Transitive blocking goes through [`crate::graph::propagate`], the
+//!   engine L008 taint and L018 allocation chains use too.
 //!
 //! The rules:
 //!
@@ -50,9 +52,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::cfg::{Cfg, CfgStmt, CfgStmtKind, FnCfg, ScopeId};
+use crate::cfg::{Cfg, CfgStmt, CfgStmtKind, ScopeId};
 use crate::dataflow::{fixpoint, Analysis};
-use crate::graph::{CallResolver, FileAnalysis, FileRole};
+use crate::graph::{
+    propagate, tarjan_sccs, witness_root, CallResolver, FileAnalysis, FnTable, Func, Reach,
+};
 use crate::lexer::{Token, TokenKind};
 use crate::parser;
 use crate::rules::Diagnostic;
@@ -157,56 +161,13 @@ struct StmtFacts {
     binds: BTreeMap<usize, String>,
 }
 
-/// Why a function transitively blocks, mirroring the L008 taint causes.
-#[derive(Debug, Clone)]
-enum BlockCause {
-    /// The body contains the marker itself.
-    Direct(&'static str),
-    /// The function calls `qual`, whose root marker is the second field.
-    Via(String, &'static str),
-}
-
-/// One function in the lock analysis: its CFG plus workspace identity.
-struct FnInfo<'a> {
-    /// Index of the defining file in the input slice.
-    file: usize,
-    /// The function's CFG and token ranges.
-    fc: &'a FnCfg,
-    /// Display name: `Type::name` or `name`.
-    qual: String,
-}
-
 /// Runs the whole lock-discipline analysis over the analyzed workspace.
 /// Returned diagnostics are sorted and deduplicated; directive filtering
 /// happens in [`crate::graph::cross_file`] like every cross-file rule.
-pub(crate) fn lock_analysis(files: &[FileAnalysis]) -> Vec<Diagnostic> {
-    // 1. The function table, in deterministic (file, body-start) order.
-    let mut fns: Vec<FnInfo<'_>> = Vec::new();
-    for (fi, f) in files.iter().enumerate() {
-        if f.role != FileRole::Lint {
-            continue;
-        }
-        for fc in &f.fn_cfgs {
-            let qual = match &fc.self_type {
-                Some(ty) => format!("{ty}::{}", fc.name),
-                None => fc.name.clone(),
-            };
-            fns.push(FnInfo { file: fi, fc, qual });
-        }
-    }
-    fns.sort_by_key(|i| (i.file, i.fc.body.0));
+pub(crate) fn lock_analysis(files: &[FileAnalysis], table: &FnTable<'_>) -> Vec<Diagnostic> {
+    let fns = &table.fns;
 
-    // 2. The shared conservative resolver, the same one the L008 taint
-    // pass and the L016–L019 effects pass use.
-    let resolver = CallResolver::new(fns.iter().map(|info| {
-        (
-            info.fc.name.as_str(),
-            info.fc.self_type.as_deref(),
-            info.file,
-        )
-    }));
-
-    // 3. Guard-returning wrappers: a signature naming a guard type plus
+    // 1. Guard-returning wrappers: a signature naming a guard type plus
     // the first direct acquisition in the body gives the lock the
     // wrapper hands out.
     let wrapper_lock: Vec<Option<String>> = fns
@@ -221,11 +182,11 @@ pub(crate) fn lock_analysis(files: &[FileAnalysis]) -> Vec<Diagnostic> {
         })
         .collect();
 
-    // 4. Per-statement event scripts plus each function's direct facts.
+    // 2. Per-statement event scripts plus each function's direct facts.
     let mut all_facts: Vec<BTreeMap<(usize, usize), StmtFacts>> = Vec::with_capacity(fns.len());
     let mut direct_block: Vec<Option<&'static str>> = vec![None; fns.len()];
     let mut acq_all: Vec<BTreeSet<String>> = vec![BTreeSet::new(); fns.len()];
-    let mut callees: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); fns.len()];
+    let mut callees: Vec<Vec<usize>> = vec![Vec::new(); fns.len()];
     for (id, info) in fns.iter().enumerate() {
         let f = &files[info.file];
         let mut facts: BTreeMap<(usize, usize), StmtFacts> = BTreeMap::new();
@@ -238,7 +199,7 @@ pub(crate) fn lock_analysis(files: &[FileAnalysis]) -> Vec<Diagnostic> {
                     id,
                     info.file,
                     &f.crate_name,
-                    &resolver,
+                    &table.resolver,
                     &wrapper_lock,
                 );
                 for ev in &sf.events {
@@ -252,9 +213,7 @@ pub(crate) fn lock_analysis(files: &[FileAnalysis]) -> Vec<Diagnostic> {
                                 first_marker = Some(key);
                             }
                         }
-                        Event::Call { callee, .. } if *callee != id => {
-                            callees[id].insert(*callee);
-                        }
+                        Event::Call { callee, .. } => callees[id].push(*callee),
                         _ => {}
                     }
                 }
@@ -262,16 +221,17 @@ pub(crate) fn lock_analysis(files: &[FileAnalysis]) -> Vec<Diagnostic> {
             }
         }
         direct_block[id] = first_marker.map(|(_, what)| what);
+        callees[id].sort_unstable();
+        callees[id].dedup();
         all_facts.push(facts);
     }
 
-    // 5a. Transitive acquisition sets, to a fixpoint.
+    // 3a. Transitive acquisition sets, to a fixpoint.
     let mut changed = true;
     while changed {
         changed = false;
         for id in 0..fns.len() {
-            let callee_ids: Vec<usize> = callees[id].iter().copied().collect();
-            for c in callee_ids {
+            for &c in &callees[id] {
                 let extra: Vec<String> = acq_all[c]
                     .iter()
                     .filter(|l| !acq_all[id].contains(*l))
@@ -285,35 +245,20 @@ pub(crate) fn lock_analysis(files: &[FileAnalysis]) -> Vec<Diagnostic> {
         }
     }
 
-    // 5b. Transitive blocking causes, with the same deterministic
-    // smallest-callee tie-break the taint pass uses.
-    let mut bcause: Vec<Option<BlockCause>> = direct_block
-        .iter()
-        .map(|d| d.map(BlockCause::Direct))
+    // 3b. Transitive blocking: each blocking function's root marker and,
+    // when it blocks through a callee, that first hop.
+    let reach = propagate(&callees, &direct_block, |c| fns[c].qual.as_str());
+    let blocking: Vec<Option<(&'static str, Option<usize>)>> = (0..fns.len())
+        .map(|id| {
+            let hop = match reach[id]? {
+                Reach::Direct => None,
+                Reach::Via(next) => Some(next),
+            };
+            Some((direct_block[witness_root(&reach, id)]?, hop))
+        })
         .collect();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for id in 0..fns.len() {
-            if bcause[id].is_some() {
-                continue;
-            }
-            let blocking_callee = callees[id]
-                .iter()
-                .filter_map(|&c| bcause[c].as_ref().map(|why| (c, why)))
-                .min_by_key(|&(c, _)| (&fns[c].qual, c));
-            if let Some((c, why)) = blocking_callee {
-                let root = match why {
-                    BlockCause::Direct(what) => what,
-                    BlockCause::Via(_, root) => root,
-                };
-                bcause[id] = Some(BlockCause::Via(fns[c].qual.clone(), root));
-                changed = true;
-            }
-        }
-    }
 
-    // 6. The reporting walk: per-function dataflow, then per-statement
+    // 4. The reporting walk: per-function dataflow, then per-statement
     // replay collecting observations, then the global cycle check.
     let mut diags: Vec<Diagnostic> = Vec::new();
     let mut edges: BTreeMap<(String, String), (String, usize)> = BTreeMap::new();
@@ -339,7 +284,7 @@ pub(crate) fn lock_analysis(files: &[FileAnalysis]) -> Vec<Diagnostic> {
                     Some(&mut obs),
                 );
                 for o in obs {
-                    report(o, f, &fns, &acq_all, &bcause, &mut diags, &mut edges);
+                    report(o, f, fns, &acq_all, &blocking, &mut diags, &mut edges);
                 }
             }
             // L014: a guard live at a loop back-edge whose scope strictly
@@ -381,9 +326,9 @@ pub(crate) fn lock_analysis(files: &[FileAnalysis]) -> Vec<Diagnostic> {
 fn report(
     o: Obs,
     f: &FileAnalysis,
-    fns: &[FnInfo<'_>],
+    fns: &[Func<'_>],
     acq_all: &[BTreeSet<String>],
-    bcause: &[Option<BlockCause>],
+    blocking: &[Option<(&'static str, Option<usize>)>],
     diags: &mut Vec<Diagnostic>,
     edges: &mut BTreeMap<(String, String), (String, usize)>,
 ) {
@@ -417,11 +362,10 @@ fn report(
                 }
             }
             if let Some((name, g)) = held.iter().find(|(_, g)| !g.sanctioned) {
-                if let Some(cause) = &bcause[callee] {
-                    let (root, hop) = match cause {
-                        BlockCause::Direct(what) => (what, String::new()),
-                        BlockCause::Via(next, root) => (root, format!(" through `{next}`")),
-                    };
+                if let Some((root, next)) = blocking[callee] {
+                    let hop = next
+                        .map(|n| format!(" through `{}`", fns[n].qual))
+                        .unwrap_or_default();
                     diags.push(Diagnostic {
                         file: f.path.clone(),
                         line,
@@ -441,54 +385,31 @@ fn report(
 /// locks in one component (or a self-edge) mean two code paths acquire
 /// them in opposite orders.
 fn cycle_diagnostics(edges: &BTreeMap<(String, String), (String, usize)>) -> Vec<Diagnostic> {
-    let mut nodes: BTreeSet<String> = BTreeSet::new();
-    let mut adj: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    let nodes: Vec<&str> = edges
+        .keys()
+        .flat_map(|(a, b)| [a.as_str(), b.as_str()])
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    // Every edge endpoint is in `nodes`, so the search always hits.
+    let id = |lock: &str| nodes.binary_search(&lock).unwrap_or_default();
+    // Edge keys are sorted, so each successor list comes out sorted.
+    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
     for (a, b) in edges.keys() {
-        nodes.insert(a.clone());
-        nodes.insert(b.clone());
-        adj.entry(a).or_default().insert(b);
+        succs[id(a)].push(id(b));
     }
-    // Path-of-length-≥1 reachability; the graphs here are tiny (one node
-    // per lock in the workspace), so BFS per query is plenty.
-    let reach = |from: &str, to: &str| -> bool {
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
-        let mut queue: Vec<&str> = adj
-            .get(from)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        while let Some(n) = queue.pop() {
-            if n == to {
-                return true;
-            }
-            if seen.insert(n) {
-                if let Some(next) = adj.get(n) {
-                    queue.extend(next.iter().copied());
-                }
-            }
-        }
-        false
-    };
 
     let mut out = Vec::new();
-    let mut assigned: BTreeSet<String> = BTreeSet::new();
-    for n in &nodes {
-        if assigned.contains(n) {
-            continue;
-        }
-        let group: Vec<&String> = nodes
-            .iter()
-            .filter(|m| *m == n || (reach(n, m) && reach(m, n)))
-            .collect();
-        for m in &group {
-            assigned.insert((*m).clone());
-        }
-        let cyclic = group.len() > 1 || edges.contains_key(&(n.clone(), n.clone()));
+    for group in tarjan_sccs(&succs) {
+        let cyclic = group.len() > 1 || succs[group[0]].contains(&group[0]);
         if !cyclic {
             continue;
         }
         let cycle_edges: Vec<_> = edges
             .iter()
-            .filter(|((a, b), _)| group.contains(&a) && group.contains(&b))
+            .filter(|((a, b), _)| {
+                group.binary_search(&id(a)).is_ok() && group.binary_search(&id(b)).is_ok()
+            })
             .collect();
         let segs: Vec<String> = cycle_edges
             .iter()

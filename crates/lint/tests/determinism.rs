@@ -56,8 +56,8 @@ fn json_report_of_the_workspace_is_versioned_and_clean() {
 
 #[test]
 fn effects_pass_is_byte_identical_across_thread_counts() {
-    // The effects pass has its own second level of parallelism (per-SCC
-    // within a topological level), so it gets its own 1/2/8-thread pin
+    // The effects pass has its own second level of parallelism (the
+    // per-function direct-site scan), so it gets its own 1/2/8-thread pin
     // with every other rule filtered out.
     let report_at = |threads: usize| {
         let options = RunOptions {

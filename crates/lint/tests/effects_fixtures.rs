@@ -1,4 +1,4 @@
-//! Effect-summary rule fixtures: a three-hop L016 panic chain out of the
+//! Effect-rule fixtures: a three-hop L016 panic chain out of the
 //! synthesis iterator, L017 blocking two calls behind the reactor sweep,
 //! an L018 allocation in a nested hot loop, and an L019 capped-vs-uncapped
 //! growth pair. Each failing fixture carries a clean sibling in the same
@@ -34,8 +34,6 @@ fn effect_diags(fixture_name: &str, scope: &str, tag: &str) -> Vec<(usize, &'sta
     let opts = CrossFileOptions {
         baselines_dir: &dir,
         update_baselines: true,
-        lock_rules: false,
-        effect_rules: true,
         parallelism: Parallelism::sequential(),
     };
     let diags = cross_file(&files, &opts).expect("cross-file pass");
@@ -140,8 +138,6 @@ fn effects_fixtures_honour_allow_directives() {
     let opts = CrossFileOptions {
         baselines_dir: &dir,
         update_baselines: true,
-        lock_rules: false,
-        effect_rules: true,
         parallelism: Parallelism::sequential(),
     };
     let diags = cross_file(&files, &opts).expect("cross-file pass");

@@ -33,8 +33,6 @@ fn lock_diags(fixture_name: &str, scope: &str, tag: &str) -> Vec<(usize, &'stati
     let opts = CrossFileOptions {
         baselines_dir: &dir,
         update_baselines: true,
-        lock_rules: true,
-        effect_rules: false,
         parallelism: Parallelism::sequential(),
     };
     let diags = cross_file(&files, &opts).expect("cross-file pass");
@@ -141,29 +139,6 @@ fn allow_file_directive_waives_lock_rules_module_wide() {
 }
 
 #[test]
-fn lock_rules_can_be_switched_off() {
-    let files = vec![analyze_source(
-        Path::new("crates/fix/src/locks.rs"),
-        &fixture("locks/l012_cycle.rs"),
-        FileRole::Lint,
-    )];
-    let dir = temp_dir("lockoff");
-    let opts = CrossFileOptions {
-        baselines_dir: &dir,
-        update_baselines: true,
-        lock_rules: false,
-        effect_rules: false,
-        parallelism: Parallelism::sequential(),
-    };
-    let diags = cross_file(&files, &opts).expect("cross-file pass");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert!(
-        diags.iter().all(|d| d.rule != "L012"),
-        "lock_rules: false must skip the lock pass: {diags:?}"
-    );
-}
-
-#[test]
 fn l009_fixture_flags_dead_surface_only() {
     let files = vec![
         analyze_source(
@@ -181,8 +156,6 @@ fn l009_fixture_flags_dead_surface_only() {
     let opts = CrossFileOptions {
         baselines_dir: &dir,
         update_baselines: true,
-        lock_rules: true,
-        effect_rules: false,
         parallelism: Parallelism::sequential(),
     };
     let diags = cross_file(&files, &opts).expect("cross-file pass");
@@ -222,8 +195,6 @@ fn l010_fixture_render_is_pinned_and_breaks_are_caught() {
         let opts = CrossFileOptions {
             baselines_dir: dir,
             update_baselines: update,
-            lock_rules: true,
-            effect_rules: false,
             parallelism: Parallelism::sequential(),
         };
         cross_file(&files, &opts).expect("cross-file pass")

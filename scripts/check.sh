@@ -34,34 +34,10 @@ MOCKTAILS_THREADS=1 ./scripts/soak-smoke.sh
 MOCKTAILS_THREADS=4 ./scripts/soak-smoke.sh
 
 echo "==> serve_scale bench (BENCH_3.json regression check)"
-# Re-pins the serving-layer baseline and fails on structural regressions:
-# all three worker counts present, nonzero connection rate, and a
-# streaming tail that stays under ten seconds.
+# Re-pins the serving-layer baseline; the bench itself fails on
+# structural regressions (missing worker counts, zero connection rate,
+# a streaming tail over ten seconds, a non-positive scaling ratio).
 cargo bench -q --offline -p mocktails-bench --bench serve_scale >/dev/null
-grep -q '"schema_version": 1' BENCH_3.json
-for w in 1 2 8; do
-  grep -q "\"workers\": $w" BENCH_3.json || {
-    echo "BENCH_3.json missing workers=$w point" >&2
-    exit 1
-  }
-done
-awk -F': ' '/conns_per_sec/ { if ($2 + 0 <= 0) exit 1 }
-            /stream_p99_micros/ { v = $2 + 0; if (v <= 0 || v > 10000000) exit 1 }' \
-  BENCH_3.json || {
-  echo "BENCH_3.json regression: zero connection rate or p99 over 10s" >&2
-  exit 1
-}
-# Worker-scaling summary: the 8-worker streaming p50 relative to 1 worker
-# must be present and positive (a wall-clock ratio, so only its existence
-# and sign are gated — the magnitude is machine-dependent).
-grep -q '"scaling_8_over_1"' BENCH_3.json || {
-  echo "BENCH_3.json missing the scaling_8_over_1 summary" >&2
-  exit 1
-}
-awk -F': ' '/scaling_8_over_1/ { if ($2 + 0 <= 0) exit 1 }' BENCH_3.json || {
-  echo "BENCH_3.json regression: non-positive worker-scaling ratio" >&2
-  exit 1
-}
 
 echo "==> store recovery smoke (kill -9 + torn log tail, byte-compared)"
 # A store-backed server killed mid-flight must restart from its WAL,
@@ -74,25 +50,9 @@ echo "==> fuzz smoke (seeded mutation campaigns)"
 cargo test -q --offline -p mocktails-trace --test fuzz_trace
 cargo test -q --offline -p mocktails-core --test fuzz_profile
 
+# One run over every rule; each finding in the report names its rule
+# (an API-baseline break is an L010 finding, and so on).
 echo "==> mocktails-lint --format json crates/"
 cargo run -q --offline --release -p mocktails-lint -- --format json crates/
-
-# The baseline diff runs as its own named step so an API break is
-# immediately attributable, separate from ordinary lint violations.
-echo "==> mocktails-lint --rules L010 crates/ (API baseline diff)"
-cargo run -q --offline --release -p mocktails-lint -- --rules L010 crates/
-
-# The lock-discipline rules as their own named step: a deadlock-shaped
-# finding (ordering cycle, blocking under a guard, guard pinned across a
-# loop, unwrapped lock result) should be attributable at a glance.
-echo "==> mocktails-lint --rules L012,L013,L014,L015 crates/ (lock discipline)"
-cargo run -q --offline --release -p mocktails-lint -- --rules L012,L013,L014,L015 crates/
-
-# The interprocedural effect-summary rules as their own named step: a
-# panic newly reachable from the synthesis/decode/reactor entries, a
-# blocking call behind the sweep, a hot-loop allocation, or unbounded
-# serve-path growth should be attributable at a glance.
-echo "==> mocktails-lint --rules L016,L017,L018,L019 crates/ (effect summaries)"
-cargo run -q --offline --release -p mocktails-lint -- --rules L016,L017,L018,L019 crates/
 
 echo "All gates passed."

@@ -48,9 +48,9 @@ impl LeafModel {
     /// Fits a leaf model to a partition's requests.
     pub fn fit(partition: &Partition) -> Self {
         let delta_times: Vec<i64> = partition
-            .delta_times()
-            .into_iter()
-            .map(|d| d as i64)
+            .requests()
+            .windows(2)
+            .map(|w| (w[1].timestamp - w[0].timestamp) as i64)
             .collect();
         Self {
             start_time: partition.start_time(),

@@ -37,13 +37,23 @@ impl MarkovChain {
     /// feature means (see [`crate::McC::fit`]).
     pub fn fit(sequence: &[i64]) -> Self {
         assert!(!sequence.is_empty(), "cannot fit a chain to no values");
-        let mut counts: BTreeMap<i64, BTreeMap<i64, u64>> = BTreeMap::new();
-        for w in sequence.windows(2) {
-            *counts.entry(w[0]).or_default().entry(w[1]).or_insert(0) += 1;
-        }
-        let transitions = counts
-            .into_iter()
-            .map(|(from, tos)| (from, tos.into_iter().collect()))
+        // Sorting the `(from, to)` pairs groups each row, and each edge
+        // within it, into one run; counting the runs yields the sorted
+        // table directly. Rows are sized exactly: fitted chains live as
+        // long as their profile.
+        let mut pairs: Vec<(i64, i64)> = sequence.windows(2).map(|w| (w[0], w[1])).collect();
+        pairs.sort_unstable();
+        let same_to = |a: &(i64, i64), b: &(i64, i64)| a.1 == b.1;
+        let transitions = pairs
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|row| {
+                let mut edges = Vec::with_capacity(row.chunk_by(same_to).count());
+                edges.extend(
+                    row.chunk_by(same_to)
+                        .map(|run| (run[0].1, run.len() as u64)),
+                );
+                (row[0].0, edges)
+            })
             .collect();
         Self {
             initial: sequence[0],
@@ -175,16 +185,77 @@ impl MarkovChain {
     /// a transition count (paper §III-C); without, the sampler draws from
     /// the stationary transition probabilities indefinitely.
     pub fn sampler(&self, strict: bool) -> MarkovSampler {
+        let mut rows = Vec::with_capacity(self.transitions.len());
+        let mut edges = Vec::with_capacity(self.transitions.values().map(Vec::len).sum());
+        let mut total = [0u64; 2];
+        for (&state, out) in &self.transitions {
+            let start = edges.len();
+            let mut row_total = 0u64;
+            for &(to, count) in out {
+                row_total = row_total.wrapping_add(count);
+                edges.push(Edge {
+                    to,
+                    row: NO_ROW,
+                    count: [count, if strict { count } else { 0 }],
+                });
+            }
+            let row_total = [row_total, if strict { row_total } else { 0 }];
+            total = [
+                total[OBSERVED].wrapping_add(row_total[OBSERVED]),
+                total[REMAINING].wrapping_add(row_total[REMAINING]),
+            ];
+            rows.push(Row {
+                state,
+                start,
+                end: edges.len(),
+                total: row_total,
+            });
+        }
+        let row_of = |state: i64| {
+            rows.binary_search_by_key(&state, |row: &Row| row.state)
+                .unwrap_or(NO_ROW)
+        };
+        for edge in &mut edges {
+            edge.row = row_of(edge.to);
+        }
         MarkovSampler {
-            chain: self.clone(),
-            remaining: if strict {
-                Some(self.transitions.clone())
-            } else {
-                None
-            },
+            initial: (self.initial, row_of(self.initial)),
+            rows,
+            edges,
+            total,
             current: None,
         }
     }
+}
+
+/// Row index of a state with no row of out-edges (a terminal state).
+const NO_ROW: usize = usize::MAX;
+
+/// Index of the fitted counts in a `[observed, remaining]` count pair.
+const OBSERVED: usize = 0;
+/// Index of the counts strict convergence has not consumed yet (all zero
+/// for a non-strict sampler).
+const REMAINING: usize = 1;
+
+/// One source state of a [`MarkovSampler`]'s flat table.
+#[derive(Debug, Clone)]
+struct Row {
+    state: i64,
+    /// The row's edges are `edges[start..end]`.
+    start: usize,
+    end: usize,
+    /// `[observed, remaining]` sums of the row's edge counts.
+    total: [u64; 2],
+}
+
+/// One transition of a [`MarkovSampler`]'s flat table.
+#[derive(Debug, Clone)]
+struct Edge {
+    to: i64,
+    /// Row of `to`, or [`NO_ROW`] when `to` is terminal.
+    row: usize,
+    /// `[observed, remaining]` counts.
+    count: [u64; 2],
 }
 
 /// Streaming sampler for a [`MarkovChain`].
@@ -194,117 +265,93 @@ impl MarkovChain {
 /// convergence the sampler consumes counts; if the current state's edges
 /// are exhausted (a dead end the decremented walk can reach), it jumps to
 /// any remaining edge so the overall value multiset is still reproduced.
+///
+/// The chain is flattened into one table: rows are the source states in
+/// ascending order, and each edge stores its successor value and that
+/// value's row, so a step finds its row in O(1) and walks only that row.
+/// Per-row and grand totals are kept in step as counts are consumed.
+/// Every weighted draw uses the same total and the same walk order as a
+/// walk over the chain's sorted transition map, so a seed yields the same
+/// values either way.
 #[derive(Debug, Clone)]
 pub struct MarkovSampler {
-    chain: MarkovChain,
-    /// Remaining counts under strict convergence, `None` when non-strict.
-    remaining: Option<BTreeMap<i64, Vec<(i64, u64)>>>,
-    current: Option<i64>,
+    /// The initial state and its row.
+    initial: (i64, usize),
+    rows: Vec<Row>,
+    edges: Vec<Edge>,
+    /// `[observed, remaining]` sums over the whole table.
+    total: [u64; 2],
+    /// Row of the last emitted state, `None` before the first emission.
+    current: Option<usize>,
 }
 
 impl MarkovSampler {
     /// Emits the next state.
     pub fn next_state<R: Rng + ?Sized>(&mut self, rng: &mut R) -> i64 {
-        let Some(current) = self.current else {
-            self.current = Some(self.chain.initial);
-            return self.chain.initial;
+        let Some(row) = self.current else {
+            self.current = Some(self.initial.1);
+            return self.initial.0;
         };
-        let next = match &mut self.remaining {
-            Some(remaining) => Self::strict_step(&self.chain, remaining, current, rng),
-            None => Self::stationary_step(&self.chain, current, rng),
+        // Strict: the current row's remaining edges, else a jump via any
+        // remaining edge so the value multiset still converges. Once every
+        // count is spent (more values asked for than observed), and always
+        // when non-strict, draw from the fitted counts the same way.
+        let edge = match self.draw(REMAINING, row, rng) {
+            Some((row, edge)) => {
+                self.take(row, edge);
+                Some(edge)
+            }
+            None => self.draw(OBSERVED, row, rng).map(|(_, edge)| edge),
         };
-        self.current = Some(next);
-        next
+        let (value, row) = edge
+            .and_then(|edge| self.edges.get(edge))
+            .map_or(self.initial, |edge| (edge.to, edge.row));
+        self.current = Some(row);
+        value
     }
 
-    fn strict_step<R: Rng + ?Sized>(
-        chain: &MarkovChain,
-        remaining: &mut BTreeMap<i64, Vec<(i64, u64)>>,
-        current: i64,
-        rng: &mut R,
-    ) -> i64 {
-        // Try the current state's remaining out-edges first.
-        if let Some(edges) = remaining.get_mut(&current) {
-            if let Some(next) = take_weighted(edges, rng) {
-                return next;
+    /// Draws a `(row, edge)` proportionally to counts `k`: from `row` when
+    /// it has any count, else from the whole table, skipping rows by their
+    /// totals. `None` when every count is zero.
+    ///
+    /// Totals wrap rather than overflow: a validated chain never overflows
+    /// (see [`MarkovChain::validate`]), and an unvalidated one must not
+    /// panic the sampler.
+    fn draw<R: Rng + ?Sized>(&self, k: usize, row: usize, rng: &mut R) -> Option<(usize, usize)> {
+        let (row, mut target) = match self.rows.get(row) {
+            Some(r) if r.total[k] > 0 => (row, rng.gen_range(0..r.total[k])),
+            _ if self.total[k] > 0 => {
+                let mut target = rng.gen_range(0..self.total[k]);
+                let row = self.rows.iter().position(|r| {
+                    let here = target < r.total[k];
+                    if !here {
+                        target -= r.total[k];
+                    }
+                    here
+                })?;
+                (row, target)
             }
-        }
-        // Dead end: jump via any remaining edge anywhere in the chain, so
-        // the value multiset still converges.
-        let total: u64 = remaining
-            .values()
-            .flat_map(|edges| edges.iter().map(|&(_, c)| c))
-            .sum();
-        if total == 0 {
-            // Fully exhausted (caller asked for more values than observed):
-            // fall back to stationary sampling.
-            return Self::stationary_step(chain, current, rng);
-        }
-        let mut target = rng.gen_range(0..total);
-        for edges in remaining.values_mut() {
-            for entry in edges.iter_mut() {
-                if target < entry.1 {
-                    entry.1 -= 1;
-                    return entry.0;
-                }
-                target -= entry.1;
+            _ => return None,
+        };
+        let r = self.rows.get(row)?;
+        let offset = self.edges.get(r.start..r.end)?.iter().position(|e| {
+            let here = target < e.count[k];
+            if !here {
+                target -= e.count[k];
             }
-        }
-        unreachable!("weighted selection stays within total")
+            here
+        })?;
+        Some((row, r.start + offset))
     }
 
-    fn stationary_step<R: Rng + ?Sized>(chain: &MarkovChain, current: i64, rng: &mut R) -> i64 {
-        let edges = chain.successors(current);
-        if let Some(next) = pick_weighted(edges, rng) {
-            return next;
+    /// Consumes one remaining count of `edge`, which leaves `row`.
+    fn take(&mut self, row: usize, edge: usize) {
+        if let (Some(r), Some(e)) = (self.rows.get_mut(row), self.edges.get_mut(edge)) {
+            r.total[REMAINING] -= 1;
+            e.count[REMAINING] -= 1;
+            self.total[REMAINING] = self.total[REMAINING].wrapping_sub(1);
         }
-        // Terminal state: draw from the global successor distribution.
-        let total = chain.num_transitions();
-        if total == 0 {
-            return chain.initial;
-        }
-        let mut target = rng.gen_range(0..total);
-        for (_, to, c) in chain.edges() {
-            if target < c {
-                return to;
-            }
-            target -= c;
-        }
-        unreachable!("weighted selection stays within total")
     }
-}
-
-/// Samples proportionally to counts without mutating them.
-fn pick_weighted<R: Rng + ?Sized>(edges: &[(i64, u64)], rng: &mut R) -> Option<i64> {
-    let total: u64 = edges.iter().map(|&(_, c)| c).sum();
-    if total == 0 {
-        return None;
-    }
-    let mut target = rng.gen_range(0..total);
-    for &(to, c) in edges {
-        if target < c {
-            return Some(to);
-        }
-        target -= c;
-    }
-    unreachable!("weighted selection stays within total")
-}
-
-/// Samples proportionally to counts and decrements the chosen edge.
-fn take_weighted<R: Rng + ?Sized>(edges: &mut [(i64, u64)], rng: &mut R) -> Option<i64> {
-    let total: u64 = edges.iter().map(|&(_, c)| c).sum();
-    if total == 0 {
-        return None;
-    }
-    let mut target = rng.gen_range(0..total);
-    for entry in edges.iter_mut() {
-        if target < entry.1 {
-            entry.1 -= 1;
-            return Some(entry.0);
-        }
-        target -= entry.1;
-    }
-    unreachable!("weighted selection stays within total")
 }
 
 #[cfg(test)]

@@ -98,11 +98,7 @@ impl Profile {
     /// simulator and feed backpressure through
     /// [`crate::InjectionFeedback`]).
     pub fn synthesizer(&self, seed: u64) -> Synthesizer {
-        Synthesizer::new(
-            self.leaves.clone(),
-            self.config.options().strict_convergence,
-            seed,
-        )
+        Synthesizer::new(&self.leaves, self.config.options().strict_convergence, seed)
     }
 
     /// Synthesizes a complete trace (Fig. 1, Option A).

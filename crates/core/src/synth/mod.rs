@@ -13,6 +13,7 @@
 //! stream adapt to contention exactly as the paper describes.
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use mocktails_trace::rng::Prng;
@@ -42,7 +43,6 @@ impl InjectionFeedback for NoFeedback {
 /// Heap entry: pending request + the leaf that produced it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Pending {
-    timestamp: u64,
     /// Tie-breaker keeping the pop order deterministic.
     leaf_index: usize,
     request: Request,
@@ -50,7 +50,7 @@ struct Pending {
 
 impl Ord for Pending {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.timestamp, self.leaf_index).cmp(&(other.timestamp, other.leaf_index))
+        (self.request.timestamp, self.leaf_index).cmp(&(other.request.timestamp, other.leaf_index))
     }
 }
 
@@ -70,7 +70,7 @@ impl PartialOrd for Pending {
 ///     (0..50u64).map(|i| Request::read(i * 7, 0x100 + (i % 10) * 64, 64)).collect(),
 /// );
 /// let profile = Profile::fit(&trace, &HierarchyConfig::two_level_ts(100));
-/// let mut synth = Synthesizer::new(profile.leaves().to_vec(), true, 1);
+/// let mut synth = Synthesizer::new(profile.leaves(), true, 1);
 /// let mut n = 0;
 /// while synth.next_request().is_some() {
 ///     n += 1;
@@ -90,7 +90,7 @@ pub struct Synthesizer {
 impl Synthesizer {
     /// Creates a synthesizer over `leaves`, sampling with the given strict
     /// convergence setting and RNG `seed`.
-    pub fn new(leaves: Vec<LeafModel>, strict: bool, seed: u64) -> Self {
+    pub fn new(leaves: &[LeafModel], strict: bool, seed: u64) -> Self {
         let mut rng = Prng::seed_from_u64(seed);
         let mut generators: Vec<LeafGenerator> =
             leaves.iter().map(|l| l.generator(strict)).collect();
@@ -98,7 +98,6 @@ impl Synthesizer {
         for (i, g) in generators.iter_mut().enumerate() {
             if let Some(request) = g.next_request(&mut rng) {
                 heap.push(Reverse(Pending {
-                    timestamp: request.timestamp,
                     leaf_index: i,
                     request,
                 }));
@@ -114,30 +113,29 @@ impl Synthesizer {
         }
     }
 
-    /// Pops the globally-earliest pending request and refills the queue
+    /// Takes the globally-earliest pending request and refills the queue
     /// from the leaf that produced it. Returns `None` once every leaf is
     /// exhausted.
+    ///
+    /// The refill replaces the heap top in place (one sift-down); only an
+    /// exhausted leaf pops it. `(timestamp, leaf_index)` is a total order,
+    /// so this yields the same sequence as a pop followed by a push.
     ///
     /// Emitted timestamps are non-decreasing and include any accumulated
     /// backpressure delay.
     pub fn next_request(&mut self) -> Option<Request> {
-        let Reverse(pending) = self.heap.pop()?;
-        let leaf_index = pending.leaf_index;
+        let mut top = self.heap.peek_mut()?;
         // Heap entries only ever carry indices minted in `new`, but the
         // refill stays panic-free regardless: an out-of-range index would
         // simply not refill rather than poison the whole synthesis.
         let refill = self
             .generators
-            .get_mut(leaf_index)
+            .get_mut(top.0.leaf_index)
             .and_then(|g| g.next_request(&mut self.rng));
-        if let Some(next) = refill {
-            self.heap.push(Reverse(Pending {
-                timestamp: next.timestamp,
-                leaf_index,
-                request: next,
-            }));
-        }
-        let mut request = pending.request;
+        let mut request = match refill {
+            Some(next) => std::mem::replace(&mut top.0.request, next),
+            None => PeekMut::pop(top).0.request,
+        };
         request.timestamp = request.timestamp.saturating_add(self.delay);
         // The heap orders by pre-delay timestamps; delay only grows, so
         // post-delay timestamps stay monotonic. Guard anyway so a consumer
@@ -222,7 +220,7 @@ mod tests {
             Request::write(10, 0x9000, 64),
             Request::write(30, 0x9040, 64),
         ]);
-        let synth = Synthesizer::new(vec![a, b], true, 0);
+        let synth = Synthesizer::new(&[a, b], true, 0);
         let trace = synth.into_trace();
         let times: Vec<u64> = trace.iter().map(|r| r.timestamp).collect();
         assert_eq!(times, vec![0, 10, 20, 30, 40]);
@@ -241,7 +239,7 @@ mod tests {
                 )
             })
             .collect();
-        let synth = Synthesizer::new(leaves, true, 9);
+        let synth = Synthesizer::new(&leaves, true, 9);
         assert_eq!(synth.into_trace().len(), 50);
     }
 
@@ -262,7 +260,7 @@ mod tests {
                 )
             })
             .collect();
-        let synth = Synthesizer::new(leaves, true, 3);
+        let synth = Synthesizer::new(&leaves, true, 3);
         let trace = synth.into_trace();
         assert!(trace
             .requests()
@@ -282,7 +280,7 @@ mod tests {
             Request::read(500_000_000, 0x2000, 64),
             Request::read(500_000_001, 0x2040, 64),
         ]);
-        let trace = Synthesizer::new(vec![a, b], true, 0).into_trace();
+        let trace = Synthesizer::new(&[a, b], true, 0).into_trace();
         let gap = trace.requests()[2].timestamp - trace.requests()[1].timestamp;
         assert!(gap >= 499_000_000, "gap collapsed to {gap}");
     }
@@ -294,7 +292,7 @@ mod tests {
             Request::read(10, 0x1040, 64),
             Request::read(20, 0x1080, 64),
         ]);
-        let mut synth = Synthesizer::new(vec![a], true, 0);
+        let mut synth = Synthesizer::new(&[a], true, 0);
         assert_eq!(synth.next_request().unwrap().timestamp, 0);
         synth.add_delay(1000);
         assert_eq!(synth.accumulated_delay(), 1000);
@@ -306,7 +304,7 @@ mod tests {
     #[test]
     fn iterator_interface() {
         let a = leaf(vec![Request::read(0, 0x0, 4), Request::read(5, 0x4, 4)]);
-        let collected: Vec<Request> = Synthesizer::new(vec![a], true, 0).collect();
+        let collected: Vec<Request> = Synthesizer::new(&[a], true, 0).collect();
         assert_eq!(collected.len(), 2);
     }
 
@@ -317,7 +315,7 @@ mod tests {
             Request::read(5, 0x4, 4),
             Request::read(10, 0x8, 4),
         ]);
-        let mut synth = Synthesizer::new(vec![a], true, 0);
+        let mut synth = Synthesizer::new(&[a], true, 0);
         assert_eq!(synth.size_hint(), (3, Some(3)));
         let _ = synth.next();
         assert_eq!(synth.size_hint(), (2, Some(2)));
@@ -333,7 +331,7 @@ mod tests {
             Request::read(20, 0x1080, 64),
         ]);
         // Downstream consumers filter/map/take instead of hand-rolled loops.
-        let reads: Vec<Request> = Synthesizer::new(vec![a], true, 0)
+        let reads: Vec<Request> = Synthesizer::new(&[a], true, 0)
             .filter(|r| r.op == mocktails_trace::Op::Read)
             .take(2)
             .collect();
@@ -342,7 +340,7 @@ mod tests {
 
     #[test]
     fn empty_synthesizer() {
-        let mut synth = Synthesizer::new(vec![], true, 0);
+        let mut synth = Synthesizer::new(&[], true, 0);
         assert!(synth.next_request().is_none());
         assert_eq!(synth.remaining(), 0);
     }
@@ -361,7 +359,7 @@ mod tests {
                 )
             })
             .collect();
-        let mut synth = Synthesizer::new(leaves, true, 5);
+        let mut synth = Synthesizer::new(&leaves, true, 5);
         let mut emitted = 0u64;
         while synth.next_request().is_some() {
             emitted += 1;
@@ -391,9 +389,90 @@ mod tests {
                     )
                 })
                 .collect();
-            Synthesizer::new(leaves, true, 42).into_trace()
+            Synthesizer::new(&leaves, true, 42).into_trace()
         };
         assert_eq!(mk(), mk());
+    }
+
+    /// Reference merge: a full pop, then a push of the refill, for every
+    /// request, with `delays[i % len]` added before pull `i`.
+    fn pop_then_push_merge(leaves: &[LeafModel], seed: u64, delays: &[u64]) -> Vec<Request> {
+        let mut rng = Prng::seed_from_u64(seed);
+        let mut generators: Vec<LeafGenerator> = leaves.iter().map(|l| l.generator(true)).collect();
+        let mut heap = BinaryHeap::new();
+        for (leaf_index, g) in generators.iter_mut().enumerate() {
+            if let Some(request) = g.next_request(&mut rng) {
+                heap.push(Reverse(Pending {
+                    leaf_index,
+                    request,
+                }));
+            }
+        }
+        let (mut delay, mut last) = (0u64, 0u64);
+        let mut out = Vec::new();
+        while let Some(Reverse(pending)) = heap.pop() {
+            if let Some(request) = generators[pending.leaf_index].next_request(&mut rng) {
+                heap.push(Reverse(Pending {
+                    leaf_index: pending.leaf_index,
+                    request,
+                }));
+            }
+            delay += delays[out.len() % delays.len()];
+            let mut request = pending.request;
+            request.timestamp = (request.timestamp + delay).max(last);
+            last = request.timestamp;
+            out.push(request);
+        }
+        out
+    }
+
+    #[test]
+    fn in_place_merge_matches_pop_then_push() {
+        let mut leaves = Vec::new();
+        for k in 0..40u64 {
+            // Shared start times, zero deltas (every request of a leaf at
+            // one timestamp) and single-request leaves tie on timestamps
+            // everywhere, so only the leaf index orders them.
+            let start = (k % 3) * 10;
+            let len = 1 + k % 5;
+            leaves.push(leaf(
+                (0..len)
+                    .map(|i| Request::read(start, 0x10_0000 * (k + 1) + i * 64, 64))
+                    .collect(),
+            ));
+        }
+        for k in 0..8u64 {
+            // Stochastic deltas that include zero.
+            let times = [0u64, 0, 3, 3, 10, 10, 10, 17, 20, 20];
+            leaves.push(leaf(
+                times
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &t)| {
+                        let address = 0x100_0000 * (k + 1) + (i as u64 % 4) * 64;
+                        if (i as u64 + k).is_multiple_of(3) {
+                            Request::write(k + t, address, 32)
+                        } else {
+                            Request::read(k + t, address, 64)
+                        }
+                    })
+                    .collect(),
+            ));
+        }
+        for delays in [&[0u64][..], &[0, 5, 0, 0, 1000, 1]] {
+            let want = pop_then_push_merge(&leaves, 11, delays);
+            let mut synth = Synthesizer::new(&leaves, true, 11);
+            let mut got = Vec::new();
+            loop {
+                synth.add_delay(delays[got.len() % delays.len()]);
+                match synth.next_request() {
+                    Some(request) => got.push(request),
+                    None => break,
+                }
+            }
+            assert_eq!(got.len(), 40 + 40 * 2 + 8 * 10);
+            assert_eq!(got, want, "delays {delays:?}");
+        }
     }
 
     #[test]

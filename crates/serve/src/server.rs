@@ -1060,9 +1060,12 @@ mod tests {
         assert!(config.validate().is_ok());
     }
 
+    /// A config mutation and the error it must provoke.
+    type KnobCase = (fn(&mut ServerConfig), ServerConfigError);
+
     #[test]
     fn validate_rejects_each_zero_knob() {
-        let cases: [(fn(&mut ServerConfig), ServerConfigError); 6] = [
+        let cases: [KnobCase; 6] = [
             (|c| c.workers = 0, ServerConfigError::ZeroWorkers),
             (|c| c.shards = 0, ServerConfigError::ZeroShards),
             (|c| c.max_conns = 0, ServerConfigError::ZeroMaxConns),

@@ -50,6 +50,18 @@ echo "==> fuzz smoke (seeded mutation campaigns)"
 cargo test -q --offline -p mocktails-trace --test fuzz_trace
 cargo test -q --offline -p mocktails-core --test fuzz_profile
 
+echo "==> e2e golden outputs (model and validate at seed 0)"
+# Each run fails on a non-zero exit when an output no longer matches its
+# pinned FNV fingerprint, so a speed or simplification change proves it
+# left the bytes alone.
+for workload in model validate; do
+    cargo run --release --offline --quiet --manifest-path e2e-bench/Cargo.toml \
+        --bin e2e -- --workload "$workload" --seed 0 --seconds 1 >/dev/null
+done
+
+echo "==> cargo clippy --all-targets (deny warnings)"
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
 # One run over every rule; each finding in the report names its rule
 # (an API-baseline break is an L010 finding, and so on).
 echo "==> mocktails-lint --format json crates/"

@@ -11,8 +11,9 @@
 //!   every reassembled stream byte-compared against the offline pipeline.
 //!
 //! After writing the file the bench fails on structural regressions: a
-//! missing worker count, a zero connection rate, a streaming p99 outside
-//! (0, 10 s], or a non-positive scaling ratio.
+//! missing worker count, a serial connection rate at or below two per
+//! reactor park tick, a streaming p99 outside (0, 10 s], or a
+//! non-positive scaling ratio.
 //!
 //! Hand-rolled harness like the other benches (no external bench crate,
 //! so the workspace builds hermetically); medians over a fixed iteration
@@ -39,6 +40,10 @@ const CONNS_PER_ITER: usize = 64;
 const STREAM_CLIENTS: usize = 16;
 const STREAMS_PER_CLIENT: usize = 3;
 const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
+/// The reactor's idle park tick (`PARK_MICROS` in `serve/src/reactor.rs`).
+/// A connect+handshake that waited out a tick would cap the serial rate
+/// near `1e6 / PARK_MICROS` per second; the gate asks for twice that.
+const PARK_MICROS: f64 = 1_000.0;
 
 /// Median wall-clock seconds of `f` over [`TIMED_ITERS`] runs, after one
 /// warm-up run.
@@ -233,9 +238,10 @@ fn main() {
     }
     for p in &points {
         assert!(
-            p.conns_per_sec > 0.0,
-            "workers={}: zero connection rate",
-            p.workers
+            p.conns_per_sec > 2.0 * 1e6 / PARK_MICROS,
+            "workers={}: {:.1} serial conns/sec: connect+handshake is waiting out a park tick",
+            p.workers,
+            p.conns_per_sec
         );
         assert!(
             (1..=10_000_000).contains(&p.stream_p99.as_micros()),

@@ -4,9 +4,13 @@
 //! nonblocking accepts, reads and writes; there are no per-connection
 //! threads. The workspace forbids `unsafe`, so instead of an OS
 //! readiness API the reactor is a sweep loop that parks on a condvar
-//! ([`crate::conn::WakeFlag`]) whenever a full pass makes no progress;
-//! worker jobs wake it when they queue output, and the park timeout
-//! bounds the latency of anything that slips between edges to one tick.
+//! ([`crate::conn::WakeFlag`]) whenever a full pass makes no progress.
+//! Worker jobs wake it when they queue output; socket readiness cannot
+//! (std has no poll/epoll), so the park timeout backs off with idleness
+//! instead: [`PARK_FLOOR_MICROS`] after a sweep that made progress,
+//! doubling per idle sweep up to [`PARK_MICROS`]. An ack, hello,
+//! connect or write drain that lands just after activity is swept
+//! within tens of microseconds; an idle server sweeps once a tick.
 //!
 //! Per sweep, each connection gets: its outbox drained (worker events →
 //! state transitions), queued frames written as the socket accepts them,
@@ -31,9 +35,25 @@ use crate::server::{self, Shared};
 /// Connections accepted per sweep before yielding to existing ones.
 const ACCEPT_BURST: usize = 64;
 
-/// Park timeout: an upper bound on how stale the reactor can be about
-/// anything that did not explicitly wake it.
+/// Park timeout ceiling: an upper bound on how stale an idle reactor can
+/// be about anything that did not explicitly wake it.
 const PARK_MICROS: u64 = 1_000;
+
+/// Park timeout after a sweep that made progress: the latency floor for
+/// socket readiness that follows activity (a client's next ack, a
+/// pipelined request, a reconnect).
+const PARK_FLOOR_MICROS: u64 = 16;
+
+/// The park backoff: back to the floor after progress, else double, never
+/// past [`PARK_MICROS`]. From the floor, an idle spell costs seven parks
+/// (16 µs … 1 ms) before settling at one per tick.
+fn next_park_micros(park: u64, progress: bool) -> u64 {
+    if progress {
+        PARK_FLOOR_MICROS
+    } else {
+        park.saturating_mul(2).min(PARK_MICROS)
+    }
+}
 
 /// Runs the event loop until a `Shutdown` request has been honored and
 /// every admitted piece of work has drained.
@@ -45,6 +65,7 @@ const PARK_MICROS: u64 = 1_000;
 /// silent drop) and the server keeps serving.
 pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>) -> Result<(), ServeError> {
     let mut conns: Vec<Conn> = Vec::new();
+    let mut park = PARK_MICROS;
     loop {
         // Scheduling-dependent by design; see the field's metrics doc.
         shared
@@ -78,8 +99,9 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>) -> Result<(), Se
             return Ok(());
         }
         if !progress {
-            shared.wake.wait_for(PARK_MICROS);
+            shared.wake.wait_for(park);
         }
+        park = next_park_micros(park, progress);
     }
 }
 
@@ -367,7 +389,7 @@ fn process_inbound(shared: &Arc<Shared>, conn: &mut Conn, now: u64, open_conns: 
             }
         };
         if matches!(conn.phase, Phase::Streaming(_)) {
-            handle_streaming_request(shared, conn, request, now);
+            handle_streaming_request(shared, conn, request);
             continue;
         }
         match request {
@@ -437,7 +459,7 @@ fn handle_handshake(shared: &Arc<Shared>, conn: &mut Conn, payload: &[u8], now: 
 /// down, and any other request supersedes it (cancel, park, dispatch
 /// after the finalize lands) — the same contract the threaded server
 /// kept.
-fn handle_streaming_request(shared: &Arc<Shared>, conn: &mut Conn, request: Request, now: u64) {
+fn handle_streaming_request(shared: &Arc<Shared>, conn: &mut Conn, request: Request) {
     match request {
         Request::Ack => {
             if let Phase::Streaming(ctl) = &mut conn.phase {
@@ -464,7 +486,6 @@ fn handle_streaming_request(shared: &Arc<Shared>, conn: &mut Conn, request: Requ
             drive_stream(shared, conn);
         }
     }
-    let _ = now;
 }
 
 /// Routes one idle-phase request (also used for requests parked behind a
@@ -702,4 +723,31 @@ fn quiesced(shared: &Shared, conns: &[Conn]) -> bool {
             && conn.writeq.is_empty()
             && conn.outbox.is_empty()
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn park_resets_to_the_floor_after_progress() {
+        for park in [PARK_FLOOR_MICROS, 100, PARK_MICROS] {
+            assert_eq!(next_park_micros(park, true), PARK_FLOOR_MICROS);
+        }
+    }
+
+    #[test]
+    fn park_doubles_per_idle_sweep_up_to_the_ceiling() {
+        let mut park = next_park_micros(PARK_MICROS, true);
+        let mut schedule = vec![park];
+        while park < PARK_MICROS {
+            park = next_park_micros(park, false);
+            schedule.push(park);
+        }
+        assert_eq!(schedule, [16, 32, 64, 128, 256, 512, 1_000]);
+        for _ in 0..100 {
+            park = next_park_micros(park, false);
+            assert_eq!(park, PARK_MICROS);
+        }
+    }
 }

@@ -162,6 +162,39 @@ fn metrics_text_is_deterministic_under_frozen_clock() {
 }
 
 #[test]
+fn idle_server_backs_off_to_one_sweep_per_park_tick() {
+    // After activity the reactor parks briefly, then backs off to one
+    // sweep per 1 ms tick; it never turns into a busy spin. Parks only
+    // overshoot their timeout, so wall time bounds the sweep count.
+    let trace = small_trace();
+    let (addr, handle) = start_server(ServerConfig::default());
+    let mut client = Client::connect(&addr).expect("connect");
+    let fit = client.fit(CYCLES, trace_bytes(&trace)).expect("fit");
+    client
+        .synthesize(SEED, 64, ProfileSource::Fingerprint(fit.fingerprint))
+        .expect("synthesize");
+    let mut wakeups = || -> u64 {
+        let text = client.metricsz().expect("metricsz");
+        text.lines()
+            .find_map(|l| l.strip_prefix("reactor_wakeups_total "))
+            .expect("reactor_wakeups_total present")
+            .parse()
+            .expect("numeric")
+    };
+    let started = std::time::Instant::now();
+    let before = wakeups();
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let after = wakeups();
+    let idle_ms = started.elapsed().as_secs_f64() * 1e3;
+    let delta = after - before;
+    assert!(
+        delta as f64 <= 1.5 * idle_ms + 20.0,
+        "{delta} reactor wakeups in {idle_ms:.1} ms idle"
+    );
+    shut_down(&addr, handle);
+}
+
+#[test]
 fn stats_and_not_found_round_trip() {
     let trace = small_trace();
     let (addr, handle) = start_server(ServerConfig::default());

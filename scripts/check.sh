@@ -35,8 +35,9 @@ MOCKTAILS_THREADS=4 ./scripts/soak-smoke.sh
 
 echo "==> serve_scale bench (BENCH_3.json regression check)"
 # Re-pins the serving-layer baseline; the bench itself fails on
-# structural regressions (missing worker counts, zero connection rate,
-# a streaming tail over ten seconds, a non-positive scaling ratio).
+# structural regressions (missing worker counts, a serial connection
+# rate at or below two per 1 ms reactor park tick, a streaming tail
+# over ten seconds, a non-positive scaling ratio).
 cargo bench -q --offline -p mocktails-bench --bench serve_scale >/dev/null
 
 echo "==> store recovery smoke (kill -9 + torn log tail, byte-compared)"
@@ -50,14 +51,18 @@ echo "==> fuzz smoke (seeded mutation campaigns)"
 cargo test -q --offline -p mocktails-trace --test fuzz_trace
 cargo test -q --offline -p mocktails-core --test fuzz_profile
 
-echo "==> e2e golden outputs (model and validate at seed 0)"
+echo "==> e2e golden outputs (all four workloads at seed 0)"
 # Each run fails on a non-zero exit when an output no longer matches its
 # pinned FNV fingerprint, so a speed or simplification change proves it
-# left the bytes alone.
-for workload in model validate; do
+# left the bytes alone: profiles, synthetic streams, DRAM and cache
+# statistics, served fits and streamed chunks.
+for workload in model validate serve-fit serve-stream; do
     cargo run --release --offline --quiet --manifest-path e2e-bench/Cargo.toml \
         --bin e2e -- --workload "$workload" --seed 0 --seconds 1 >/dev/null
 done
+
+echo "==> e2e bench smoke (its own test suite)"
+cargo test -q --offline --manifest-path e2e-bench/Cargo.toml
 
 echo "==> cargo clippy --all-targets (deny warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings

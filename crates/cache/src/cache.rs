@@ -225,11 +225,14 @@ impl Cache {
         }
     }
 
-    /// The block addresses an `(addr, size)` request touches.
-    pub fn blocks_of(&self, addr: u64, size: u32) -> impl Iterator<Item = u64> + '_ {
-        let first = addr / self.cfg.block_bytes;
-        let last = (addr + u64::from(size).max(1) - 1) / self.cfg.block_bytes;
-        (first..=last).map(move |b| b * self.cfg.block_bytes)
+    /// The block addresses an `(addr, size)` request touches. A span
+    /// running past the top of the address space ends at `u64::MAX`. The
+    /// iterator does not borrow the cache, so it can drive accesses.
+    pub fn blocks_of(&self, addr: u64, size: u32) -> impl Iterator<Item = u64> {
+        let block_bytes = self.cfg.block_bytes;
+        let first = addr / block_bytes;
+        let last = addr.saturating_add(u64::from(size.max(1)) - 1) / block_bytes;
+        (first..=last).map(move |b| b * block_bytes)
     }
 }
 
@@ -341,6 +344,10 @@ mod tests {
         assert_eq!(blocks, vec![0, 64]);
         let blocks: Vec<u64> = c.blocks_of(0x40, 64).collect();
         assert_eq!(blocks, vec![0x40]);
+        // A span past the top of the address space ends at `u64::MAX`
+        // instead of wrapping to an empty range.
+        let blocks: Vec<u64> = c.blocks_of(u64::MAX - 15, 64).collect();
+        assert_eq!(blocks, vec![u64::MAX - 63]);
     }
 
     #[test]

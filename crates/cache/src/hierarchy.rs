@@ -55,8 +55,7 @@ impl CacheHierarchy {
     /// Performs one request's worth of accesses (each touched block is
     /// accessed in order).
     pub fn access(&mut self, addr: u64, size: u32, op: Op) {
-        let blocks: Vec<u64> = self.l1.blocks_of(addr, size).collect();
-        for block in blocks {
+        for block in self.l1.blocks_of(addr, size) {
             let outcome = self.l1.access(block, op);
             if !outcome.hit {
                 // Fill path: the L2 sees a read for the missing block.

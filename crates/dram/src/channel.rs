@@ -1,5 +1,10 @@
 //! One memory channel: queues, banks, FR-FCFS scheduling, page policy and
 //! write drain.
+//!
+//! Scheduling never scans the queues per burst. The channel keeps per-bank
+//! counts of queued bursts and of queued bursts that hit the bank's open
+//! row, so the FR-FCFS pick and the open-adaptive page check read counters;
+//! a bank's hit counts are recounted only when its open row changes.
 
 use std::collections::VecDeque;
 
@@ -47,7 +52,22 @@ pub(crate) struct Channel {
     last_op: Option<Op>,
     /// Next all-bank refresh deadline (tREFI cadence).
     next_refresh: u64,
+    /// Bursts queued per bank, in either queue.
+    queued: Vec<usize>,
+    /// Per queue (read, write) and bank: queued bursts whose row is the
+    /// bank's open row (0 while the bank is precharged).
+    hits: [Vec<usize>; 2],
+    /// Per queue: `hits` summed over banks.
+    hit_total: [usize; 2],
     pub(crate) stats: ChannelStats,
+}
+
+/// The index of `op`'s queue in the per-queue counters.
+fn slot(op: Op) -> usize {
+    match op {
+        Op::Read => 0,
+        Op::Write => 1,
+    }
 }
 
 impl Channel {
@@ -66,8 +86,44 @@ impl Channel {
             reads_this_turn: 0,
             last_op: None,
             next_refresh: cfg.timing.t_refi,
+            queued: vec![0; cfg.banks],
+            hits: [vec![0; cfg.banks], vec![0; cfg.banks]],
+            hit_total: [0; 2],
             stats,
         }
+    }
+
+    /// Sets `bank`'s open row, recounting its queued hits when it changes.
+    fn set_open_row(&mut self, bank: usize, row: Option<u64>) {
+        if self.banks[bank].open_row == row {
+            return;
+        }
+        self.banks[bank].open_row = row;
+        for (s, queue) in [&self.read_q, &self.write_q].into_iter().enumerate() {
+            let n = row.map_or(0, |r| {
+                queue
+                    .iter()
+                    .filter(|p| p.bank == bank && p.row == r)
+                    .count()
+            });
+            self.hit_total[s] = self.hit_total[s] - self.hits[s][bank] + n;
+            self.hits[s][bank] = n;
+        }
+    }
+
+    /// Whether the counters agree with the queues: each queue's hit total
+    /// is both the number of its bursts on an open row and the sum of its
+    /// per-bank hits, and the per-bank queued counts add up to both queues.
+    fn counts_agree(&self) -> bool {
+        let on_open_row = |queue: &VecDeque<Packet>| {
+            queue
+                .iter()
+                .filter(|p| self.banks[p.bank].open_row == Some(p.row))
+                .count()
+        };
+        self.queued.iter().sum::<usize>() == self.read_q.len() + self.write_q.len()
+            && self.hit_total == [on_open_row(&self.read_q), on_open_row(&self.write_q)]
+            && self.hit_total == [self.hits[0].iter().sum(), self.hits[1].iter().sum()]
     }
 
     /// Applies any refreshes due by `now`: every bank precharges and is
@@ -84,6 +140,10 @@ impl Channel {
             bank.open_row = None;
             bank.ready_at = bank.ready_at.max(last + t.t_rfc);
         }
+        for hits in &mut self.hits {
+            hits.fill(0);
+        }
+        self.hit_total = [0; 2];
         self.next_refresh = last + t.t_refi;
         self.stats.refreshes += missed;
     }
@@ -124,6 +184,11 @@ impl Channel {
         // Observe queue occupancy as seen by the arriving burst (Fig. 8).
         self.stats
             .observe_queues(packet.op, self.read_q.len(), self.write_q.len());
+        self.queued[packet.bank] += 1;
+        if self.banks[packet.bank].open_row == Some(packet.row) {
+            self.hits[slot(packet.op)][packet.bank] += 1;
+            self.hit_total[slot(packet.op)] += 1;
+        }
         match packet.op {
             Op::Read => self.read_q.push_back(packet),
             Op::Write => self.write_q.push_back(packet),
@@ -186,17 +251,17 @@ impl Channel {
         };
 
         // Scheduling: FR-FCFS pulls the first row hit forward; FCFS takes
-        // strict arrival order.
+        // strict arrival order. With no hit queued the oldest burst wins.
         let queue = match op {
             Op::Read => &self.read_q,
             Op::Write => &self.write_q,
         };
         let idx = match self.cfg.scheduling {
-            crate::config::SchedulingPolicy::FrFcfs => queue
+            crate::config::SchedulingPolicy::FrFcfs if self.hit_total[slot(op)] > 0 => queue
                 .iter()
                 .position(|p| self.banks[p.bank].open_row == Some(p.row))
                 .unwrap_or(0),
-            crate::config::SchedulingPolicy::Fcfs => 0,
+            _ => 0,
         };
         let packet = match op {
             Op::Read => self.read_q.remove(idx).expect("index valid"), // lint: allow(L001, idx was produced by scanning this very queue)
@@ -204,9 +269,14 @@ impl Channel {
         };
 
         // Timing.
-        let bank = &mut self.banks[packet.bank];
+        let bank = self.banks[packet.bank];
         let t = self.cfg.timing;
         let row_hit = bank.open_row == Some(packet.row);
+        self.queued[packet.bank] -= 1;
+        if row_hit {
+            self.hits[slot(op)][packet.bank] -= 1;
+            self.hit_total[slot(op)] -= 1;
+        }
         let access = if row_hit {
             t.t_cl
         } else if bank.open_row.is_some() {
@@ -220,8 +290,7 @@ impl Channel {
         };
         let begin = start.max(bank.ready_at);
         let completion = begin + switch + access + t.t_burst;
-        bank.open_row = Some(packet.row);
-        bank.ready_at = completion;
+        self.banks[packet.bank].ready_at = completion;
         self.bus_free_at = completion;
         self.now = start;
 
@@ -232,21 +301,16 @@ impl Channel {
             crate::config::PagePolicy::OpenAdaptive => {
                 // Precharge early when no queued burst hits this row but
                 // one conflicts with it.
-                let same_bank: Vec<&Packet> = self
-                    .read_q
-                    .iter()
-                    .chain(self.write_q.iter())
-                    .filter(|p| p.bank == packet.bank)
-                    .collect();
-                let any_hit = same_bank.iter().any(|p| p.row == packet.row);
-                let any_conflict = same_bank.iter().any(|p| p.row != packet.row);
-                !any_hit && any_conflict
+                self.set_open_row(packet.bank, Some(packet.row));
+                let hits = self.hits[0][packet.bank] + self.hits[1][packet.bank];
+                hits == 0 && self.queued[packet.bank] > 0
             }
         };
         if precharge {
-            let bank = &mut self.banks[packet.bank];
-            bank.open_row = None;
-            bank.ready_at = completion + t.t_rp;
+            self.set_open_row(packet.bank, None);
+            self.banks[packet.bank].ready_at = completion + t.t_rp;
+        } else {
+            self.set_open_row(packet.bank, Some(packet.row));
         }
 
         // Turnaround accounting (Fig. 11): reads serviced before each
@@ -266,6 +330,7 @@ impl Channel {
             }
         }
         self.last_op = Some(packet.op);
+        debug_assert!(self.counts_agree(), "queue counts drifted");
 
         self.stats.record_service(
             packet.op,

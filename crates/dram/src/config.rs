@@ -222,12 +222,16 @@ impl AddressMapping {
         (channel, bank, row)
     }
 
-    /// Splits `[addr, addr + size)` into the starting addresses of the
-    /// DRAM bursts it touches.
-    pub fn bursts(&self, addr: u64, size: u32) -> Vec<u64> {
-        let first = addr / self.burst_bytes;
-        let last = (addr + u64::from(size) - 1) / self.burst_bytes;
-        (first..=last).map(|b| b * self.burst_bytes).collect()
+    /// The starting addresses of the DRAM bursts that `[addr, addr +
+    /// size)` touches, in address order. A span running past the top of
+    /// the address space ends at `u64::MAX`, as
+    /// [`Request::end_address`](mocktails_trace::Request::end_address)
+    /// saturates; a zero size touches the burst holding `addr`.
+    pub fn bursts(&self, addr: u64, size: u32) -> impl Iterator<Item = u64> {
+        let burst_bytes = self.burst_bytes;
+        let first = addr / burst_bytes;
+        let last = addr.saturating_add(u64::from(size.max(1)) - 1) / burst_bytes;
+        (first..=last).map(move |b| b * burst_bytes)
     }
 }
 
@@ -289,11 +293,18 @@ mod tests {
     #[test]
     fn burst_splitting() {
         let m = DramConfig::default().mapping();
-        assert_eq!(m.bursts(0, 32), vec![0]);
-        assert_eq!(m.bursts(0, 64), vec![0, 32]);
-        assert_eq!(m.bursts(16, 32), vec![0, 32], "unaligned spans two");
-        assert_eq!(m.bursts(0, 1), vec![0]);
-        assert_eq!(m.bursts(96, 128), vec![96, 128, 160, 192]);
+        let bursts = |addr, size| m.bursts(addr, size).collect::<Vec<_>>();
+        assert_eq!(bursts(0, 32), vec![0]);
+        assert_eq!(bursts(0, 64), vec![0, 32]);
+        assert_eq!(bursts(16, 32), vec![0, 32], "unaligned spans two");
+        assert_eq!(bursts(0, 1), vec![0]);
+        assert_eq!(bursts(96, 128), vec![96, 128, 160, 192]);
+        // Spans past the top of the address space end at `u64::MAX`
+        // instead of wrapping to an empty range.
+        let top = u64::MAX - 31;
+        assert_eq!(bursts(u64::MAX - 15, 64), vec![top]);
+        assert_eq!(bursts(u64::MAX - 47, 4096), vec![top - 32, top]);
+        assert_eq!(bursts(u64::MAX, 1), vec![top]);
     }
 
     #[test]

@@ -41,6 +41,8 @@ mod config;
 mod stats;
 mod system;
 
-pub use config::{AddressMapping, DramConfig, DramTiming, PagePolicy, SchedulingPolicy};
+pub use config::{
+    AddressMapping, DramConfig, DramTiming, MappingScheme, PagePolicy, SchedulingPolicy,
+};
 pub use stats::{ChannelStats, DramStats, Histogram, PortStats};
 pub use system::MemorySystem;

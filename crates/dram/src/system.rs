@@ -183,6 +183,18 @@ mod tests {
     }
 
     #[test]
+    fn burst_conservation_at_the_top_of_the_address_space() {
+        // The first request's span saturates at `u64::MAX` (one burst)
+        // instead of wrapping to an empty burst range.
+        let trace = Trace::from_requests(vec![
+            Request::read(0, u64::MAX - 15, 64),
+            Request::read(10, 0, 64),
+        ]);
+        let stats = MemorySystem::new(DramConfig::default()).run_trace(&trace);
+        assert_eq!(stats.total_read_bursts(), 3);
+    }
+
+    #[test]
     fn bursts_spread_across_channels() {
         let trace = linear_trace(400, 10, 128);
         let stats = MemorySystem::new(DramConfig::default()).run_trace(&trace);

@@ -43,7 +43,7 @@ fn bursts_cover_the_request_exactly() {
     for case in 0..CASES {
         let addr = rng.gen_range(0..1_000_000u64);
         let size = rng.gen_range(1..4096u32);
-        let bursts = m.bursts(addr, size);
+        let bursts: Vec<u64> = m.bursts(addr, size).collect();
         // First burst contains the start, last contains the final byte.
         assert!(bursts[0] <= addr && addr < bursts[0] + 32, "case {case}");
         let end = addr + u64::from(size) - 1;
@@ -75,7 +75,7 @@ fn conservation_holds_under_every_policy() {
                 };
                 let expected: u64 = trace
                     .iter()
-                    .map(|r| config.mapping().bursts(r.address, r.size).len() as u64)
+                    .map(|r| config.mapping().bursts(r.address, r.size).count() as u64)
                     .sum();
                 let stats = MemorySystem::new(config).run_trace(&trace);
                 assert_eq!(

@@ -36,8 +36,9 @@
 //! * **L018** — allocation effects (direct, or through a resolved call
 //!   whose callee transitively allocates per
 //!   [`crate::graph::propagate`]) inside a CFG loop back-edge scope on
-//!   the synthesis/codec hot path: the machine-readable worklist for the
-//!   buffer-reuse campaign.
+//!   the synthesis, codec, DRAM and cache hot paths: the machine-readable
+//!   worklist for the buffer-reuse campaign. `.collect()` counts as an
+//!   allocation, so a per-burst scratch `Vec` cannot come back.
 //! * **L019** — `self`-rooted collection growth in the serve crate with
 //!   no same-file shrink (`pop`/`remove`/`truncate`/`clear`/`drain`/
 //!   `mem::take`/...) of the same field: an unbounded queue on the serve
@@ -63,7 +64,7 @@ const PANIC_MACROS: [&str; 4] = ["panic", "todo", "unimplemented", "unreachable"
 const SYNC_CALLS: [&str; 2] = ["sync_all", "sync_data"];
 
 /// Empty-arg method calls that allocate.
-const ALLOC_METHODS: [&str; 4] = ["clone", "to_vec", "to_string", "to_owned"];
+const ALLOC_METHODS: [&str; 5] = ["clone", "collect", "to_vec", "to_string", "to_owned"];
 
 /// Allocating constructors, as `Type::name` pairs.
 const ALLOC_TYPES: [&str; 4] = ["Vec", "VecDeque", "String", "Box"];
@@ -608,7 +609,8 @@ fn l017_reactor_blocking(
 // L018: hot-loop allocation
 // ---------------------------------------------------------------------------
 
-/// Files on the synthesis/codec hot path whose loops L018 polices.
+/// Files on the synthesis, codec and DRAM/cache simulation hot paths
+/// whose loops L018 polices.
 fn l018_path(path: &str) -> bool {
     [
         "core/src/synth",
@@ -617,6 +619,8 @@ fn l018_path(path: &str) -> bool {
         "trace/src/codec",
         "trace/src/stream",
         "trace/src/fingerprint",
+        "dram/src",
+        "cache/src",
     ]
     .iter()
     .any(|p| path.contains(p))

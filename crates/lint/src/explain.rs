@@ -174,10 +174,11 @@ pub const RULE_DOCS: &[RuleDoc] = &[
     },
     RuleDoc {
         id: "L018",
-        summary: "no allocation inside a hot loop on the synthesis/codec path, directly or \
-                  through transitive callees",
-        rationale: "The paper's core loop emits millions of records; a per-iteration \
-                    allocation dominates its throughput.",
+        summary: "no allocation (including `.collect()`) inside a hot loop on the synthesis, \
+                  codec, DRAM or cache path, directly or through transitive callees",
+        rationale: "The paper's core loop emits millions of records and its validation \
+                    services every one as DRAM bursts or cache blocks; a per-iteration \
+                    allocation dominates their throughput.",
         example: "crates/core/src/x.rs:105: [L018] allocation `format!` inside a hot loop of \
                   `validate`",
         waiver:

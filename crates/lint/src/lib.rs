@@ -64,7 +64,8 @@
 //!   reactor sweep loop except the allowlisted nonblocking-socket
 //!   helpers and the `WakeFlag` idle park.
 //! * **L018** — hot-loop allocation: no allocation effect (direct or
-//!   via a resolved call) inside a loop on the synthesis/codec hot path.
+//!   via a resolved call, `.collect()` included) inside a loop on the
+//!   synthesis, codec, DRAM (`dram/src`) or cache (`cache/src`) hot path.
 //! * **L019** — unbounded growth: no `self`-rooted collection growth in
 //!   the serve crate without same-file cap/evict/truncate evidence.
 //!

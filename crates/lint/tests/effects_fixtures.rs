@@ -1,8 +1,9 @@
 //! Effect-rule fixtures: a three-hop L016 panic chain out of the
 //! synthesis iterator, L017 blocking two calls behind the reactor sweep,
-//! an L018 allocation in a nested hot loop, and an L019 capped-vs-uncapped
-//! growth pair. Each failing fixture carries a clean sibling in the same
-//! file, so every test pins both the hit and the non-hit.
+//! an L018 allocation in a nested hot loop and a per-service `.collect()`
+//! in the DRAM crate, and an L019 capped-vs-uncapped growth pair. Each
+//! failing fixture carries a clean sibling in the same file, so every test
+//! pins both the hit and the non-hit.
 
 use std::path::{Path, PathBuf};
 
@@ -105,6 +106,30 @@ fn l018_fixture_flags_only_the_nested_loop_allocation() {
         msg.contains("format!") && msg.contains("render_rows"),
         "{msg}"
     );
+}
+
+#[test]
+fn l018_fixture_flags_a_collect_per_service_in_the_dram_crate() {
+    let got = effect_diags(
+        "effects/l018_collect.rs",
+        "crates/dram/src/channel.rs",
+        "l018-collect",
+    );
+    // The counting sibling allocates nothing: one hit, the `.collect()`.
+    assert_eq!(got.len(), 1, "{got:?}");
+    let (line, rule, msg) = &got[0];
+    assert_eq!((*line, *rule), (7, "L018"), "{got:?}");
+    assert!(
+        msg.contains("`.collect()`") && msg.contains("precharges_collected"),
+        "{msg}"
+    );
+    // Outside the hot-path crates the same loop is not policed.
+    let cold = effect_diags(
+        "effects/l018_collect.rs",
+        "crates/cli/src/report.rs",
+        "l018-cold",
+    );
+    assert!(cold.is_empty(), "{cold:?}");
 }
 
 #[test]

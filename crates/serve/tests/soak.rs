@@ -2,8 +2,9 @@
 //! event-loop thread, every reassembled stream byte-identical to the
 //! offline pipeline, zero frame errors, and a bounded tail latency.
 //!
-//! `MOCKTAILS_SOAK_CLIENTS` overrides the client count (CI smokes run
-//! ~200; the default exercises the ≥1k contract).
+//! `MOCKTAILS_SOAK_CLIENTS` overrides the client count for a quicker
+//! local run; the default exercises the ≥1k contract, which the
+//! workspace test steps run at one worker thread and at four.
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};

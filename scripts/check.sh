@@ -26,13 +26,6 @@ echo "==> serve loopback smoke (server vs offline + coupled stream, byte-compare
 MOCKTAILS_THREADS=1 ./scripts/serve-smoke.sh
 MOCKTAILS_THREADS=4 ./scripts/serve-smoke.sh
 
-echo "==> reactor soak smoke (200 concurrent streaming clients)"
-# The serve crate's loopback soak at a CI-sized client count, at one
-# worker thread and at four: byte-identical streams, zero frame errors,
-# bounded tail. The ≥1k-client contract runs inside the test suite above.
-MOCKTAILS_THREADS=1 ./scripts/soak-smoke.sh
-MOCKTAILS_THREADS=4 ./scripts/soak-smoke.sh
-
 echo "==> serve_scale bench (BENCH_3.json regression check)"
 # Re-pins the serving-layer baseline; the bench itself fails on
 # structural regressions (missing worker counts, a serial connection

@@ -154,7 +154,7 @@ fn dram_conserves_bursts() {
         let mapping = DramConfig::default().mapping();
         let expected: u64 = trace
             .iter()
-            .map(|r| mapping.bursts(r.address, r.size).len() as u64)
+            .map(|r| mapping.bursts(r.address, r.size).count() as u64)
             .sum();
         let stats = MemorySystem::new(DramConfig::default()).run_trace(&trace);
         assert_eq!(

@@ -12,6 +12,11 @@
 //! * [`Client::begin_synthesize`] — hands back a [`SynthStream`] whose
 //!   acks the caller sends explicitly, for consumers that want real
 //!   backpressure (or tests that withhold acks on purpose).
+//!
+//! The coupled (Option B) stream is the same stream with a richer chunk:
+//! [`Client::couple`] and [`Client::begin_couple`] mirror the two calls
+//! above, and [`SynthStream`]`<'_, CoupledChunk>` carries each chunk's
+//! simulated-time backpressure alongside its records.
 
 use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -67,7 +72,8 @@ pub struct CoupledOutcome {
     pub stall_cycles: u64,
 }
 
-/// One chunk of a coupled stream, as received by [`CoupledStream`].
+/// One chunk of a coupled stream, as received by [`Client::begin_couple`]'s
+/// [`SynthStream`].
 #[derive(Debug, Clone)]
 pub struct CoupledChunk {
     /// Requests encoded in `records`.
@@ -94,11 +100,14 @@ pub struct CompactOutcome {
     pub wal_bytes_dropped: u64,
 }
 
+/// Inbound frame size limit of a [`Client`]: the server's default
+/// `max_frame_len`, so any response a default server sends fits.
+const MAX_FRAME_LEN: usize = 64 << 20;
+
 /// A connected protocol client.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
-    max_frame_len: usize,
 }
 
 impl std::fmt::Debug for Client {
@@ -117,21 +126,11 @@ impl Client {
     /// Connection failures, or a typed [`ServeError::Remote`] if the
     /// server rejects the protocol version.
     pub fn connect(addr: &str) -> Result<Self, ServeError> {
-        Self::connect_with(addr, 64 << 20)
-    }
-
-    /// [`Client::connect`] with an explicit inbound frame size limit.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::connect`].
-    pub fn connect_with(addr: &str, max_frame_len: usize) -> Result<Self, ServeError> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
         let mut client = Self {
             writer: BufWriter::new(stream.try_clone()?),
             reader: BufReader::new(stream),
-            max_frame_len,
         };
         client.send(&Request::Hello {
             version: PROTOCOL_VERSION,
@@ -149,7 +148,7 @@ impl Client {
     }
 
     fn recv(&mut self) -> Result<Response, ServeError> {
-        match read_frame(&mut self.reader, self.max_frame_len)? {
+        match read_frame(&mut self.reader, MAX_FRAME_LEN)? {
             Some(payload) => Response::decode(&payload),
             None => Err(ServeError::Frame("connection closed mid-exchange".into())),
         }
@@ -180,27 +179,6 @@ impl Client {
         }
     }
 
-    /// Like [`Client::fit`], but retries `Busy` rejections under
-    /// `policy`'s jittered exponential backoff, sleeping for real
-    /// between attempts. Any other error returns immediately.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures, the final `Busy` once retries are exhausted,
-    /// or the server's first non-`Busy` typed error.
-    pub fn fit_with_retry(
-        &mut self,
-        cycles: u64,
-        trace_bytes: Vec<u8>,
-        policy: &crate::retry::RetryPolicy,
-    ) -> Result<FitOutcome, ServeError> {
-        crate::retry::retry_busy(
-            policy,
-            |micros| std::thread::sleep(std::time::Duration::from_micros(micros)),
-            || self.fit(cycles, trace_bytes.clone()),
-        )
-    }
-
     /// Streams a full synthesis, acking every chunk, and returns the
     /// reassembled whole-trace encoding after verifying the server's
     /// stream fingerprint against a local replay of the record bytes.
@@ -215,19 +193,8 @@ impl Client {
         chunk_len: u32,
         source: ProfileSource,
     ) -> Result<SynthOutcome, ServeError> {
-        let mut stream = self.begin_synthesize(seed, chunk_len, source)?;
-        let mut records = Vec::new();
-        while let Some(chunk) = stream.next_chunk()? {
-            records.extend_from_slice(&chunk);
-            stream.ack()?;
-        }
-        let (total_requests, fingerprint) = stream.end()?;
-        let trace_bytes = verify_and_assemble(records, total_requests, fingerprint)?;
-        Ok(SynthOutcome {
-            trace_bytes,
-            total_requests,
-            fingerprint,
-        })
+        self.begin_synthesize(seed, chunk_len, source)?
+            .drain(|records| records)
     }
 
     /// Streams a full coupled (Option B) synthesis, acking every chunk,
@@ -244,22 +211,17 @@ impl Client {
         chunk_len: u32,
         source: ProfileSource,
     ) -> Result<CoupledOutcome, ServeError> {
-        let mut stream = self.begin_couple(seed, chunk_len, source)?;
-        let mut records = Vec::new();
         let mut simulated_cycles = 0u64;
         let mut stall_cycles = 0u64;
-        while let Some(chunk) = stream.next_chunk()? {
-            records.extend_from_slice(&chunk.records);
+        let synth = self.begin_couple(seed, chunk_len, source)?.drain(|chunk| {
             simulated_cycles = chunk.simulated_cycles;
             stall_cycles = chunk.stall_cycles;
-            stream.ack()?;
-        }
-        let (total_requests, fingerprint) = stream.end()?;
-        let trace_bytes = verify_and_assemble(records, total_requests, fingerprint)?;
+            chunk.records
+        })?;
         Ok(CoupledOutcome {
-            trace_bytes,
-            total_requests,
-            fingerprint,
+            trace_bytes: synth.trace_bytes,
+            total_requests: synth.total_requests,
+            fingerprint: synth.fingerprint,
             simulated_cycles,
             stall_cycles,
         })
@@ -278,20 +240,26 @@ impl Client {
         seed: u64,
         chunk_len: u32,
         source: ProfileSource,
-    ) -> Result<CoupledStream<'_>, ServeError> {
-        self.send(&Request::CoupledSynthesize {
+    ) -> Result<SynthStream<'_, CoupledChunk>, ServeError> {
+        let request = Request::CoupledSynthesize {
             seed,
             chunk_len,
             source,
-        })?;
-        match self.recv()? {
-            Response::SynthStart { total_requests } => Ok(CoupledStream {
-                client: self,
-                declared_total: total_requests,
-                end: None,
+        };
+        self.begin_stream(&request, |response| match response {
+            Response::CoupledChunk {
+                count,
+                simulated_cycles,
+                stall_cycles,
+                records,
+            } => Ok(CoupledChunk {
+                count,
+                simulated_cycles,
+                stall_cycles,
+                records,
             }),
-            other => Err(unexpected("synth-start", &other)),
-        }
+            other => Err(unexpected("coupled-chunk", &other)),
+        })
     }
 
     /// Starts a synthesis stream whose acks the caller controls.
@@ -306,16 +274,31 @@ impl Client {
         chunk_len: u32,
         source: ProfileSource,
     ) -> Result<SynthStream<'_>, ServeError> {
-        self.send(&Request::Synthesize {
+        let request = Request::Synthesize {
             seed,
             chunk_len,
             source,
-        })?;
+        };
+        self.begin_stream(&request, |response| match response {
+            Response::SynthChunk { records, .. } => Ok(records),
+            other => Err(unexpected("synth-chunk", &other)),
+        })
+    }
+
+    /// Sends a stream-opening request and reads its `SynthStart`; `chunk`
+    /// decodes every later chunk frame.
+    fn begin_stream<C>(
+        &mut self,
+        request: &Request,
+        chunk: fn(Response) -> Result<C, ServeError>,
+    ) -> Result<SynthStream<'_, C>, ServeError> {
+        self.send(request)?;
         match self.recv()? {
             Response::SynthStart { total_requests } => Ok(SynthStream {
                 client: self,
                 declared_total: total_requests,
                 end: None,
+                chunk,
             }),
             other => Err(unexpected("synth-start", &other)),
         }
@@ -384,11 +367,6 @@ impl Client {
             other => Err(unexpected("shutdown-ok", &other)),
         }
     }
-
-    /// Abandons an in-flight stream (used by [`SynthStream`]).
-    fn send_cancel(&mut self) -> Result<(), ServeError> {
-        self.send(&Request::Cancel)
-    }
 }
 
 /// An in-progress synthesis stream with caller-controlled acks.
@@ -396,33 +374,34 @@ impl Client {
 /// Call [`SynthStream::next_chunk`] until it returns `None`, sending
 /// [`SynthStream::ack`] between chunks (the server ships chunk *n+1*
 /// only after chunk *n* is acked), then read the end-of-stream totals
-/// with [`SynthStream::end`].
+/// with [`SynthStream::end`]. A plain stream's chunks are their record
+/// bytes; a coupled stream ([`Client::begin_couple`]) yields
+/// [`CoupledChunk`]s.
 #[derive(Debug)]
-pub struct SynthStream<'a> {
+pub struct SynthStream<'a, C = Vec<u8>> {
     client: &'a mut Client,
     declared_total: u64,
     end: Option<(u64, u64)>,
+    chunk: fn(Response) -> Result<C, ServeError>,
 }
 
-impl SynthStream<'_> {
+impl<C> SynthStream<'_, C> {
     /// Total requests the server announced for this stream.
     pub fn declared_total(&self) -> u64 {
         self.declared_total
     }
 
-    /// Receives the next chunk's record bytes, or `None` at end of
-    /// stream.
+    /// Receives the next chunk, or `None` at end of stream.
     ///
     /// # Errors
     ///
     /// Transport failures or the server's typed error (a mid-stream
     /// `DeadlineExceeded`, for instance).
-    pub fn next_chunk(&mut self) -> Result<Option<Vec<u8>>, ServeError> {
+    pub fn next_chunk(&mut self) -> Result<Option<C>, ServeError> {
         if self.end.is_some() {
             return Ok(None);
         }
         match self.client.recv()? {
-            Response::SynthChunk { records, .. } => Ok(Some(records)),
             Response::SynthEnd {
                 total_requests,
                 fingerprint,
@@ -430,7 +409,7 @@ impl SynthStream<'_> {
                 self.end = Some((total_requests, fingerprint));
                 Ok(None)
             }
-            other => Err(unexpected("synth-chunk", &other)),
+            other => (self.chunk)(other).map(Some),
         }
     }
 
@@ -450,7 +429,7 @@ impl SynthStream<'_> {
     ///
     /// Transport failures.
     pub fn cancel(mut self) -> Result<(u64, u64), ServeError> {
-        self.client.send_cancel()?;
+        self.client.send(&Request::Cancel)?;
         while self.next_chunk()?.is_some() {}
         self.end()
     }
@@ -464,87 +443,21 @@ impl SynthStream<'_> {
         self.end
             .ok_or_else(|| ServeError::Protocol("stream has not reached its end frame".into()))
     }
-}
 
-/// An in-progress coupled stream with caller-controlled acks.
-///
-/// The coupled analogue of [`SynthStream`]: call
-/// [`CoupledStream::next_chunk`] until `None`, acking between chunks,
-/// then read the clean end-of-stream totals with [`CoupledStream::end`].
-#[derive(Debug)]
-pub struct CoupledStream<'a> {
-    client: &'a mut Client,
-    declared_total: u64,
-    end: Option<(u64, u64)>,
-}
-
-impl CoupledStream<'_> {
-    /// Total requests the server announced for this stream.
-    pub fn declared_total(&self) -> u64 {
-        self.declared_total
-    }
-
-    /// Receives the next coupled chunk, or `None` at end of stream.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures or the server's typed error.
-    pub fn next_chunk(&mut self) -> Result<Option<CoupledChunk>, ServeError> {
-        if self.end.is_some() {
-            return Ok(None);
+    /// Acks every chunk through to the end frame, taking each chunk's
+    /// record bytes with `records`, then verifies and reassembles them.
+    fn drain(mut self, mut records: impl FnMut(C) -> Vec<u8>) -> Result<SynthOutcome, ServeError> {
+        let mut streamed = Vec::new();
+        while let Some(chunk) = self.next_chunk()? {
+            streamed.extend_from_slice(&records(chunk));
+            self.ack()?;
         }
-        match self.client.recv()? {
-            Response::CoupledChunk {
-                count,
-                simulated_cycles,
-                stall_cycles,
-                records,
-            } => Ok(Some(CoupledChunk {
-                count,
-                simulated_cycles,
-                stall_cycles,
-                records,
-            })),
-            Response::SynthEnd {
-                total_requests,
-                fingerprint,
-            } => {
-                self.end = Some((total_requests, fingerprint));
-                Ok(None)
-            }
-            other => Err(unexpected("coupled-chunk", &other)),
-        }
-    }
-
-    /// Acknowledges the chunk just received, releasing the next one.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures.
-    pub fn ack(&mut self) -> Result<(), ServeError> {
-        self.client.send(&Request::Ack)
-    }
-
-    /// Cancels the stream and drains it to its (clean) end-of-stream
-    /// frame, so the connection is reusable afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures.
-    pub fn cancel(mut self) -> Result<(u64, u64), ServeError> {
-        self.client.send_cancel()?;
-        while self.next_chunk()?.is_some() {}
-        self.end()
-    }
-
-    /// The end-of-stream `(total_requests, fingerprint)` pair.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Protocol`] if the stream has not ended yet.
-    pub fn end(&self) -> Result<(u64, u64), ServeError> {
-        self.end
-            .ok_or_else(|| ServeError::Protocol("stream has not reached its end frame".into()))
+        let (total_requests, fingerprint) = self.end()?;
+        Ok(SynthOutcome {
+            trace_bytes: verify_and_assemble(streamed, total_requests, fingerprint)?,
+            total_requests,
+            fingerprint,
+        })
     }
 }
 

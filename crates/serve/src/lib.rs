@@ -51,8 +51,7 @@ pub mod server;
 
 pub use cache::{CacheStats, ShardedCache};
 pub use client::{
-    Client, CompactOutcome, CoupledChunk, CoupledOutcome, CoupledStream, FitOutcome, SynthOutcome,
-    SynthStream,
+    Client, CompactOutcome, CoupledChunk, CoupledOutcome, FitOutcome, SynthOutcome, SynthStream,
 };
 pub use error::{ErrorCode, ServeError};
 pub use metrics::{Clock, ManualClock, MonotonicClock, ServeMetrics};

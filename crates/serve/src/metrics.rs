@@ -118,7 +118,13 @@ impl Histogram {
         if let Some(bucket) = chosen {
             bucket.fetch_add(1, Ordering::SeqCst);
         }
-        self.sum.fetch_add(micros, Ordering::SeqCst);
+        // Saturate rather than wrap: a sum stuck at `u64::MAX` still
+        // reads as "huge", a wrapped one would read as small.
+        let _ = self
+            .sum
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |sum| {
+                Some(sum.saturating_add(micros))
+            });
         self.count.fetch_add(1, Ordering::SeqCst);
     }
 
@@ -173,99 +179,142 @@ impl Histogram {
     }
 }
 
-/// The server's metric registry: every counter, gauge and histogram it
-/// exports.
-///
-/// Counters only ever increase; `cache_entries` is a gauge the server
-/// stores absolutely after each cache operation. Declaration order here
-/// *is* the rendering order, so [`ServeMetrics::render`] output is stable
-/// by construction.
-#[derive(Debug, Default)]
-pub struct ServeMetrics {
-    /// Connections accepted.
-    pub connections_total: AtomicU64,
-    /// Requests of any type admitted past the handshake.
-    pub requests_total: AtomicU64,
-    /// `FitProfile` requests processed (including cache hits).
-    pub fit_requests_total: AtomicU64,
-    /// `Synthesize` requests processed.
-    pub synth_requests_total: AtomicU64,
-    /// `Stats` requests processed.
-    pub stats_requests_total: AtomicU64,
-    /// `Metricsz` requests processed.
-    pub metricsz_requests_total: AtomicU64,
-    /// Typed error frames sent, any code.
-    pub errors_total: AtomicU64,
-    /// Error frames carrying `Busy` (queue cap hit).
-    pub busy_rejections_total: AtomicU64,
-    /// Error frames carrying `DeadlineExceeded`.
-    pub deadline_exceeded_total: AtomicU64,
-    /// Fit requests answered from the profile cache.
-    pub cache_hits_total: AtomicU64,
-    /// Fit requests that had to fit from scratch.
-    pub cache_misses_total: AtomicU64,
-    /// Profiles evicted by LRU capacity pressure.
-    pub cache_evictions_total: AtomicU64,
-    /// Profiles dropped because their TTL lapsed.
-    pub cache_expirations_total: AtomicU64,
-    /// Profiles currently resident (gauge).
-    pub cache_entries: AtomicU64,
-    /// Encoded record bytes streamed in `SynthChunk` frames.
-    pub streamed_bytes_total: AtomicU64,
-    /// Requests streamed across all `Synthesize` responses.
-    pub streamed_requests_total: AtomicU64,
-    /// `CoupledSynthesize` requests processed.
-    pub coupled_requests_total: AtomicU64,
-    /// `CoupledChunk` frames produced.
-    pub coupled_chunks_total: AtomicU64,
-    /// Requests streamed through coupled (Option B) streams.
-    pub coupled_streamed_requests_total: AtomicU64,
-    /// Simulated stall cycles the DRAM model fed back into coupled
-    /// generators.
-    pub coupled_stall_cycles_total: AtomicU64,
-    /// Profiles live in the persistent store (gauge; 0 without a store).
-    pub store_profiles: AtomicU64,
-    /// Persistent store write-ahead-log size in bytes (gauge).
-    pub store_wal_bytes: AtomicU64,
-    /// Records appended to the store's write-ahead log.
-    pub store_wal_appends_total: AtomicU64,
-    /// Store opens that found state to recover (replayed records,
-    /// truncated a torn tail, or discarded a stale log).
-    pub store_recoveries_total: AtomicU64,
-    /// Profiles recovered from disk (checkpoint + log replay) at open.
-    pub store_recovered_profiles_total: AtomicU64,
-    /// Duration of the last store open's recovery replay (gauge).
-    pub store_replay_micros: AtomicU64,
-    /// Store compactions (checkpoint + log truncation) performed.
-    pub store_checkpoints_total: AtomicU64,
-    /// Clock reading at the last checkpoint (or store open); rendered as
-    /// `store_last_checkpoint_age_micros`, the gap to "now".
-    pub store_last_checkpoint_micros: AtomicU64,
-    /// Connections the reactor currently owns (gauge).
-    pub reactor_open_conns: AtomicU64,
-    /// Connections refused at accept because `max_conns` was reached.
-    pub reactor_conns_rejected_total: AtomicU64,
-    /// Reactor sweep iterations. Scheduling-dependent by nature (how
-    /// often the loop wakes depends on socket and worker timing), so
-    /// determinism tests exclude exactly this one line.
-    pub reactor_wakeups_total: AtomicU64,
-    /// Response frames queued on sockets, not yet fully written (gauge).
-    pub reactor_write_queue_frames: AtomicU64,
-    /// Requests currently holding a shard admission slot (gauge).
-    pub shard_inflight: AtomicU64,
-    /// Requests shed with `Busy` because their shard was at budget.
-    pub shard_shed_total: AtomicU64,
-    /// Jobs waiting in the worker pool's queue (gauge).
-    pub pool_queue_depth: AtomicU64,
-    /// Submit-to-job-start wait.
-    pub queue_wait_micros: Histogram,
-    /// Fit job duration.
-    pub fit_latency_micros: Histogram,
-    /// Synthesis stream duration (start to end frame).
-    pub synth_latency_micros: Histogram,
-    /// Queue-to-wire latency of each response frame (enqueue on the
-    /// connection's write queue until its last byte hits the socket).
-    pub frame_latency_micros: Histogram,
+/// How one registry entry renders.
+enum Metric<'a> {
+    /// `name value`.
+    Value(&'a AtomicU64),
+    /// `name age`: the entry holds a clock reading, rendered as the gap
+    /// from it to "now".
+    Age(&'a AtomicU64),
+    /// The histogram's bucket, sum, count and quantile lines, each
+    /// prefixed `name_`.
+    Histogram(&'a Histogram),
+}
+
+/// Declares the registry from one table: each entry's doc, field, render
+/// kind (`Value`, `Age` or `Histogram`) and, where it differs from the
+/// field, its rendered name. The struct's fields and the render order
+/// both come from the table, so a metric is declared exactly once.
+macro_rules! metric_table {
+    (@cell Histogram) => { Histogram };
+    (@cell $kind:ident) => { AtomicU64 };
+    (@name $field:ident) => { stringify!($field) };
+    (@name $field:ident as $name:literal) => { $name };
+    (
+        $(#[$meta:meta])*
+        pub struct $registry:ident {
+            $( $(#[doc = $doc:literal])* $field:ident: $kind:ident $(as $name:literal)?, )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $registry {
+            $( $(#[doc = $doc])* pub $field: metric_table!(@cell $kind), )*
+        }
+
+        impl $registry {
+            /// Visits every entry in declaration (= rendering) order.
+            fn for_each_metric(&self, mut visit: impl FnMut(&'static str, Metric<'_>)) {
+                $( visit(metric_table!(@name $field $(as $name)?), Metric::$kind(&self.$field)); )*
+            }
+        }
+    };
+}
+
+metric_table! {
+    /// The server's metric registry: every counter, gauge and histogram it
+    /// exports.
+    ///
+    /// Counters only ever increase; `cache_entries` is a gauge the server
+    /// stores absolutely after each cache operation. Declaration order here
+    /// *is* the rendering order, so [`ServeMetrics::render`] output is stable
+    /// by construction.
+    #[derive(Debug, Default)]
+    pub struct ServeMetrics {
+        /// Connections accepted.
+        connections_total: Value,
+        /// Requests of any type admitted past the handshake.
+        requests_total: Value,
+        /// `FitProfile` requests processed (including cache hits).
+        fit_requests_total: Value,
+        /// `Synthesize` requests processed.
+        synth_requests_total: Value,
+        /// `Stats` requests processed.
+        stats_requests_total: Value,
+        /// `Metricsz` requests processed.
+        metricsz_requests_total: Value,
+        /// Typed error frames sent, any code.
+        errors_total: Value,
+        /// Error frames carrying `Busy` (queue cap hit).
+        busy_rejections_total: Value,
+        /// Error frames carrying `DeadlineExceeded`.
+        deadline_exceeded_total: Value,
+        /// Fit requests answered from the profile cache.
+        cache_hits_total: Value,
+        /// Fit requests that had to fit from scratch.
+        cache_misses_total: Value,
+        /// Profiles evicted by LRU capacity pressure.
+        cache_evictions_total: Value,
+        /// Profiles dropped because their TTL lapsed.
+        cache_expirations_total: Value,
+        /// Profiles currently resident (gauge).
+        cache_entries: Value,
+        /// Encoded record bytes streamed in `SynthChunk` frames.
+        streamed_bytes_total: Value,
+        /// Requests streamed across all `Synthesize` responses.
+        streamed_requests_total: Value,
+        /// `CoupledSynthesize` requests processed.
+        coupled_requests_total: Value,
+        /// `CoupledChunk` frames produced.
+        coupled_chunks_total: Value,
+        /// Requests streamed through coupled (Option B) streams.
+        coupled_streamed_requests_total: Value,
+        /// Simulated stall cycles the DRAM model fed back into coupled
+        /// generators.
+        coupled_stall_cycles_total: Value,
+        /// Profiles live in the persistent store (gauge; 0 without a store).
+        store_profiles: Value,
+        /// Persistent store write-ahead-log size in bytes (gauge).
+        store_wal_bytes: Value,
+        /// Records appended to the store's write-ahead log.
+        store_wal_appends_total: Value,
+        /// Store opens that found state to recover (replayed records,
+        /// truncated a torn tail, or discarded a stale log).
+        store_recoveries_total: Value,
+        /// Profiles recovered from disk (checkpoint + log replay) at open.
+        store_recovered_profiles_total: Value,
+        /// Duration of the last store open's recovery replay (gauge).
+        store_replay_micros: Value,
+        /// Store compactions (checkpoint + log truncation) performed.
+        store_checkpoints_total: Value,
+        /// Clock reading at the last checkpoint (or store open); rendered as
+        /// `store_last_checkpoint_age_micros`, the gap to "now".
+        store_last_checkpoint_micros: Age as "store_last_checkpoint_age_micros",
+        /// Connections the reactor currently owns (gauge).
+        reactor_open_conns: Value,
+        /// Connections refused at accept because `max_conns` was reached.
+        reactor_conns_rejected_total: Value,
+        /// Reactor sweep iterations. Scheduling-dependent by nature (how
+        /// often the loop wakes depends on socket and worker timing), so
+        /// determinism tests exclude exactly this one line.
+        reactor_wakeups_total: Value,
+        /// Response frames queued on sockets, not yet fully written (gauge).
+        reactor_write_queue_frames: Value,
+        /// Requests currently holding a shard admission slot (gauge).
+        shard_inflight: Value,
+        /// Requests shed with `Busy` because their shard was at budget.
+        shard_shed_total: Value,
+        /// Jobs waiting in the worker pool's queue (gauge).
+        pool_queue_depth: Value,
+        /// Submit-to-job-start wait.
+        queue_wait_micros: Histogram as "queue_wait",
+        /// Fit job duration.
+        fit_latency_micros: Histogram as "fit_latency",
+        /// Synthesis stream duration (start to end frame).
+        synth_latency_micros: Histogram as "synth_latency",
+        /// Queue-to-wire latency of each response frame (enqueue on the
+        /// connection's write queue until its last byte hits the socket).
+        frame_latency_micros: Histogram as "frame_latency",
+    }
 }
 
 impl ServeMetrics {
@@ -274,81 +323,24 @@ impl ServeMetrics {
         Self::default()
     }
 
-    /// Renders every metric as `name value` lines in a fixed order,
-    /// followed by the histograms and `uptime_micros` computed from
-    /// `now_micros`. Two renderings of registries in the same state with
-    /// the same clock reading are byte-identical.
+    /// Renders every metric in table order — `name value` lines, the
+    /// checkpoint age and the histogram blocks — followed by
+    /// `uptime_micros`, all computed from `now_micros`. Two renderings of
+    /// registries in the same state with the same clock reading are
+    /// byte-identical.
     pub fn render(&self, now_micros: u64) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        for (name, counter) in [
-            ("connections_total", &self.connections_total),
-            ("requests_total", &self.requests_total),
-            ("fit_requests_total", &self.fit_requests_total),
-            ("synth_requests_total", &self.synth_requests_total),
-            ("stats_requests_total", &self.stats_requests_total),
-            ("metricsz_requests_total", &self.metricsz_requests_total),
-            ("errors_total", &self.errors_total),
-            ("busy_rejections_total", &self.busy_rejections_total),
-            ("deadline_exceeded_total", &self.deadline_exceeded_total),
-            ("cache_hits_total", &self.cache_hits_total),
-            ("cache_misses_total", &self.cache_misses_total),
-            ("cache_evictions_total", &self.cache_evictions_total),
-            ("cache_expirations_total", &self.cache_expirations_total),
-            ("cache_entries", &self.cache_entries),
-            ("streamed_bytes_total", &self.streamed_bytes_total),
-            ("streamed_requests_total", &self.streamed_requests_total),
-            ("coupled_requests_total", &self.coupled_requests_total),
-            ("coupled_chunks_total", &self.coupled_chunks_total),
-            (
-                "coupled_streamed_requests_total",
-                &self.coupled_streamed_requests_total,
-            ),
-            (
-                "coupled_stall_cycles_total",
-                &self.coupled_stall_cycles_total,
-            ),
-            ("store_profiles", &self.store_profiles),
-            ("store_wal_bytes", &self.store_wal_bytes),
-            ("store_wal_appends_total", &self.store_wal_appends_total),
-            ("store_recoveries_total", &self.store_recoveries_total),
-            (
-                "store_recovered_profiles_total",
-                &self.store_recovered_profiles_total,
-            ),
-            ("store_replay_micros", &self.store_replay_micros),
-            ("store_checkpoints_total", &self.store_checkpoints_total),
-        ] {
-            let _ = writeln!(out, "{name} {}", counter.load(Ordering::SeqCst));
-        }
-        let _ = writeln!(
-            out,
-            "store_last_checkpoint_age_micros {}",
-            now_micros.saturating_sub(self.store_last_checkpoint_micros.load(Ordering::SeqCst))
-        );
-        for (name, counter) in [
-            ("reactor_open_conns", &self.reactor_open_conns),
-            (
-                "reactor_conns_rejected_total",
-                &self.reactor_conns_rejected_total,
-            ),
-            ("reactor_wakeups_total", &self.reactor_wakeups_total),
-            (
-                "reactor_write_queue_frames",
-                &self.reactor_write_queue_frames,
-            ),
-            ("shard_inflight", &self.shard_inflight),
-            ("shard_shed_total", &self.shard_shed_total),
-            ("pool_queue_depth", &self.pool_queue_depth),
-        ] {
-            let _ = writeln!(out, "{name} {}", counter.load(Ordering::SeqCst));
-        }
-        self.queue_wait_micros.render_into("queue_wait", &mut out);
-        self.fit_latency_micros.render_into("fit_latency", &mut out);
-        self.synth_latency_micros
-            .render_into("synth_latency", &mut out);
-        self.frame_latency_micros
-            .render_into("frame_latency", &mut out);
+        self.for_each_metric(|name, metric| match metric {
+            Metric::Value(value) => {
+                let _ = writeln!(out, "{name} {}", value.load(Ordering::SeqCst));
+            }
+            Metric::Age(at) => {
+                let age = now_micros.saturating_sub(at.load(Ordering::SeqCst));
+                let _ = writeln!(out, "{name} {age}");
+            }
+            Metric::Histogram(histogram) => histogram.render_into(name, &mut out),
+        });
         let _ = writeln!(out, "uptime_micros {now_micros}");
         out
     }
@@ -391,6 +383,10 @@ mod tests {
         assert!(text.contains("t_bucket{le=\"400\"} 1"), "{text}");
         assert!(text.contains("t_bucket{le=\"+inf\"} 1"), "{text}");
         assert!(text.contains("t_count 4"), "{text}");
+        // The sum saturates instead of wrapping past `u64::MAX`.
+        assert_eq!(h.sum_micros(), u64::MAX);
+        h.observe(1);
+        assert_eq!(h.sum_micros(), u64::MAX, "sum wrapped");
     }
 
     #[test]
@@ -428,10 +424,12 @@ mod tests {
         assert_ne!(m.render(777), m.render(778));
     }
 
+    /// The `/metricsz` contract: every value line once, in exactly this
+    /// order, then the four histogram blocks, then `uptime_micros`.
     #[test]
     fn render_lists_every_counter_once() {
         let text = ServeMetrics::new().render(0);
-        for name in [
+        let names = [
             "connections_total",
             "requests_total",
             "fit_requests_total",
@@ -468,7 +466,8 @@ mod tests {
             "shard_shed_total",
             "pool_queue_depth",
             "uptime_micros",
-        ] {
+        ];
+        for name in names {
             assert_eq!(
                 text.lines().filter(|l| l.starts_with(name)).count(),
                 1,
@@ -481,6 +480,29 @@ mod tests {
         assert!(text.contains("frame_latency_count 0"));
         assert!(text.contains("frame_latency_p50_micros 0"));
         assert!(text.contains("frame_latency_p99_micros 0"));
+
+        let (uptime, values) = names.split_last().unwrap();
+        let mut expected: Vec<String> = values.iter().map(|name| name.to_string()).collect();
+        for histogram in [
+            "queue_wait",
+            "fit_latency",
+            "synth_latency",
+            "frame_latency",
+        ] {
+            for bound in BUCKET_BOUNDS {
+                expected.push(format!("{histogram}_bucket{{le=\"{bound}\"}}"));
+            }
+            expected.push(format!("{histogram}_bucket{{le=\"+inf\"}}"));
+            for suffix in ["sum_micros", "count", "p50_micros", "p99_micros"] {
+                expected.push(format!("{histogram}_{suffix}"));
+            }
+        }
+        expected.push(uptime.to_string());
+        let rendered: Vec<&str> = text
+            .lines()
+            .map(|line| line.split(' ').next().unwrap())
+            .collect();
+        assert_eq!(rendered, expected, "render order changed:\n{text}");
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::cache::ShardSlot;
 use crate::conn::{Conn, Outgoing, Phase, StreamCtl, WriteOutcome};
 use crate::error::{ErrorCode, ServeError};
 use crate::protocol::{Request, Response, PROTOCOL_VERSION};
-use crate::server::{self, Shared};
+use crate::server::{self, Job, Shared};
 
 /// Connections accepted per sweep before yielding to existing ones.
 const ACCEPT_BURST: usize = 64;
@@ -251,26 +251,16 @@ fn drive_stream(shared: &Arc<Shared>, conn: &mut Conn) {
     let tx = conn.tx();
     let mut submit_failed = false;
     if let Phase::Streaming(ctl) = &mut conn.phase {
-        if ctl.job_in_flight {
+        if ctl.job_in_flight || (!ctl.cancel && ctl.pending_acks == 0) {
             return;
         }
-        if ctl.cancel {
-            ctl.job_in_flight = true;
-            let state = Arc::clone(&ctl.state);
-            submit_failed = server::submit_stream_job(shared, tx, move |shared, tx| {
-                server::synth_finalize_job(shared, tx, &state);
-            })
-            .is_err();
-        } else if ctl.pending_acks > 0 {
+        if !ctl.cancel {
             ctl.pending_acks -= 1;
             ctl.awaiting_ack_since = None;
-            ctl.job_in_flight = true;
-            let state = Arc::clone(&ctl.state);
-            submit_failed = server::submit_stream_job(shared, tx, move |shared, tx| {
-                server::synth_chunk_job(shared, tx, &state);
-            })
-            .is_err();
         }
+        ctl.job_in_flight = true;
+        let state = Arc::clone(&ctl.state);
+        submit_failed = server::submit_stream_job(shared, tx, state, ctl.cancel).is_err();
     }
     // Continuations are only refused by pool drain, which cannot happen
     // while the reactor runs; defensively treat it as a dead connection.
@@ -499,15 +489,12 @@ fn route_request(
 ) {
     let metrics = &shared.metrics;
     metrics.requests_total.fetch_add(1, Ordering::SeqCst);
-    match request {
+    // Control requests answer on the spot; compute requests pick the
+    // shard budget they consume and the job a worker runs for them.
+    let (key, job) = match request {
         Request::Hello { .. } => {
-            queue_error(
-                shared,
-                conn,
-                ErrorCode::Malformed,
-                "duplicate hello".into(),
-                now,
-            );
+            let message = "duplicate hello".into();
+            return queue_error(shared, conn, ErrorCode::Malformed, message, now);
         }
         Request::Metricsz => {
             metrics
@@ -526,96 +513,69 @@ fn route_request(
                 .shard_inflight
                 .store(shared.admission.total_inflight(), Ordering::SeqCst);
             let text = metrics.render(shared.clock.now_micros());
-            queue_response(conn, &Response::MetricsText { text }, now);
+            return queue_response(conn, &Response::MetricsText { text }, now);
         }
         Request::Shutdown => {
             shared.shutting_down.store(true, Ordering::SeqCst);
-            queue_response(conn, &Response::ShutdownOk, now);
+            return queue_response(conn, &Response::ShutdownOk, now);
         }
-        Request::Compact => {
-            if reject_if_draining(shared, conn, now) {
-                return;
-            }
-            // Off the event thread: a checkpoint fsyncs. No admission
-            // slot — compaction is store-wide, not keyed to a shard.
-            submit_one_shot(shared, conn, now, None, server::compact_job);
-        }
+        Request::Ack | Request::Cancel => unreachable!("handled by process_inbound"), // lint: allow(L001, L016, stream-control frames are routed before route_request)
+        // Compaction is store-wide, not keyed to a shard: it takes no
+        // admission slot, but still runs off the event thread (a
+        // checkpoint fsyncs).
+        Request::Compact => (None, Job::Compact),
         Request::FitProfile {
             cycles,
             trace_bytes,
-        } => {
-            if reject_if_draining(shared, conn, now) {
-                return;
-            }
-            let key = Shared::upload_admission_key(&trace_bytes);
-            let Some(slot) = try_admit(shared, conn, key, now) else {
-                return;
-            };
-            submit_one_shot(shared, conn, now, Some(slot), move |shared, tx| {
-                server::fit_job(shared, tx, cycles, &trace_bytes);
-            });
-        }
+        } => (
+            Some(Shared::upload_admission_key(&trace_bytes)),
+            Job::Fit {
+                cycles,
+                trace_bytes,
+            },
+        ),
         Request::Synthesize {
             seed,
             chunk_len,
             source,
-        } => {
-            if reject_if_draining(shared, conn, now) {
-                return;
-            }
-            let key = shared.admission_key(&source);
-            let Some(slot) = try_admit(shared, conn, key, now) else {
-                return;
-            };
-            submit_one_shot(shared, conn, now, Some(slot), move |shared, tx| {
-                server::synth_open_job(shared, tx, seed, chunk_len, &source);
-            });
-        }
+        } => (
+            Some(shared.admission_key(&source)),
+            Job::OpenStream {
+                seed,
+                chunk_len,
+                source,
+                coupled: false,
+            },
+        ),
         Request::CoupledSynthesize {
             seed,
             chunk_len,
             source,
-        } => {
-            if reject_if_draining(shared, conn, now) {
-                return;
-            }
-            let key = shared.admission_key(&source);
-            let Some(slot) = try_admit(shared, conn, key, now) else {
-                return;
-            };
-            submit_one_shot(shared, conn, now, Some(slot), move |shared, tx| {
-                server::coupled_open_job(shared, tx, seed, chunk_len, &source);
-            });
-        }
-        Request::Stats { source } => {
-            if reject_if_draining(shared, conn, now) {
-                return;
-            }
-            let key = shared.admission_key(&source);
-            let Some(slot) = try_admit(shared, conn, key, now) else {
-                return;
-            };
-            submit_one_shot(shared, conn, now, Some(slot), move |shared, tx| {
-                server::stats_job(shared, tx, &source);
-            });
-        }
-        Request::Ack | Request::Cancel => unreachable!("handled by process_inbound"), // lint: allow(L001, L016, stream-control frames are routed before route_request)
-    }
-}
-
-/// During drain, every new compute request is answered `ShuttingDown`.
-fn reject_if_draining(shared: &Arc<Shared>, conn: &mut Conn, now: u64) -> bool {
+        } => (
+            Some(shared.admission_key(&source)),
+            Job::OpenStream {
+                seed,
+                chunk_len,
+                source,
+                coupled: true,
+            },
+        ),
+        Request::Stats { source } => (Some(shared.admission_key(&source)), Job::Stats { source }),
+    };
+    // During drain, every new compute request is answered `ShuttingDown`.
     if shared.shutting_down.load(Ordering::SeqCst) {
-        queue_error(
-            shared,
-            conn,
-            ErrorCode::ShuttingDown,
-            "server is draining".into(),
-            now,
-        );
-        return true;
+        let message = "server is draining".into();
+        queue_error(shared, conn, ErrorCode::ShuttingDown, message, now);
+        return;
     }
-    false
+    let slot = match key {
+        Some(key) => match try_admit(shared, conn, key, now) {
+            None => return,
+            slot => slot,
+        },
+        None => None,
+    };
+    submit_one_shot(shared, conn, now, slot, job);
 }
 
 /// Takes a slot from the request's shard budget, or sheds with `Busy`.
@@ -646,15 +606,13 @@ fn try_admit(shared: &Arc<Shared>, conn: &mut Conn, key: u64, now: u64) -> Optio
 /// Submits a one-shot request job; on success the connection enters
 /// `Job` (holding `slot` until `Done`), on refusal the slot releases by
 /// drop and the client gets the typed refusal.
-fn submit_one_shot<F>(
+fn submit_one_shot(
     shared: &Arc<Shared>,
     conn: &mut Conn,
     now: u64,
     slot: Option<ShardSlot>,
-    job: F,
-) where
-    F: FnOnce(&Shared, &crate::conn::ConnTx) + Send + 'static,
-{
+    job: Job,
+) {
     let tx = conn.tx();
     match server::submit_request_job(shared, tx, job) {
         Ok(()) => {

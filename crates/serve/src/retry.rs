@@ -19,8 +19,8 @@ use mocktails_trace::rng::{Prng, Rng};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Delay cap for the first retry, in microseconds; doubles per
-    /// attempt. Must be at least 2 (asserted) so the jitter window
-    /// `[cap/2, cap)` is non-empty.
+    /// attempt. Caps below 2 are raised to 2, so the jitter window
+    /// `[cap/2, cap)` is never empty.
     pub base_delay_micros: u64,
     /// Upper clamp on the delay cap, in microseconds.
     pub max_delay_micros: u64,
@@ -55,11 +55,11 @@ impl RetryPolicy {
 
     /// Draws the jittered delay for 0-based retry `attempt`.
     fn delay_for(&self, attempt: u32, rng: &mut Prng) -> u64 {
-        assert!(self.base_delay_micros >= 2, "jitter window would be empty");
         let cap = self
             .base_delay_micros
             .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX))
-            .min(self.max_delay_micros.max(self.base_delay_micros));
+            .min(self.max_delay_micros.max(self.base_delay_micros))
+            .max(2);
         rng.gen_range(cap / 2..cap)
     }
 }
@@ -136,6 +136,26 @@ mod tests {
             ..policy
         };
         assert_ne!(schedule, other.schedule(), "seeds decorrelate clients");
+
+        // Bases below 2 floor the cap at 2 rather than panicking: the
+        // window is [1, 2) until the doubling passes 2.
+        for base in [0u64, 1] {
+            let tiny = RetryPolicy {
+                base_delay_micros: base,
+                ..policy
+            };
+            let schedule = tiny.schedule();
+            assert_eq!(schedule, tiny.schedule(), "base {base}: same delays");
+            assert_eq!(schedule.len(), 6);
+            for (i, &delay) in schedule.iter().enumerate() {
+                let cap = (base << i).clamp(2, 8_000);
+                assert!(
+                    (cap / 2..cap).contains(&delay),
+                    "base {base}, retry {i}: {delay} outside [{}, {cap})",
+                    cap / 2
+                );
+            }
+        }
     }
 
     /// Golden schedule: the exact microsecond delays for two fixed

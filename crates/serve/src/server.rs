@@ -480,13 +480,6 @@ impl Server {
     }
 }
 
-/// Queues a typed error frame on `tx`, counting it exactly like the
-/// reactor's own error path.
-pub(crate) fn send_error_tx(shared: &Shared, tx: &ConnTx, code: ErrorCode, message: String) {
-    count_error(shared, code);
-    tx.send(&Response::Error { code, message });
-}
-
 /// Bumps the error counters for one typed error frame.
 pub(crate) fn count_error(shared: &Shared, code: ErrorCode) {
     let m = &shared.metrics;
@@ -502,65 +495,110 @@ pub(crate) fn count_error(shared: &Shared, code: ErrorCode) {
     }
 }
 
+/// What a worker job answers: one response frame, or a typed error.
+type Reply = Result<Response, (ErrorCode, String)>;
+
+/// Queues a job's reply on `tx`; an error goes out as a typed error
+/// frame, counted exactly like the reactor's own error path.
+fn send_reply(shared: &Shared, tx: &ConnTx, reply: Reply) {
+    match reply {
+        Ok(response) => tx.send(&response),
+        Err((code, message)) => {
+            count_error(shared, code);
+            tx.send(&Response::Error { code, message });
+        }
+    }
+}
+
+/// An admitted one-shot request, handed from the reactor to a worker.
+pub(crate) enum Job {
+    /// `FitProfile`.
+    Fit { cycles: u64, trace_bytes: Vec<u8> },
+    /// `Synthesize`, or `CoupledSynthesize` when `coupled`.
+    OpenStream {
+        seed: u64,
+        chunk_len: u32,
+        source: ProfileSource,
+        coupled: bool,
+    },
+    /// `Stats`.
+    Stats { source: ProfileSource },
+    /// `Compact`.
+    Compact,
+}
+
 /// Submits a request-scoped job: observes its queue wait, enforces the
-/// deadline, then runs `job`. The job must finish with `tx.done()` or
-/// `tx.stream_started(..)`.
+/// deadline, then runs the job. Every job ends here in one way: its reply
+/// (or typed error) frame, then `done` — or `stream_started` when it
+/// opened a stream that goes on past its first chunk.
 ///
 /// # Errors
 ///
 /// Pool refusal propagates; the caller answers with `Busy`.
-pub(crate) fn submit_request_job<F>(
+pub(crate) fn submit_request_job(
     shared: &Arc<Shared>,
     tx: ConnTx,
-    job: F,
-) -> Result<(), SubmitError>
-where
-    F: FnOnce(&Shared, &ConnTx) + Send + 'static,
-{
+    job: Job,
+) -> Result<(), SubmitError> {
     let job_shared = Arc::clone(shared);
     let submitted_micros = shared.clock.now_micros();
     shared.pool.submit(move || {
-        let waited = job_shared
-            .clock
-            .now_micros()
-            .saturating_sub(submitted_micros);
-        job_shared.metrics.queue_wait_micros.observe(waited);
-        if waited > job_shared.config.deadline_micros {
-            send_error_tx(
-                &job_shared,
-                &tx,
-                ErrorCode::DeadlineExceeded,
-                format!(
-                    "queued {waited} µs, deadline {} µs",
-                    job_shared.config.deadline_micros
-                ),
-            );
-            tx.done();
+        let shared = &*job_shared;
+        let waited = shared.clock.now_micros().saturating_sub(submitted_micros);
+        shared.metrics.queue_wait_micros.observe(waited);
+        let deadline = shared.config.deadline_micros;
+        let (reply, stream) = if waited > deadline {
+            let message = format!("queued {waited} µs, deadline {deadline} µs");
+            (Err((ErrorCode::DeadlineExceeded, message)), None)
         } else {
-            job(&job_shared, &tx);
+            match job {
+                Job::Fit {
+                    cycles,
+                    trace_bytes,
+                } => (fit_job(shared, cycles, &trace_bytes), None),
+                Job::OpenStream {
+                    seed,
+                    chunk_len,
+                    source,
+                    coupled,
+                } => match open_stream(shared, &tx, seed, chunk_len, &source, coupled) {
+                    // The first chunk goes out with the open; the stream
+                    // is handed to the reactor only if more follow.
+                    Ok(mut state) => {
+                        let first = encode_next(shared, &mut state);
+                        (first, (!state.finished).then_some(state))
+                    }
+                    Err(e) => (Err(e), None),
+                },
+                Job::Stats { source } => (stats_job(shared, &source), None),
+                Job::Compact => (compact_job(shared), None),
+            }
+        };
+        send_reply(shared, &tx, reply);
+        match stream {
+            Some(state) => tx.stream_started(Arc::new(Mutex::new(state))),
+            None => tx.done(),
         }
-        job_shared.wake.wake();
+        shared.wake.wake();
     })
 }
 
-/// Submits a continuation of an admitted stream (a chunk or finalize
-/// job); bypasses the queue cap so an open stream can never be wedged
-/// by fresh load.
+/// Submits a continuation of an admitted stream: its next acked chunk,
+/// or its finalize once cancelled. Bypasses the queue cap so an open
+/// stream can never be wedged by fresh load.
 ///
 /// # Errors
 ///
 /// Only pool drain refuses, which cannot happen while the reactor runs.
-pub(crate) fn submit_stream_job<F>(
+pub(crate) fn submit_stream_job(
     shared: &Arc<Shared>,
     tx: ConnTx,
-    job: F,
-) -> Result<(), SubmitError>
-where
-    F: FnOnce(&Shared, &ConnTx) + Send + 'static,
-{
+    state: Arc<Mutex<SynthState>>,
+    finalize: bool,
+) -> Result<(), SubmitError> {
     let job_shared = Arc::clone(shared);
     shared.pool.submit_continuation(move || {
-        job(&job_shared, &tx);
+        stream_job(&job_shared, &tx, &state, finalize);
         job_shared.wake.wake();
     })
 }
@@ -584,18 +622,12 @@ fn profile_error_frame(e: &ProfileError) -> (ErrorCode, String) {
 }
 
 /// Worker-side body of `FitProfile`.
-pub(crate) fn fit_job(shared: &Shared, tx: &ConnTx, cycles: u64, trace_bytes: &[u8]) {
+fn fit_job(shared: &Shared, cycles: u64, trace_bytes: &[u8]) -> Reply {
     let metrics = &shared.metrics;
     metrics.fit_requests_total.fetch_add(1, Ordering::SeqCst);
     let started = shared.clock.now_micros();
-    let config = match fit_config(cycles) {
-        Ok(config) => config,
-        Err(msg) => {
-            send_error_tx(shared, tx, ErrorCode::Malformed, format!("cycles: {msg}"));
-            tx.done();
-            return;
-        }
-    };
+    let config =
+        fit_config(cycles).map_err(|msg| (ErrorCode::Malformed, format!("cycles: {msg}")))?;
     let key = fit_key(fnv1a(trace_bytes), &config);
     let now = shared.clock.now_micros();
     let cached = shared.cache.get_by_fit_key(key, now);
@@ -607,18 +639,11 @@ pub(crate) fn fit_job(shared: &Shared, tx: &ConnTx, cycles: u64, trace_bytes: &[
         }
         None => {
             metrics.cache_misses_total.fetch_add(1, Ordering::SeqCst);
-            let trace = match mocktails_trace::codec::read_trace_with(
+            let trace = mocktails_trace::codec::read_trace_with(
                 &mut { trace_bytes },
                 &shared.config.decode,
-            ) {
-                Ok(trace) => trace,
-                Err(e) => {
-                    let (code, msg) = trace_error_frame(&e);
-                    send_error_tx(shared, tx, code, msg);
-                    tx.done();
-                    return;
-                }
-            };
+            )
+            .map_err(|e| trace_error_frame(&e))?;
             // Workers fit sequentially: concurrency comes from the pool,
             // and the result is bit-identical either way (PR 3 invariant).
             let profile = Arc::new(Profile::fit_with(
@@ -648,36 +673,24 @@ pub(crate) fn fit_job(shared: &Shared, tx: &ConnTx, cycles: u64, trace_bytes: &[
                 }
                 result
             };
-            if let Err(e) = persisted {
-                send_error_tx(
-                    shared,
-                    tx,
-                    ErrorCode::Internal,
-                    format!("profile store: {e}"),
-                );
-                tx.done();
-                return;
-            }
+            persisted.map_err(|e| (ErrorCode::Internal, format!("profile store: {e}")))?;
             metrics
                 .store_wal_appends_total
                 .fetch_add(1, Ordering::SeqCst);
         }
     }
     let mut profile_bytes = Vec::new();
-    if let Err(e) = profile.write(&mut profile_bytes) {
-        send_error_tx(shared, tx, ErrorCode::Internal, e.to_string());
-        tx.done();
-        return;
-    }
+    profile
+        .write(&mut profile_bytes)
+        .map_err(|e| (ErrorCode::Internal, e.to_string()))?;
     metrics
         .fit_latency_micros
         .observe(shared.clock.now_micros().saturating_sub(started));
-    tx.send(&Response::FitResult {
+    Ok(Response::FitResult {
         fingerprint,
         cache_hit,
         profile_bytes,
-    });
-    tx.done();
+    })
 }
 
 /// Resolves a request's profile source against the cache or an inline
@@ -727,26 +740,17 @@ fn resolve_profile(
     }
 }
 
-/// What one chunk-encode step produced.
-enum ChunkStep {
-    /// A chunk frame; the stream continues after the client's ack.
-    Chunk(Response),
-    /// The stream is exhausted: the clean end-of-stream frame.
-    End(Response),
-    /// Encoding failed; send the typed error and end the stream.
-    Failed(ErrorCode, String),
-}
-
 /// Encodes the next chunk (or end-of-stream) from a parked synthesis.
 /// Pure compute on `state` — callers send the resulting frame *after*
-/// releasing the state lock.
+/// releasing the state lock. The stream is over once `state.finished`
+/// is set: after its end frame, or after an encoding failure.
 ///
 /// A coupled stream injects every request into its DRAM model as it is
 /// synthesized and feeds the stall back into the generator before the
 /// next request — the per-request loop of
 /// `MemorySystem::run_synthesizer`, one chunk at a time — so the encoded
 /// timestamps already carry the simulated-time backpressure.
-fn encode_next(shared: &Shared, state: &mut SynthState) -> ChunkStep {
+fn encode_next(shared: &Shared, state: &mut SynthState) -> Reply {
     let metrics = &shared.metrics;
     let mut records = Vec::new();
     let mut count: u32 = 0;
@@ -766,23 +770,13 @@ fn encode_next(shared: &Shared, state: &mut SynthState) -> ChunkStep {
         }
         if let Err(e) = state.encoder.encode(&mut records, &request) {
             state.finished = true;
-            return ChunkStep::Failed(ErrorCode::Internal, e.to_string());
+            return Err((ErrorCode::Internal, e.to_string()));
         }
         state.fingerprinter.push(&request);
         count += 1;
     }
     if count == 0 {
-        state.finished = true;
-        metrics.synth_latency_micros.observe(
-            shared
-                .clock
-                .now_micros()
-                .saturating_sub(state.started_micros),
-        );
-        return ChunkStep::End(Response::SynthEnd {
-            total_requests: state.fingerprinter.count(),
-            fingerprint: state.fingerprinter.digest(),
-        });
+        return Ok(end_stream(shared, state));
     }
     metrics
         .streamed_bytes_total
@@ -795,92 +789,70 @@ fn encode_next(shared: &Shared, state: &mut SynthState) -> ChunkStep {
         metrics
             .coupled_streamed_requests_total
             .fetch_add(u64::from(count), Ordering::SeqCst);
-        return ChunkStep::Chunk(Response::CoupledChunk {
+        return Ok(Response::CoupledChunk {
             count,
             simulated_cycles: coupling.simulated_cycles,
             stall_cycles: state.synth.accumulated_delay(),
             records,
         });
     }
-    ChunkStep::Chunk(Response::SynthChunk { count, records })
+    Ok(Response::SynthChunk { count, records })
 }
 
-/// Worker-side opening of `Synthesize`: resolve, validate, `SynthStart`,
-/// first chunk. Ends with `stream_started` (stream parked, reactor takes
-/// over pacing) or `done` (error, or the stream was empty).
-pub(crate) fn synth_open_job(
+/// Finishes a stream: observes its duration and returns the clean
+/// `SynthEnd` carrying what was actually sent.
+fn end_stream(shared: &Shared, state: &mut SynthState) -> Response {
+    state.finished = true;
+    shared.metrics.synth_latency_micros.observe(
+        shared
+            .clock
+            .now_micros()
+            .saturating_sub(state.started_micros),
+    );
+    Response::SynthEnd {
+        total_requests: state.fingerprinter.count(),
+        fingerprint: state.fingerprinter.digest(),
+    }
+}
+
+/// Worker-side opening of `Synthesize` or, when `coupled`,
+/// `CoupledSynthesize`: resolve, validate, send `SynthStart`, and return
+/// the parked stream. An error here goes out before any `SynthStart`.
+///
+/// A coupled stream paces every chunk against a fresh DRAM model (the
+/// paper's Fig. 1 Option B against a live server).
+fn open_stream(
     shared: &Shared,
     tx: &ConnTx,
     seed: u64,
     chunk_len: u32,
     source: &ProfileSource,
-) {
-    shared
-        .metrics
-        .synth_requests_total
-        .fetch_add(1, Ordering::SeqCst);
-    open_stream_job(shared, tx, seed, chunk_len, source, None);
-}
-
-/// Worker-side opening of `CoupledSynthesize`: like [`synth_open_job`]
-/// but every chunk is paced against a fresh DRAM model (the paper's
-/// Fig. 1 Option B against a live server).
-pub(crate) fn coupled_open_job(
-    shared: &Shared,
-    tx: &ConnTx,
-    seed: u64,
-    chunk_len: u32,
-    source: &ProfileSource,
-) {
-    shared
-        .metrics
-        .coupled_requests_total
-        .fetch_add(1, Ordering::SeqCst);
-    let coupling = Coupling {
+    coupled: bool,
+) -> Result<SynthState, (ErrorCode, String)> {
+    let metrics = &shared.metrics;
+    let requests = if coupled {
+        &metrics.coupled_requests_total
+    } else {
+        &metrics.synth_requests_total
+    };
+    requests.fetch_add(1, Ordering::SeqCst);
+    let coupling = coupled.then(|| Coupling {
         mem: MemorySystem::new(DramConfig::default()),
         simulated_cycles: 0,
-    };
-    open_stream_job(shared, tx, seed, chunk_len, source, Some(coupling));
-}
-
-/// Shared body of the two stream-opening jobs.
-fn open_stream_job(
-    shared: &Shared,
-    tx: &ConnTx,
-    seed: u64,
-    chunk_len: u32,
-    source: &ProfileSource,
-    coupling: Option<Coupling>,
-) {
+    });
     let started = shared.clock.now_micros();
     if chunk_len == 0 {
-        send_error_tx(
-            shared,
-            tx,
-            ErrorCode::Malformed,
-            "chunk_len must be positive".into(),
-        );
-        tx.done();
-        return;
+        return Err((ErrorCode::Malformed, "chunk_len must be positive".into()));
     }
-    let profile = match resolve_profile(shared, source) {
-        Ok(profile) => profile,
-        Err((code, msg)) => {
-            send_error_tx(shared, tx, code, msg);
-            tx.done();
-            return;
-        }
-    };
-    if let Err(e) = profile.validate() {
-        send_error_tx(shared, tx, ErrorCode::Malformed, e.to_string());
-        tx.done();
-        return;
-    }
+    let profile = resolve_profile(shared, source)?;
+    profile
+        .validate()
+        .map_err(|e| (ErrorCode::Malformed, e.to_string()))?;
     let synth = profile.synthesizer(seed);
     tx.send(&Response::SynthStart {
         total_requests: synth.remaining(),
     });
-    let mut state = SynthState {
+    Ok(SynthState {
         synth,
         encoder: RecordEncoder::new(),
         fingerprinter: Fingerprinter::new(),
@@ -888,118 +860,55 @@ fn open_stream_job(
         started_micros: started,
         finished: false,
         coupling,
-    };
-    match encode_next(shared, &mut state) {
-        ChunkStep::Chunk(response) => {
-            tx.send(&response);
-            tx.stream_started(Arc::new(Mutex::new(state)));
-        }
-        ChunkStep::End(response) => {
-            tx.send(&response);
-            tx.done();
-        }
-        ChunkStep::Failed(code, msg) => {
-            send_error_tx(shared, tx, code, msg);
-            tx.done();
-        }
-    }
+    })
 }
 
-/// Worker-side continuation of a stream: one acked chunk.
-pub(crate) fn synth_chunk_job(shared: &Shared, tx: &ConnTx, state: &Arc<Mutex<SynthState>>) {
-    let step = {
+/// Worker-side continuation of a stream: one acked chunk or, when
+/// `finalize` (cancelled, superseded or abandoned), the clean `SynthEnd`.
+fn stream_job(shared: &Shared, tx: &ConnTx, state: &Arc<Mutex<SynthState>>, finalize: bool) {
+    let (reply, ended) = {
         let mut state = state.lock().unwrap_or_else(PoisonError::into_inner);
-        if state.finished {
+        let reply = if state.finished {
             None
+        } else if finalize {
+            Some(Ok(end_stream(shared, &mut state)))
         } else {
             // Pure compute under the stream's own lock (no other thread
             // touches this stream while its one job runs); the frame is
             // sent after release.
             Some(encode_next(shared, &mut state)) // lint: allow(L013, the coupled path's MemorySystem::inject is in-memory simulation, not blocking I/O — the stream's lock is held by exactly this one job)
-        }
+        };
+        (reply, state.finished)
     };
-    match step {
-        None => tx.stream_progress(true),
-        Some(ChunkStep::Chunk(response)) => {
-            tx.send(&response);
-            tx.stream_progress(false);
-        }
-        Some(ChunkStep::End(response)) => {
-            tx.send(&response);
-            tx.stream_progress(true);
-        }
-        Some(ChunkStep::Failed(code, msg)) => {
-            send_error_tx(shared, tx, code, msg);
-            tx.stream_progress(true);
-        }
+    if let Some(reply) = reply {
+        send_reply(shared, tx, reply);
     }
-}
-
-/// Worker-side finalize of a cancelled (or superseded, or abandoned)
-/// stream: the clean `SynthEnd` carrying what was actually sent.
-pub(crate) fn synth_finalize_job(shared: &Shared, tx: &ConnTx, state: &Arc<Mutex<SynthState>>) {
-    let response = {
-        let mut state = state.lock().unwrap_or_else(PoisonError::into_inner);
-        if state.finished {
-            None
-        } else {
-            state.finished = true;
-            shared.metrics.synth_latency_micros.observe(
-                shared
-                    .clock
-                    .now_micros()
-                    .saturating_sub(state.started_micros),
-            );
-            Some(Response::SynthEnd {
-                total_requests: state.fingerprinter.count(),
-                fingerprint: state.fingerprinter.digest(),
-            })
-        }
-    };
-    if let Some(response) = response {
-        tx.send(&response);
-    }
-    tx.stream_progress(true);
+    tx.stream_progress(ended);
 }
 
 /// Worker-side body of `Stats`.
-pub(crate) fn stats_job(shared: &Shared, tx: &ConnTx, source: &ProfileSource) {
+fn stats_job(shared: &Shared, source: &ProfileSource) -> Reply {
     shared
         .metrics
         .stats_requests_total
         .fetch_add(1, Ordering::SeqCst);
-    let profile = match resolve_profile(shared, source) {
-        Ok(profile) => profile,
-        Err((code, msg)) => {
-            send_error_tx(shared, tx, code, msg);
-            tx.done();
-            return;
-        }
-    };
+    let profile = resolve_profile(shared, source)?;
     let summary = profile.summary();
     let text = format!(
         "{summary}\nfingerprint {:#018x}\nmetadata_bytes {}\n",
         profile.content_fingerprint(),
         profile.metadata_size(),
     );
-    tx.send(&Response::StatsText { text });
-    tx.done();
+    Ok(Response::StatsText { text })
 }
 
 /// Worker-side body of `Compact` (moved off the reactor thread: a
 /// checkpoint fsyncs, which must never stall the event loop).
-pub(crate) fn compact_job(shared: &Shared, tx: &ConnTx) {
+fn compact_job(shared: &Shared) -> Reply {
     let Some(store) = shared.store.as_ref() else {
-        send_error_tx(
-            shared,
-            tx,
-            ErrorCode::NotFound,
-            "server has no store configured".into(),
-        );
-        tx.done();
-        return;
+        return Err((ErrorCode::NotFound, "server has no store configured".into()));
     };
-    let compacted = {
+    let (stats, generation) = {
         let mut store = store.lock().unwrap_or_else(PoisonError::into_inner);
         let stats = store.compact();
         if stats.is_ok() {
@@ -1007,28 +916,21 @@ pub(crate) fn compact_job(shared: &Shared, tx: &ConnTx) {
         }
         (stats, store.generation())
     };
-    match compacted {
-        (Err(e), _) => {
-            send_error_tx(shared, tx, ErrorCode::Internal, e.to_string());
-        }
-        (Ok(stats), generation) => {
-            shared
-                .metrics
-                .store_checkpoints_total
-                .fetch_add(1, Ordering::SeqCst);
-            shared
-                .metrics
-                .store_last_checkpoint_micros
-                .store(shared.clock.now_micros(), Ordering::SeqCst);
-            tx.send(&Response::CompactOk {
-                generation,
-                profiles: stats.profiles,
-                checkpoint_bytes: stats.checkpoint_bytes,
-                wal_bytes_dropped: stats.wal_bytes_dropped,
-            });
-        }
-    }
-    tx.done();
+    let stats = stats.map_err(|e| (ErrorCode::Internal, e.to_string()))?;
+    shared
+        .metrics
+        .store_checkpoints_total
+        .fetch_add(1, Ordering::SeqCst);
+    shared
+        .metrics
+        .store_last_checkpoint_micros
+        .store(shared.clock.now_micros(), Ordering::SeqCst);
+    Ok(Response::CompactOk {
+        generation,
+        profiles: stats.profiles,
+        checkpoint_bytes: stats.checkpoint_bytes,
+        wal_bytes_dropped: stats.wal_bytes_dropped,
+    })
 }
 
 #[cfg(test)]

@@ -513,19 +513,34 @@ fn cancel_mid_stream_keeps_the_connection_usable() {
     let (addr, handle) = start_server(ServerConfig::default());
     let mut client = Client::connect(&addr).expect("connect");
     let fit = client.fit(CYCLES, trace_bytes(&trace)).expect("fit");
+    let source = || ProfileSource::Fingerprint(fit.fingerprint);
 
-    let mut stream = client
-        .begin_synthesize(SEED, 8, ProfileSource::Fingerprint(fit.fingerprint))
-        .expect("begin");
-    assert!(stream.next_chunk().expect("first chunk").is_some());
-    let (partial_total, _) = stream.cancel().expect("cancel drains cleanly");
-    assert!(partial_total > 0, "cancelled stream reports what was sent");
+    for coupled in [false, true] {
+        let (partial_total, _) = if coupled {
+            let mut stream = client.begin_couple(SEED, 8, source()).expect("begin");
+            assert!(stream.next_chunk().expect("first chunk").is_some());
+            stream.cancel().expect("cancel drains cleanly")
+        } else {
+            let mut stream = client.begin_synthesize(SEED, 8, source()).expect("begin");
+            assert!(stream.next_chunk().expect("first chunk").is_some());
+            stream.cancel().expect("cancel drains cleanly")
+        };
+        assert!(
+            partial_total > 0,
+            "cancelled stream reports what was sent (coupled: {coupled})"
+        );
 
-    // Follow-up request on the same connection works.
-    let synth = client
-        .synthesize(SEED, 512, ProfileSource::Fingerprint(fit.fingerprint))
-        .expect("full synthesis after cancel");
-    assert!(synth.total_requests >= partial_total);
+        // Follow-up request of the same kind on the same connection works.
+        let total_requests = if coupled {
+            client.couple(SEED, 512, source()).map(|o| o.total_requests)
+        } else {
+            client
+                .synthesize(SEED, 512, source())
+                .map(|o| o.total_requests)
+        }
+        .expect("full stream after cancel");
+        assert!(total_requests >= partial_total, "coupled: {coupled}");
+    }
     shut_down(&addr, handle);
 }
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# The full local gate, identical to CI: formatting, hermetic release
-# build, the test suite, and the workspace's own static analysis.
+# The full gate: formatting, hermetic release build, the test suite,
+# the smokes, the golden outputs, and the workspace's own static
+# analysis. CI's `gate` job runs exactly this script, so a gate is
+# added or changed here only.
 # Run from the repository root:  ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -9,6 +9,7 @@
 //! mocktails synth hevc1.mprofile -o synthetic.mtrace [--seed 1]
 //! mocktails validate HEVC1 [--cycles 500000] # trace vs McC vs STM metrics
 //! mocktails experiment fig09 [--quick]       # regenerate a paper figure
+//! mocktails experiment all --quick           # ...or every one in turn
 //! ```
 
 use std::fs::File;
@@ -17,8 +18,9 @@ use std::process::ExitCode;
 
 use mocktails_core::{HierarchyConfig, LayerSpec, Profile, ProfileError};
 use mocktails_pool::Parallelism;
-use mocktails_sim::experiments::{ablation, cache, dram, meta};
-use mocktails_sim::harness::{evaluate_dram, CacheEvalOptions, EvalOptions};
+use mocktails_sim::experiments::meta;
+use mocktails_sim::experiments::registry::{self, EXPERIMENTS};
+use mocktails_sim::harness::{evaluate_dram, EvalOptions};
 use mocktails_sim::table::TextTable;
 use mocktails_trace::fault::AtomicFileWriter;
 use mocktails_trace::{codec, DecodeOptions, Trace, TraceError};
@@ -28,7 +30,7 @@ use mocktails_workloads::catalog;
 /// scripts can tell operator mistakes from hostile inputs from a failing
 /// disk:
 ///
-/// * `2` — usage error (bad command line); the only class that prints USAGE
+/// * `2` — usage error (bad command line); the only class that prints the usage text
 /// * `3` — corrupt or hostile input file (includes unexpected EOF)
 /// * `4` — environmental I/O failure (permissions, missing file, full disk)
 /// * `5` — serving-layer failure (connection refused, typed server error)
@@ -112,26 +114,23 @@ fn main() -> ExitCode {
             eprintln!("error: {}", err.message());
             if let CliError::Usage(_) = err {
                 eprintln!();
-                eprintln!("{USAGE}");
+                eprintln!("{}", usage_text());
             }
             ExitCode::from(err.exit_code())
         }
     }
 }
 
-const USAGE: &str = "usage:
+const USAGE_HEAD: &str = "usage:
   mocktails catalog
   mocktails trace <NAME> -o <FILE.mtrace>
   mocktails profile <FILE.mtrace> -o <FILE.mprofile> [--cycles N]
   mocktails synth <FILE.mprofile> -o <FILE.mtrace> [--seed N]
   mocktails validate <NAME> [--cycles N] [--max-requests N]
   mocktails stats <FILE.mtrace|FILE.csv|NAME>
-  mocktails compare <FILE-A> <FILE-B>   (feature distances + leakage)
-  mocktails experiment <table1|table2|table3|fig02|fig03|fig06|fig07|fig08|
-                        fig09|fig10|fig11|fig12|fig13|fig14|fig15|fig16|fig17|
-                        ablation-convergence|ablation-hierarchy|ablation-lonely|
-                        ablation-similar|policies|obfuscation|soc>
-                       [--quick]
+  mocktails compare <FILE-A> <FILE-B>   (feature distances + leakage)";
+
+const USAGE_TAIL: &str = "                       [--quick]
   mocktails serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
                   [--cache-cap N] [--cache-ttl-micros N] [--port-file FILE]
                   [--shards N] [--max-conns N] [--shard-budget N]
@@ -157,6 +156,27 @@ at any thread count.
 
 Trace files ending in .csv are written/read as CSV; anything else uses the
 compact binary format.";
+
+/// The usage text, with the `experiment` id list rendered from the
+/// registry and wrapped at 78 columns.
+fn usage_text() -> String {
+    let ids: Vec<&str> = std::iter::once("all")
+        .chain(EXPERIMENTS.iter().map(|e| e.id))
+        .collect();
+    let mut text = format!("{USAGE_HEAD}\n");
+    let mut line = String::from("  mocktails experiment <");
+    for (i, id) in ids.iter().enumerate() {
+        let sep = if i + 1 == ids.len() { '>' } else { '|' };
+        if line.len() + id.len() + 1 > 78 {
+            text.push_str(&line);
+            text.push('\n');
+            line = " ".repeat(24);
+        }
+        line.push_str(id);
+        line.push(sep);
+    }
+    format!("{text}{line}\n{USAGE_TAIL}")
+}
 
 fn run(args: &[String]) -> Result<(), CliError> {
     let mut it = args.iter();
@@ -222,12 +242,18 @@ fn parse_u64(args: &[&String], flag: &str, default: u64) -> Result<u64, CliError
     }
 }
 
+/// Flags that take no value, so never consume the argument after them.
+const SWITCHES: [&str; 1] = ["--quick"];
+
 fn positional<'a>(args: &'a [&String], index: usize) -> Result<&'a str, CliError> {
     let mut seen = 0;
     let mut skip = false;
     for a in args {
         if skip {
             skip = false;
+            continue;
+        }
+        if SWITCHES.contains(&a.as_str()) {
             continue;
         }
         if a.starts_with("--") || a.as_str() == "-o" {
@@ -450,63 +476,18 @@ fn cmd_compare(args: &[&String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Runs one registered experiment, or every one in table order for `all`.
 fn cmd_experiment(args: &[&String]) -> Result<(), CliError> {
     let id = positional(args, 0)?;
     let quick = args.iter().any(|a| a.as_str() == "--quick");
-    let dram_opts = if quick {
-        EvalOptions::quick()
-    } else {
-        EvalOptions::default()
-    };
-    let cache_opts = if quick {
-        CacheEvalOptions::quick()
-    } else {
-        CacheEvalOptions::default()
-    };
-    let report = match id {
-        "table1" => meta::table1_report(),
-        "table2" => meta::table2_report(),
-        "table3" => meta::table3_report(),
-        "fig02" => meta::fig02_report(),
-        "fig03" => meta::fig03_report(),
-        "fig06" => dram::fig06_report(&dram_opts),
-        "fig07" => dram::fig07_report(&dram_opts),
-        "fig08" => dram::fig08_report(&dram_opts),
-        "fig09" => dram::fig09_report(&dram_opts),
-        "fig10" => dram::fig10_report(&dram_opts),
-        "fig11" => dram::fig11_report(&dram_opts),
-        "fig12" => dram::fig12_report(&dram_opts),
-        "fig13" => {
-            let intervals = if quick {
-                vec![100_000, 500_000, 1_000_000]
-            } else {
-                dram::fig13_intervals()
-            };
-            dram::fig13_report(&intervals, &dram_opts)
+    if id == "all" {
+        for experiment in EXPERIMENTS {
+            println!("{}", experiment.report(quick));
         }
-        "fig14" => cache::fig14_report(&cache_opts),
-        "fig15" => cache::fig15_report(&cache_opts),
-        "fig16" => cache::fig16_report(&cache_opts),
-        "fig17" => meta::fig17_report(&cache_opts),
-        "ablation-convergence" => ablation::report(
-            "Strict convergence on/off",
-            &ablation::convergence(&dram_opts),
-        ),
-        "ablation-hierarchy" => {
-            ablation::report("Hierarchy shape", &ablation::hierarchy(&dram_opts))
-        }
-        "ablation-lonely" => {
-            ablation::report("Lonely-request merging", &ablation::lonely(&dram_opts))
-        }
-        "ablation-similar" => ablation::report(
-            "HALO-style similar-region merging",
-            &ablation::similar(&dram_opts),
-        ),
-        "policies" => mocktails_sim::experiments::policy::report(&dram_opts),
-        "soc" => mocktails_sim::experiments::soc::report(&dram_opts),
-        "obfuscation" => meta::obfuscation_report(&dram_opts),
-        other => return Err(usage(format!("unknown experiment {other:?}"))),
-    };
+        return Ok(());
+    }
+    let report =
+        registry::run(id, quick).ok_or_else(|| usage(format!("unknown experiment {id:?}")))?;
     println!("{report}");
     Ok(())
 }
@@ -779,6 +760,23 @@ mod tests {
         assert_eq!(err.exit_code(), 6);
         assert!(err.message().contains("back off and retry"));
         assert!(err.message().contains("shard 3 at budget"));
+    }
+
+    #[test]
+    fn usage_lists_every_experiment_within_78_columns() {
+        let text = usage_text();
+        for id in std::iter::once("all").chain(EXPERIMENTS.iter().map(|e| e.id)) {
+            assert!(
+                text.contains(&format!("{id}|")) || text.contains(&format!("{id}>")),
+                "{id} missing from usage"
+            );
+        }
+        let rendered = text
+            .lines()
+            .skip_while(|l| !l.starts_with("  mocktails experiment"))
+            .take_while(|l| !l.contains("[--quick]"));
+        assert!(rendered.clone().count() > 1, "{text}");
+        assert!(rendered.clone().all(|l| l.len() <= 78), "{text}");
     }
 
     #[test]

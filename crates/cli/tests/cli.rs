@@ -136,6 +136,19 @@ fn experiment_table1_runs() {
 }
 
 #[test]
+fn quick_switch_may_precede_the_experiment_id() {
+    let before = mocktails(&["experiment", "--quick", "table1"]);
+    let after = mocktails(&["experiment", "table1", "--quick"]);
+    assert!(
+        before.status.success(),
+        "{}",
+        String::from_utf8_lossy(&before.stderr)
+    );
+    assert!(after.status.success());
+    assert_eq!(before.stdout, after.stdout);
+}
+
+#[test]
 fn experiment_unknown_id_fails() {
     let out = mocktails(&["experiment", "fig99"]);
     assert!(!out.status.success());

@@ -2,12 +2,14 @@
 //!
 //! Every experiment exposes a data-returning `run` function plus a
 //! `report` wrapper that renders the same rows/series the paper plots.
-//! The `quick` flag trades trace length for runtime (used by unit tests
-//! and smoke runs); full-size runs are what EXPERIMENTS.md records.
+//! [`registry`] pairs each report with its experiment id and picks its
+//! options: quick mode trades trace length for runtime (smoke runs),
+//! full-size runs are what EXPERIMENTS.md records.
 
 pub mod ablation;
 pub mod cache;
 pub mod dram;
 pub mod meta;
 pub mod policy;
+pub mod registry;
 pub mod soc;

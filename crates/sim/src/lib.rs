@@ -12,8 +12,8 @@
 //!   `2L-TS (STM)`), and of the SPEC-like suite against the cache hierarchy
 //!   (baseline vs. Mocktails(Dynamic) vs. Mocktails(4KB) vs. HRD).
 //! * [`experiments`] — one module per table/figure of the paper, each
-//!   returning structured rows plus a formatted report; the `bench` crate
-//!   prints these.
+//!   returning structured rows plus a formatted report, and the
+//!   [`experiments::registry`] the `mocktails experiment` command runs.
 //! * [`table`] — plain-text table formatting shared by all reports.
 //!
 //! # Example

@@ -324,6 +324,18 @@ pub fn read_trace<R: Read>(r: &mut R) -> Result<Trace, TraceError> {
 /// See [`read_trace`].
 pub fn read_trace_with<R: Read>(r: &mut R, options: &DecodeOptions) -> Result<Trace, TraceError> {
     let limits = options.limits();
+    let count = limits.check("requests", read_header(r)?, limits.max_requests)?;
+    let mut requests = Vec::with_capacity(count.min(DECODE_CHUNK));
+    let mut decoder = RecordDecoder::new();
+    for _ in 0..count {
+        requests.push(decoder.decode(r)?);
+    }
+    Ok(Trace::from_sorted_requests(requests))
+}
+
+/// Reads and checks a trace header (magic, version) and returns the
+/// declared request count, unchecked against any limit.
+pub(crate) fn read_header<R: Read>(r: &mut R) -> Result<u64, TraceError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if magic != TRACE_MAGIC {
@@ -337,13 +349,7 @@ pub fn read_trace_with<R: Read>(r: &mut R, options: &DecodeOptions) -> Result<Tr
             expected: CODEC_VERSION,
         });
     }
-    let count = limits.check("requests", read_u64(r)?, limits.max_requests)?;
-    let mut requests = Vec::with_capacity(count.min(DECODE_CHUNK));
-    let mut decoder = RecordDecoder::new();
-    for _ in 0..count {
-        requests.push(decoder.decode(r)?);
-    }
-    Ok(Trace::from_sorted_requests(requests))
+    read_u64(r)
 }
 
 /// Writes a trace as CSV (`timestamp,address,op,size`, addresses in hex)

@@ -24,8 +24,10 @@
 
 use std::io::{Read, Seek, SeekFrom, Write};
 
-use crate::codec::{read_i64, read_u64, write_u64, RecordEncoder, CODEC_VERSION, TRACE_MAGIC};
-use crate::{Op, Request, TraceError};
+use crate::codec::{
+    read_header, write_u64, RecordDecoder, RecordEncoder, CODEC_VERSION, TRACE_MAGIC,
+};
+use crate::{Request, TraceError};
 
 /// Placeholder request count written while streaming; [`StreamWriter`]
 /// patches it on [`StreamWriter::finish`] when the sink supports seeking,
@@ -138,8 +140,7 @@ impl<W: Write + Seek> StreamWriter<W> {
 #[derive(Debug)]
 pub struct StreamReader<R: Read> {
     source: R,
-    last_time: u64,
-    last_addr: i64,
+    decoder: RecordDecoder,
     remaining: Option<u64>,
 }
 
@@ -152,24 +153,10 @@ impl<R: Read> StreamReader<R> {
     /// [`TraceError::UnsupportedVersion`] for a version mismatch, or an
     /// I/O error from the source.
     pub fn new(mut source: R) -> Result<Self, TraceError> {
-        let mut magic = [0u8; 4];
-        source.read_exact(&mut magic)?;
-        if magic != TRACE_MAGIC {
-            return Err(TraceError::Corrupt("bad trace magic".into()));
-        }
-        let mut version = [0u8; 1];
-        source.read_exact(&mut version)?;
-        if version[0] != CODEC_VERSION {
-            return Err(TraceError::UnsupportedVersion {
-                found: version[0],
-                expected: CODEC_VERSION,
-            });
-        }
-        let count = read_u64(&mut source)?;
+        let count = read_header(&mut source)?;
         Ok(Self {
             source,
-            last_time: 0,
-            last_addr: 0,
+            decoder: RecordDecoder::new(),
             remaining: (count != COUNT_UNKNOWN).then_some(count),
         })
     }
@@ -180,40 +167,36 @@ impl<R: Read> StreamReader<R> {
     }
 
     fn read_one(&mut self) -> Result<Option<Request>, TraceError> {
-        if self.remaining == Some(0) {
-            return Ok(None);
-        }
-        let dt = match read_u64(&mut self.source) {
-            Ok(v) => v,
-            Err(TraceError::Io(e))
-                if self.remaining.is_none() && e.kind() == std::io::ErrorKind::UnexpectedEof =>
-            {
-                // Unknown-count streams end at EOF.
-                return Ok(None);
+        let request = match &mut self.remaining {
+            Some(0) => return Ok(None),
+            Some(n) => {
+                *n -= 1;
+                self.decoder.decode(&mut self.source)?
             }
-            Err(e) => return Err(e),
+            // Unknown-count streams end at end of input, but only at a
+            // record boundary: a record cut short is an error.
+            None => match read_byte(&mut self.source)? {
+                None => return Ok(None),
+                Some(first) => {
+                    let mut record = std::slice::from_ref(&first).chain(&mut self.source);
+                    self.decoder.decode(&mut record)?
+                }
+            },
         };
-        let da = read_i64(&mut self.source)?;
-        let size_op = read_u64(&mut self.source)?;
-        let size = u32::try_from(size_op >> 1)
-            .map_err(|_| TraceError::Corrupt("request size overflows u32".into()))?;
-        if size == 0 {
-            return Err(TraceError::Corrupt("zero-size request".into()));
+        Ok(Some(request))
+    }
+}
+
+/// Reads one byte, or `None` at end of input.
+fn read_byte<R: Read>(r: &mut R) -> Result<Option<u8>, TraceError> {
+    let mut byte = [0u8; 1];
+    loop {
+        match r.read(&mut byte) {
+            Ok(0) => return Ok(None),
+            Ok(_) => return Ok(Some(byte[0])),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
         }
-        self.last_time = self
-            .last_time
-            .checked_add(dt)
-            .ok_or_else(|| TraceError::Corrupt("timestamp overflows u64".into()))?;
-        self.last_addr = self.last_addr.wrapping_add(da);
-        if let Some(n) = &mut self.remaining {
-            *n -= 1;
-        }
-        Ok(Some(Request::new(
-            self.last_time,
-            self.last_addr as u64,
-            Op::from_bit((size_op & 1) as u8),
-            size,
-        )))
     }
 }
 
@@ -307,6 +290,26 @@ mod tests {
         let r = StreamReader::new(buf.as_slice()).unwrap();
         let items: Vec<Result<Request, TraceError>> = r.collect();
         assert!(items.last().unwrap().is_err(), "mid-record cut must error");
+    }
+
+    #[test]
+    fn cut_inside_a_multi_byte_time_delta_is_an_error() {
+        let mut buf = Vec::new();
+        let mut w = StreamWriter::new(&mut buf).unwrap();
+        for i in 0..10u64 {
+            w.write(&Request::read(i * 1_000, 0x1000 + i * 64, 64))
+                .unwrap();
+        }
+        w.finish().unwrap();
+        // Header (15 bytes) + record 0 (5 bytes), then record 1 opens with
+        // the two-byte varint of its 1,000-cycle time delta.
+        assert_eq!(buf[20] & 0x80, 0x80, "byte 20 continues a varint");
+        buf.truncate(21);
+        let items: Vec<Result<Request, TraceError>> =
+            StreamReader::new(buf.as_slice()).unwrap().collect();
+        assert_eq!(items.len(), 2, "{items:?}");
+        assert!(items[0].is_ok());
+        assert!(items[1].is_err(), "mid-varint cut must error");
     }
 
     #[test]

@@ -21,6 +21,15 @@ echo "==> cargo test (offline, parallel: MOCKTAILS_THREADS=4)"
 # so any scheduling-order dependence fails the gate here.
 MOCKTAILS_THREADS=4 cargo test -q --offline --workspace
 
+echo "==> every paper experiment, quick mode, at 1 and 4 threads (byte-compared)"
+# Each figure driver must run to completion and print the same report at
+# any worker count.
+out=$(mktemp -d)
+MOCKTAILS_THREADS=1 ./target/release/mocktails experiment all --quick >"$out/t1.txt"
+MOCKTAILS_THREADS=4 ./target/release/mocktails experiment all --quick >"$out/t4.txt"
+cmp "$out/t1.txt" "$out/t4.txt"
+rm -rf "$out"
+
 echo "==> serve loopback smoke (server vs offline + coupled stream, byte-compared)"
 # A live fit + synthesize through `mocktails serve` must produce the
 # same bytes as the offline CLI, and a coupled stream the same bytes at

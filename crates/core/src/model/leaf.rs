@@ -47,20 +47,41 @@ pub struct LeafModel {
 impl LeafModel {
     /// Fits a leaf model to a partition's requests.
     pub fn fit(partition: &Partition) -> Self {
-        let delta_times: Vec<i64> = partition
-            .requests()
-            .windows(2)
-            .map(|w| (w[1].timestamp - w[0].timestamp) as i64)
-            .collect();
+        Self::fit_requests(partition.requests())
+    }
+
+    /// Fits a leaf model to one leaf's requests, in arrival order. The
+    /// four features share one scratch buffer of value pairs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `requests` is empty.
+    pub fn fit_requests(requests: &[Request]) -> Self {
+        assert!(!requests.is_empty(), "leaf must contain requests");
+        let first = requests[0];
+        let range = requests
+            .iter()
+            .fold(first.range(), |acc, r| acc.union(&r.range()));
+        let mut pairs = Vec::with_capacity(requests.len() - 1);
+        let windows = || requests.windows(2);
+        let delta_times = windows().map(|w| (w[1].timestamp - w[0].timestamp) as i64);
+        let delta_time = McC::fit_values(delta_times, &mut pairs);
+        let strides = windows().map(|w| w[1].address.wrapping_sub(w[0].address) as i64);
+        let stride = McC::fit_values(strides, &mut pairs);
+        let ops = requests.iter().map(|r| i64::from(r.op.as_bit()));
+        let op = McC::fit_values(ops, &mut pairs);
+        let sizes = requests.iter().map(|r| i64::from(r.size));
+        let size = McC::fit_values(sizes, &mut pairs);
+        let or_zero = |model: Option<McC>| model.unwrap_or(McC::Constant(0));
         Self {
-            start_time: partition.start_time(),
-            start_address: partition.start_address(),
-            range: partition.addr_range(),
-            count: partition.len() as u64,
-            delta_time: McC::fit_or(&delta_times, 0),
-            stride: McC::fit_or(&partition.strides(), 0),
-            op: McC::fit(&partition.op_states()),
-            size: McC::fit(&partition.size_states()),
+            start_time: first.timestamp,
+            start_address: first.address,
+            range,
+            count: requests.len() as u64,
+            delta_time: or_zero(delta_time),
+            stride: or_zero(stride),
+            op: or_zero(op),
+            size: or_zero(size),
         }
     }
 

@@ -1,6 +1,6 @@
 //! First-order Markov chains over feature values, with strict convergence.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use mocktails_trace::rng::Rng;
 
@@ -8,8 +8,11 @@ use mocktails_trace::rng::Rng;
 ///
 /// Fitted from an observed value sequence: the first value becomes the
 /// initial state, and every consecutive pair contributes one transition
-/// count. States and edges are kept in sorted order so fitting, iteration
-/// and serialization are fully deterministic.
+/// count. The table is flat: the source states in ascending order, the
+/// end offset of each state's row, and one array of `(to, count)` edges
+/// laid out row after row. Fitting, iteration and serialization are fully
+/// deterministic, and each array is sized exactly, because a chain lives
+/// as long as its profile.
 ///
 /// ```
 /// use mocktails_core::MarkovChain;
@@ -24,8 +27,13 @@ use mocktails_trace::rng::Rng;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MarkovChain {
     initial: i64,
-    /// `from -> sorted [(to, count)]`, counts always ≥ 1.
-    transitions: BTreeMap<i64, Vec<(i64, u64)>>,
+    /// Source states, strictly ascending.
+    states: Box<[i64]>,
+    /// `edges[row_ends[r - 1]..row_ends[r]]` is the row of `states[r]`
+    /// (from 0 for the first row).
+    row_ends: Box<[usize]>,
+    /// `(to, count)` edges, row after row.
+    edges: Box<[(i64, u64)]>,
 }
 
 impl MarkovChain {
@@ -37,31 +45,38 @@ impl MarkovChain {
     /// feature means (see [`crate::McC::fit`]).
     pub fn fit(sequence: &[i64]) -> Self {
         assert!(!sequence.is_empty(), "cannot fit a chain to no values");
-        // Sorting the `(from, to)` pairs groups each row, and each edge
-        // within it, into one run; counting the runs yields the sorted
-        // table directly. Rows are sized exactly: fitted chains live as
-        // long as their profile.
         let mut pairs: Vec<(i64, i64)> = sequence.windows(2).map(|w| (w[0], w[1])).collect();
+        Self::fit_pairs(sequence[0], &mut pairs)
+    }
+
+    /// Fits a chain to the consecutive `(from, to)` pairs of a sequence
+    /// that starts at `initial`, sorting `pairs` in place.
+    pub(crate) fn fit_pairs(initial: i64, pairs: &mut [(i64, i64)]) -> Self {
+        // Sorting the pairs groups each row, and each edge within it, into
+        // one run; counting the runs sizes the table and yields it in
+        // order.
         pairs.sort_unstable();
-        let same_to = |a: &(i64, i64), b: &(i64, i64)| a.1 == b.1;
-        let transitions = pairs
-            .chunk_by(|a, b| a.0 == b.0)
-            .map(|row| {
-                let mut edges = Vec::with_capacity(row.chunk_by(same_to).count());
-                edges.extend(
-                    row.chunk_by(same_to)
-                        .map(|run| (run[0].1, run.len() as u64)),
-                );
-                (row[0].0, edges)
-            })
-            .collect();
+        let same_from = |a: &(i64, i64), b: &(i64, i64)| a.0 == b.0;
+        let mut states = Vec::with_capacity(pairs.chunk_by(same_from).count());
+        let mut row_ends = Vec::with_capacity(states.capacity());
+        let mut edges = Vec::with_capacity(pairs.chunk_by(|a, b| a == b).count());
+        for row in pairs.chunk_by(same_from) {
+            states.push(row[0].0);
+            edges.extend(
+                row.chunk_by(|a, b| a.1 == b.1)
+                    .map(|run| (run[0].1, run.len() as u64)),
+            );
+            row_ends.push(edges.len());
+        }
         Self {
-            initial: sequence[0],
-            transitions,
+            initial,
+            states: states.into_boxed_slice(),
+            row_ends: row_ends.into_boxed_slice(),
+            edges: edges.into_boxed_slice(),
         }
     }
 
-    /// Builds a chain from explicit parts (used by the profile decoder).
+    /// Builds a chain from explicit parts (used by baselines and tests).
     ///
     /// # Panics
     ///
@@ -74,15 +89,11 @@ impl MarkovChain {
                 "transition counts must be positive"
             );
         }
-        Self {
-            initial,
-            transitions,
-        }
+        Self::flatten(initial, &transitions)
     }
 
     /// Builds a chain from explicit parts, rejecting semantically invalid
-    /// tables with a description instead of panicking — the decode path
-    /// for untrusted profiles.
+    /// tables with a description instead of panicking.
     ///
     /// # Errors
     ///
@@ -91,12 +102,27 @@ impl MarkovChain {
         initial: i64,
         transitions: BTreeMap<i64, Vec<(i64, u64)>>,
     ) -> Result<Self, String> {
-        let chain = Self {
-            initial,
-            transitions,
-        };
+        let chain = Self::flatten(initial, &transitions);
         chain.validate()?;
         Ok(chain)
+    }
+
+    /// Lays a map-shaped table out flat.
+    fn flatten(initial: i64, transitions: &BTreeMap<i64, Vec<(i64, u64)>>) -> Self {
+        let edges: Vec<(i64, u64)> = transitions.values().flatten().copied().collect();
+        let row_ends = transitions
+            .values()
+            .scan(0, |end, row| {
+                *end += row.len();
+                Some(*end)
+            })
+            .collect();
+        Self {
+            initial,
+            states: transitions.keys().copied().collect(),
+            row_ends,
+            edges: edges.into_boxed_slice(),
+        }
     }
 
     /// Checks the chain's semantic invariants: every state has at least
@@ -110,7 +136,7 @@ impl MarkovChain {
     /// Returns a description of the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
         let mut grand_total: u64 = 0;
-        for (from, edges) in &self.transitions {
+        for (from, edges) in self.rows() {
             if edges.is_empty() {
                 // lint: allow(L018, cold error branch: allocates once for the failing row, then aborts validation)
                 return Err(format!("markov state {from} has no out-edges"));
@@ -149,75 +175,81 @@ impl MarkovChain {
 
     /// Number of distinct source states.
     pub fn num_states(&self) -> usize {
-        self.transitions.len()
+        self.states.len()
     }
 
     /// Total number of observed transitions.
     pub fn num_transitions(&self) -> u64 {
-        self.transitions
-            .values()
-            .flat_map(|edges| edges.iter().map(|&(_, c)| c))
-            .sum()
+        self.edges.iter().map(|&(_, c)| c).sum()
     }
 
     /// The `(successor, count)` edges out of `state` (empty if unseen or
     /// terminal).
     pub fn successors(&self, state: i64) -> &[(i64, u64)] {
-        self.transitions
-            .get(&state)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        self.states
+            .binary_search(&state)
+            .map_or(&[], |row| self.row(row))
     }
 
     /// Iterates over `(from, to, count)` edges in deterministic order.
     pub fn edges(&self) -> impl Iterator<Item = (i64, i64, u64)> + '_ {
-        self.transitions
-            .iter()
-            .flat_map(|(&from, edges)| edges.iter().map(move |&(to, c)| (from, to, c)))
+        self.rows()
+            .flat_map(|(from, edges)| edges.iter().map(move |&(to, c)| (from, to, c)))
     }
 
-    /// Raw transition table (used by the profile encoder).
-    pub fn transitions(&self) -> &BTreeMap<i64, Vec<(i64, u64)>> {
-        &self.transitions
+    /// Iterates over the rows of the transition table: each source state
+    /// in ascending order with its `(to, count)` edges (used by the
+    /// profile encoder).
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = (i64, &[(i64, u64)])> + '_ {
+        self.states
+            .iter()
+            .enumerate()
+            .map(|(row, &state)| (state, self.row(row)))
+    }
+
+    /// The edges of row `row`.
+    fn row(&self, row: usize) -> &[(i64, u64)] {
+        let start = row.checked_sub(1).map_or(0, |prev| self.row_ends[prev]);
+        &self.edges[start..self.row_ends[row]]
     }
 
     /// Creates a sampler. With `strict` convergence every emission consumes
     /// a transition count (paper §III-C); without, the sampler draws from
     /// the stationary transition probabilities indefinitely.
     pub fn sampler(&self, strict: bool) -> MarkovSampler {
-        let mut rows = Vec::with_capacity(self.transitions.len());
-        let mut edges = Vec::with_capacity(self.transitions.values().map(Vec::len).sum());
+        let row_of = |state: i64| self.states.binary_search(&state).unwrap_or(NO_ROW);
+        let edges = self
+            .edges
+            .iter()
+            .map(|&(to, count)| Edge {
+                to,
+                row: row_of(to),
+                count: [count, if strict { count } else { 0 }],
+            })
+            .collect();
         let mut total = [0u64; 2];
-        for (&state, out) in &self.transitions {
-            let start = edges.len();
-            let mut row_total = 0u64;
-            for &(to, count) in out {
-                row_total = row_total.wrapping_add(count);
-                edges.push(Edge {
-                    to,
-                    row: NO_ROW,
-                    count: [count, if strict { count } else { 0 }],
-                });
-            }
-            let row_total = [row_total, if strict { row_total } else { 0 }];
-            total = [
-                total[OBSERVED].wrapping_add(row_total[OBSERVED]),
-                total[REMAINING].wrapping_add(row_total[REMAINING]),
-            ];
-            rows.push(Row {
-                state,
-                start,
-                end: edges.len(),
-                total: row_total,
-            });
-        }
-        let row_of = |state: i64| {
-            rows.binary_search_by_key(&state, |row: &Row| row.state)
-                .unwrap_or(NO_ROW)
-        };
-        for edge in &mut edges {
-            edge.row = row_of(edge.to);
-        }
+        let mut start = 0;
+        let rows = self
+            .row_ends
+            .iter()
+            .map(|&end| {
+                let row_total = self.edges[start..end]
+                    .iter()
+                    .fold(0u64, |sum, &(_, count)| sum.wrapping_add(count));
+                let row_total = [row_total, if strict { row_total } else { 0 }];
+                total = [
+                    total[OBSERVED].wrapping_add(row_total[OBSERVED]),
+                    total[REMAINING].wrapping_add(row_total[REMAINING]),
+                ];
+                let row = Row {
+                    start,
+                    end,
+                    total: row_total,
+                };
+                start = end;
+                row
+            })
+            .collect();
         MarkovSampler {
             initial: (self.initial, row_of(self.initial)),
             rows,
@@ -225,6 +257,74 @@ impl MarkovChain {
             total,
             current: None,
         }
+    }
+}
+
+/// Assembles a [`MarkovChain`] from rows that arrive one at a time and in
+/// any order — the profile decoder's path. Its buffers are reused from
+/// chain to chain; each finished chain gets exactly sized copies.
+#[derive(Debug, Default)]
+pub(crate) struct ChainBuilder {
+    states: Vec<i64>,
+    row_ends: Vec<usize>,
+    edges: Vec<(i64, u64)>,
+    /// Every state seen so far, kept only once a row arrives out of
+    /// ascending order (`None` while the rows are strictly ascending).
+    seen: Option<BTreeSet<i64>>,
+}
+
+impl ChainBuilder {
+    /// Appends an edge to the row being read.
+    pub(crate) fn push_edge(&mut self, to: i64, count: u64) {
+        self.edges.push((to, count));
+    }
+
+    /// Closes the row being read as the row of `state`.
+    ///
+    /// # Errors
+    ///
+    /// Returns `state` when an earlier row already had it.
+    pub(crate) fn end_row(&mut self, state: i64) -> Result<(), i64> {
+        let ascending = self.seen.is_none() && self.states.last().is_none_or(|&last| last < state);
+        if !ascending {
+            if self.seen.is_none() {
+                self.seen = Some(self.states.iter().copied().collect());
+            }
+            if self.seen.as_mut().is_some_and(|seen| !seen.insert(state)) {
+                return Err(state);
+            }
+        }
+        self.states.push(state);
+        self.row_ends.push(self.edges.len());
+        Ok(())
+    }
+
+    /// Finishes the chain with its rows in ascending state order, resets
+    /// the builder for the next chain and validates the result.
+    ///
+    /// # Errors
+    ///
+    /// Returns the violated invariant (see [`MarkovChain::validate`]).
+    pub(crate) fn finish(&mut self, initial: i64) -> Result<MarkovChain, String> {
+        let mut chain = MarkovChain {
+            initial,
+            states: self.states.as_slice().into(),
+            row_ends: self.row_ends.as_slice().into(),
+            edges: self.edges.as_slice().into(),
+        };
+        if self.seen.take().is_some() {
+            // The rows arrived out of order: sort them through a map.
+            let table = chain
+                .rows()
+                .map(|(state, edges)| (state, edges.to_vec()))
+                .collect();
+            chain = MarkovChain::flatten(initial, &table);
+        }
+        self.states.clear();
+        self.row_ends.clear();
+        self.edges.clear();
+        chain.validate()?;
+        Ok(chain)
     }
 }
 
@@ -237,10 +337,10 @@ const OBSERVED: usize = 0;
 /// for a non-strict sampler).
 const REMAINING: usize = 1;
 
-/// One source state of a [`MarkovSampler`]'s flat table.
+/// One source state of a [`MarkovSampler`]'s flat table (rows are in
+/// the chain's ascending state order).
 #[derive(Debug, Clone)]
 struct Row {
-    state: i64,
     /// The row's edges are `edges[start..end]`.
     start: usize,
     end: usize,

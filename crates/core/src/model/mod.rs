@@ -14,5 +14,6 @@ mod markov;
 mod mcc;
 
 pub use leaf::{LeafGenerator, LeafModel};
+pub(crate) use markov::ChainBuilder;
 pub use markov::{MarkovChain, MarkovSampler};
 pub use mcc::{McC, McCSampler};

@@ -1,10 +1,12 @@
 //! Composing temporal and spatial layers into a hierarchy (paper §III-A).
 
-use mocktails_trace::Trace;
+use std::borrow::Cow;
+
+use mocktails_trace::{Request, Trace};
 
 use crate::config::{HierarchyConfig, LayerSpec};
 
-use super::{spatial, temporal, Partition};
+use super::{partitions, spatial, temporal, time_sorted, Partition};
 
 /// Applies the hierarchy described by `config` to `trace`, returning the
 /// leaf partitions in deterministic order (parents expanded depth-first,
@@ -26,38 +28,104 @@ use super::{spatial, temporal, Partition};
 /// assert_eq!(total, trace.len());
 /// ```
 pub fn partition(trace: &Trace, config: &HierarchyConfig) -> Vec<Partition> {
-    if trace.is_empty() {
-        return Vec::new();
-    }
-    let options = config.options();
-    let mut current = vec![Partition::new(trace.requests().to_vec())];
-    for layer in config.layers() {
-        let mut next = Vec::with_capacity(current.len());
-        for part in &current {
-            next.extend(apply_layer(part, *layer, options));
-        }
-        current = next;
-    }
-    current
+    let leaves = Leaves::build(trace, config);
+    partitions(&leaves.requests, &leaves.ends)
 }
 
 /// Maximum byte gap bridged by HALO-style similar-region merging.
 const SIMILAR_MERGE_GAP: u64 = 4096;
 
-fn apply_layer(part: &Partition, layer: LayerSpec, options: crate::ModelOptions) -> Vec<Partition> {
-    match layer {
-        LayerSpec::TemporalRequestCount(n) => temporal::by_request_count(part.requests(), n),
-        LayerSpec::TemporalCycleCount(c) => temporal::by_cycle_count(part.requests(), c),
-        LayerSpec::TemporalIntervalCount(k) => temporal::by_interval_count(part.requests(), k),
-        LayerSpec::SpatialDynamic => {
-            let parts = spatial::dynamic(part.requests(), options.merge_lonely);
-            if options.merge_similar {
-                spatial::merge_similar(parts, SIMILAR_MERGE_GAP)
-            } else {
-                parts
+/// The leaves of a hierarchy, as [`partition`] orders them: one request
+/// buffer in leaf order plus the end of each leaf in it.
+///
+/// Every layer splits each leaf of the layer above into consecutive runs
+/// of the buffer. Temporal layers only cut a run, since it is already in
+/// arrival order; spatial layers rewrite the whole buffer into a second
+/// one, group by group. The buffer borrows the trace until the first
+/// spatial layer.
+#[derive(Debug)]
+pub(crate) struct Leaves<'a> {
+    requests: Cow<'a, [Request]>,
+    ends: Vec<usize>,
+}
+
+impl<'a> Leaves<'a> {
+    /// Partitions `trace` per `config`.
+    pub(crate) fn build(trace: &'a Trace, config: &HierarchyConfig) -> Self {
+        let mut requests = time_sorted(trace.requests());
+        let mut ends = Vec::new();
+        if requests.is_empty() {
+            return Self { requests, ends };
+        }
+        ends.push(requests.len());
+        let options = config.options();
+        let mut next = Vec::new();
+        let mut out = Vec::new();
+        // Dynamic regions before similar-region merging.
+        let (mut regions, mut region_ends) = (Vec::new(), Vec::new());
+        let mut scratch = spatial::Scratch::default();
+        for &layer in config.layers() {
+            if layer.is_spatial() {
+                out.reserve(requests.len());
+            }
+            next.clear();
+            let mut start = 0;
+            for &end in &ends {
+                let seg = &requests[start..end];
+                let first = next.len();
+                match layer {
+                    LayerSpec::TemporalRequestCount(n) => {
+                        temporal::request_count_ends(seg.len(), n, &mut next);
+                    }
+                    LayerSpec::TemporalCycleCount(c) => {
+                        temporal::cycle_count_ends(seg, c, &mut next);
+                    }
+                    LayerSpec::TemporalIntervalCount(k) => {
+                        temporal::interval_count_ends(seg.len(), k, &mut next);
+                    }
+                    LayerSpec::SpatialDynamic if options.merge_similar => {
+                        regions.clear();
+                        region_ends.clear();
+                        scratch.dynamic(seg, options.merge_lonely, &mut regions, &mut region_ends);
+                        scratch.merge_similar(
+                            &regions,
+                            &region_ends,
+                            SIMILAR_MERGE_GAP,
+                            &mut out,
+                            &mut next,
+                        );
+                    }
+                    LayerSpec::SpatialDynamic => {
+                        scratch.dynamic(seg, options.merge_lonely, &mut out, &mut next);
+                    }
+                    LayerSpec::SpatialFixed(b) => scratch.fixed_size(seg, b, &mut out, &mut next),
+                }
+                for child_end in &mut next[first..] {
+                    *child_end += start;
+                }
+                start = end;
+            }
+            std::mem::swap(&mut ends, &mut next);
+            if layer.is_spatial() {
+                let previous =
+                    std::mem::replace(&mut requests, Cow::Owned(std::mem::take(&mut out)));
+                if let Cow::Owned(mut buffer) = previous {
+                    buffer.clear();
+                    out = buffer;
+                }
             }
         }
-        LayerSpec::SpatialFixed(b) => spatial::fixed_size(part.requests(), b),
+        Self { requests, ends }
+    }
+
+    /// Each leaf's requests, in arrival order, leaf by leaf.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[Request]> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let leaf = &self.requests[start..end];
+            start = end;
+            leaf
+        })
     }
 }
 

@@ -8,6 +8,8 @@ pub mod hierarchy;
 pub mod spatial;
 pub mod temporal;
 
+use std::borrow::Cow;
+
 use mocktails_trace::{AddrRange, Request};
 
 /// A subset of a trace's requests, kept in arrival (timestamp) order.
@@ -125,6 +127,31 @@ impl Partition {
     pub fn into_requests(self) -> Vec<Request> {
         self.requests
     }
+}
+
+/// Copies the runs of `requests` that end at `ends` into partitions.
+pub(crate) fn partitions(requests: &[Request], ends: &[usize]) -> Vec<Partition> {
+    let mut start = 0;
+    ends.iter()
+        .map(|&end| {
+            let part = Partition::new(requests[start..end].to_vec());
+            start = end;
+            part
+        })
+        .collect()
+}
+
+/// `requests` in arrival order: borrowed when already sorted, otherwise
+/// a copy stable-sorted by timestamp (as [`Partition::new`] sorts).
+pub(crate) fn time_sorted(requests: &[Request]) -> Cow<'_, [Request]> {
+    let mut requests = Cow::Borrowed(requests);
+    if !requests
+        .windows(2)
+        .all(|w| w[0].timestamp <= w[1].timestamp)
+    {
+        requests.to_mut().sort_by_key(|r| r.timestamp);
+    }
+    requests
 }
 
 impl<'a> IntoIterator for &'a Partition {

@@ -9,11 +9,9 @@
 //! [`fixed_size`] implements the prior-art alternative (HALO-style): aligned
 //! blocks of a fixed byte size.
 
-use std::collections::BTreeMap;
-
 use mocktails_trace::{AddrRange, Request};
 
-use super::Partition;
+use super::{partitions, time_sorted, Partition};
 
 /// Merges the address ranges of `requests` into non-overlapping,
 /// non-adjacent regions — the raw output of the paper's Alg. 1, before
@@ -21,16 +19,13 @@ use super::Partition;
 ///
 /// The returned regions are sorted by start address.
 pub fn merge_ranges(requests: &[Request]) -> Vec<AddrRange> {
-    let mut ranges: Vec<AddrRange> = requests.iter().map(Request::range).collect();
-    ranges.sort();
-    let mut regions: Vec<AddrRange> = Vec::new();
-    for range in ranges {
-        match regions.last_mut() {
-            Some(group) if group.touches(&range) => group.expand(&range),
-            _ => regions.push(range),
-        }
-    }
-    regions
+    let mut scratch = Scratch::default();
+    scratch.find_regions(requests);
+    scratch
+        .regions
+        .iter()
+        .map(|&(start, end, _)| AddrRange::new(start, end))
+        .collect()
 }
 
 /// Dynamic spatial partitioning (paper Alg. 1 plus lonely-request merging).
@@ -60,84 +55,9 @@ pub fn merge_ranges(requests: &[Request]) -> Vec<AddrRange> {
 /// assert_eq!(parts[1].len(), 2);
 /// ```
 pub fn dynamic(requests: &[Request], merge_lonely: bool) -> Vec<Partition> {
-    if requests.is_empty() {
-        return Vec::new();
-    }
-    let regions = merge_ranges(requests);
-
-    // Assign each request to the region containing its start address.
-    // Regions are sorted and non-overlapping, so binary search works.
-    let mut buckets: Vec<Vec<Request>> = vec![Vec::new(); regions.len()];
-    for &r in requests {
-        let idx = match regions.binary_search_by(|g| {
-            if g.end() <= r.address {
-                std::cmp::Ordering::Less
-            } else if g.start() > r.address {
-                std::cmp::Ordering::Greater
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        }) {
-            Ok(i) => i,
-            Err(_) => unreachable!("every request lies inside a merged region"),
-        };
-        buckets[idx].push(r);
-    }
-
-    let mut partitions: Vec<Partition> = Vec::new();
-    let mut lonely: Vec<Request> = Vec::new();
-    for bucket in buckets {
-        if bucket.len() == 1 && merge_lonely {
-            lonely.push(bucket[0]);
-        } else {
-            partitions.push(Partition::new(bucket));
-        }
-    }
-
-    partitions.extend(group_lonely(lonely));
-    partitions.sort_by_key(|p| (p.start_time(), p.start_address()));
-    partitions
-}
-
-/// Groups lonely requests per the paper: maximal runs of ≥ 3 requests with
-/// a constant address stride become one partition each; everything left is
-/// pooled into a single partition.
-fn group_lonely(mut lonely: Vec<Request>) -> Vec<Partition> {
-    if lonely.is_empty() {
-        return Vec::new();
-    }
-    if lonely.len() == 1 {
-        return vec![Partition::new(lonely)];
-    }
-    lonely.sort_by_key(|r| r.address);
-
-    let mut partitions = Vec::new();
-    let mut pool: Vec<Request> = Vec::new();
-    let mut i = 0;
-    while i < lonely.len() {
-        // Extend the longest constant-stride run starting at i.
-        let mut j = i + 1;
-        if j < lonely.len() {
-            let stride = lonely[j].address.wrapping_sub(lonely[i].address);
-            while j + 1 < lonely.len()
-                && lonely[j + 1].address.wrapping_sub(lonely[j].address) == stride
-            {
-                j += 1;
-            }
-        }
-        let run_len = j - i + 1;
-        if run_len >= 3 {
-            partitions.push(Partition::new(lonely[i..=j].to_vec()));
-            i = j + 1;
-        } else {
-            pool.push(lonely[i]);
-            i += 1;
-        }
-    }
-    if !pool.is_empty() {
-        partitions.push(Partition::new(pool));
-    }
-    partitions
+    one_layer(requests, |scratch, seg, out, ends| {
+        scratch.dynamic(seg, merge_lonely, out, ends);
+    })
 }
 
 /// HALO-style post-merging of similar neighbouring regions (the paper
@@ -153,49 +73,17 @@ pub fn merge_similar(partitions: Vec<Partition>, max_gap: u64) -> Vec<Partition>
     if partitions.len() < 2 {
         return partitions;
     }
-    /// The constant signature of a partition, when it has one.
-    fn signature(p: &Partition) -> Option<(i64, i64, i64)> {
-        let strides = p.strides();
-        let stride = match strides.split_first() {
-            None => 0,
-            Some((&first, rest)) if rest.iter().all(|&s| s == first) => first,
-            _ => return None,
-        };
-        let ops = p.op_states();
-        if !ops.iter().all(|&o| o == ops[0]) {
-            return None;
-        }
-        let sizes = p.size_states();
-        if !sizes.iter().all(|&s| s == sizes[0]) {
-            return None;
-        }
-        Some((stride, ops[0], sizes[0]))
-    }
-
-    let mut by_addr: Vec<Partition> = partitions;
-    by_addr.sort_by_key(|p| p.addr_range().start());
-    let mut out: Vec<Partition> = Vec::with_capacity(by_addr.len());
-    for part in by_addr {
-        let mergeable = out.last().is_some_and(|prev| {
-            let prev_range = prev.addr_range();
-            let range = part.addr_range();
-            let gap = range.start().saturating_sub(prev_range.end());
-            gap <= max_gap
-                && !prev_range.overlaps(&range)
-                && signature(prev).is_some()
-                && signature(prev) == signature(&part)
-        });
-        if mergeable {
-            let prev = out.pop().expect("checked non-empty"); // lint: allow(L001, the mergeable check above proves out is non-empty)
-            let mut requests = prev.into_requests();
-            requests.extend(part.requests().iter().copied());
-            out.push(Partition::new(requests));
-        } else {
-            out.push(part);
-        }
-    }
-    out.sort_by_key(|p| (p.start_time(), p.start_address()));
-    out
+    let requests: Vec<Request> = partitions.iter().flatten().copied().collect();
+    let part_ends: Vec<usize> = partitions
+        .iter()
+        .scan(0, |end, part| {
+            *end += part.len();
+            Some(*end)
+        })
+        .collect();
+    let (mut out, mut ends) = (Vec::with_capacity(requests.len()), Vec::new());
+    Scratch::default().merge_similar(&requests, &part_ends, max_gap, &mut out, &mut ends);
+    super::partitions(&out, &ends)
 }
 
 /// Fixed-size spatial partitioning: requests are grouped by the aligned
@@ -209,13 +97,350 @@ pub fn merge_similar(partitions: Vec<Partition>, max_gap: u64) -> Vec<Partition>
 /// Panics if `block_bytes` is zero.
 pub fn fixed_size(requests: &[Request], block_bytes: u64) -> Vec<Partition> {
     assert!(block_bytes > 0, "block size must be non-zero");
-    let mut buckets: BTreeMap<u64, Vec<Request>> = BTreeMap::new();
-    for &r in requests {
-        buckets.entry(r.address / block_bytes).or_default().push(r);
+    one_layer(requests, |scratch, seg, out, ends| {
+        scratch.fixed_size(seg, block_bytes, out, ends);
+    })
+}
+
+/// Runs one spatial layer over `requests` as a single segment.
+fn one_layer(
+    requests: &[Request],
+    layer: impl FnOnce(&mut Scratch, &[Request], &mut Vec<Request>, &mut Vec<usize>),
+) -> Vec<Partition> {
+    let seg = time_sorted(requests);
+    let (mut out, mut ends) = (Vec::with_capacity(seg.len()), Vec::new());
+    if !seg.is_empty() {
+        layer(&mut Scratch::default(), &seg, &mut out, &mut ends);
     }
-    let mut partitions: Vec<Partition> = buckets.into_values().map(Partition::new).collect();
-    partitions.sort_by_key(|p| (p.start_time(), p.start_address()));
-    partitions
+    partitions(&out, &ends)
+}
+
+/// One output partition of a spatial layer: a run of the layer's grouped
+/// request sequence.
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    start: usize,
+    end: usize,
+}
+
+/// Buffers one spatial layer reuses across the segments it splits.
+///
+/// Each method splits one segment — a run of requests in arrival order —
+/// by appending the segment's requests to `out` partition after partition
+/// and pushing each partition's end, relative to the segment's first
+/// output position, to `ends`. Within a partition requests stay in
+/// arrival order, and partitions come out ordered by start time, then
+/// start address, then the order the scheme produced them in.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Per request: its start address (dynamic regions) or block (fixed
+    /// blocks) in the high 64 bits and its index in the low 64; sorted.
+    keys: Vec<u128>,
+    /// Per request index: its dynamic region.
+    region_of: Vec<usize>,
+    /// Per dynamic region, in address order: start and end address and
+    /// request count.
+    regions: Vec<(u64, u64, usize)>,
+    /// Per dynamic region: its group.
+    group_of: Vec<usize>,
+    /// Lonely regions in address order.
+    lonely: Vec<usize>,
+    /// Request indices, group after group.
+    perm: Vec<usize>,
+    /// Similar-region merging: the merged partitions' requests, back to
+    /// back.
+    staged: Vec<Request>,
+    groups: Vec<Group>,
+    /// Group indices in output order.
+    order: Vec<usize>,
+    /// Similar-region merging: each input partition's bounds and range.
+    parts: Vec<(usize, usize, AddrRange)>,
+}
+
+impl Scratch {
+    /// Splits `seg` into dynamic regions (Alg. 1) with lonely-request
+    /// grouping; see [`dynamic`].
+    pub(crate) fn dynamic(
+        &mut self,
+        seg: &[Request],
+        merge_lonely: bool,
+        out: &mut Vec<Request>,
+        ends: &mut Vec<usize>,
+    ) {
+        self.find_regions(seg);
+
+        // Groups: the regions in address order (lonely ones set aside when
+        // merging), then the lonely runs, then the lonely pool. A group's
+        // `end` counts its requests until the scatter below.
+        self.group_of.clear();
+        self.groups.clear();
+        self.lonely.clear();
+        for (region, &(_, _, len)) in self.regions.iter().enumerate() {
+            if len == 1 && merge_lonely {
+                self.lonely.push(region);
+                self.group_of.push(usize::MAX);
+            } else {
+                self.group_of.push(self.groups.len());
+                self.groups.push(Group { start: 0, end: len });
+            }
+        }
+        let first_lonely = self.groups.len();
+        group_lonely(
+            &self.lonely,
+            &self.regions,
+            &mut self.group_of,
+            &mut self.groups,
+        );
+
+        // One stable scatter puts each group's requests together, in
+        // arrival order.
+        let mut offset = 0;
+        for group in &mut self.groups {
+            let len = group.end;
+            *group = Group {
+                start: offset,
+                end: offset,
+            };
+            offset += len;
+        }
+        self.perm.resize(seg.len(), 0);
+        for (i, &region) in self.region_of.iter().enumerate() {
+            let group = &mut self.groups[self.group_of[region]];
+            self.perm[group.end] = i;
+            group.end += 1;
+        }
+        // Lonely groups were gathered in address order and then
+        // stable-sorted by time, so same-cycle members keep address
+        // (= region) order.
+        for group in &self.groups[first_lonely..] {
+            let members = &mut self.perm[group.start..group.end];
+            for run in members.chunk_by_mut(|&a, &b| seg[a].timestamp == seg[b].timestamp) {
+                run.sort_unstable_by_key(|&i| self.region_of[i]);
+            }
+        }
+        let perm = &self.perm;
+        emit(&self.groups, &mut self.order, |k| seg[perm[k]], out, ends);
+    }
+
+    /// Fills `keys` with `(key(request), index)` for every request of
+    /// `seg`, sorted.
+    fn sort_keys(&mut self, seg: &[Request], key: impl Fn(&Request) -> u64) {
+        self.keys.clear();
+        self.keys.extend(
+            seg.iter()
+                .enumerate()
+                .map(|(i, r)| u128::from(key(r)) << 64 | i as u128),
+        );
+        self.keys.sort_unstable();
+    }
+
+    /// Alg. 1: sorts the request ranges of `seg` and merges each one into
+    /// the region before it when they overlap or are adjacent. The sweep
+    /// fills `regions` and assigns every request its region as it goes.
+    fn find_regions(&mut self, seg: &[Request]) {
+        // Ranges that share a start merge whatever their order, so sorting
+        // by start alone finds the same regions.
+        self.sort_keys(seg, |r| r.address);
+        self.region_of.resize(seg.len(), 0);
+        self.regions.clear();
+        for &key in &self.keys {
+            let (start, i) = split_key(key);
+            let end = seg[i].end_address();
+            match self.regions.last_mut() {
+                Some(region) if start <= region.1 => {
+                    region.1 = region.1.max(end);
+                    region.2 += 1;
+                }
+                _ => self.regions.push((start, end, 1)),
+            }
+            self.region_of[i] = self.regions.len() - 1;
+        }
+    }
+
+    /// Splits `seg` into aligned `block_bytes` blocks; see [`fixed_size`].
+    pub(crate) fn fixed_size(
+        &mut self,
+        seg: &[Request],
+        block_bytes: u64,
+        out: &mut Vec<Request>,
+        ends: &mut Vec<usize>,
+    ) {
+        assert!(block_bytes > 0, "block size must be non-zero");
+        self.sort_keys(seg, |r| r.address / block_bytes);
+        self.perm.clear();
+        self.perm
+            .extend(self.keys.iter().map(|&key| split_key(key).1));
+        self.groups.clear();
+        let mut start = 0;
+        for block in self.keys.chunk_by(|&a, &b| a >> 64 == b >> 64) {
+            self.groups.push(Group {
+                start,
+                end: start + block.len(),
+            });
+            start += block.len();
+        }
+        let perm = &self.perm;
+        emit(&self.groups, &mut self.order, |k| seg[perm[k]], out, ends);
+    }
+
+    /// Merges similar neighbours among the partitions laid out back to
+    /// back in `parts` and ending at `part_ends`; see [`merge_similar`].
+    pub(crate) fn merge_similar(
+        &mut self,
+        parts: &[Request],
+        part_ends: &[usize],
+        max_gap: u64,
+        out: &mut Vec<Request>,
+        ends: &mut Vec<usize>,
+    ) {
+        self.parts.clear();
+        let mut start = 0;
+        for &end in part_ends {
+            self.parts.push((start, end, range_of(&parts[start..end])));
+            start = end;
+        }
+        self.parts
+            .sort_unstable_by_key(|&(start, _, range)| (range.start(), start));
+
+        // Merged partitions are staged back to back; `prev` is the last
+        // one's range and signature.
+        self.staged.clear();
+        self.groups.clear();
+        let mut prev: Option<(AddrRange, Option<Signature>)> = None;
+        for &(start, end, range) in &self.parts {
+            let part = &parts[start..end];
+            let mergeable = prev.is_some_and(|(prev_range, prev_signature)| {
+                let gap = range.start().saturating_sub(prev_range.end());
+                gap <= max_gap
+                    && !prev_range.overlaps(&range)
+                    && prev_signature.is_some()
+                    && prev_signature == signature(part)
+            });
+            self.staged.extend_from_slice(part);
+            match self.groups.last_mut() {
+                Some(group) if mergeable => {
+                    group.end = self.staged.len();
+                    let merged = &mut self.staged[group.start..];
+                    merged.sort_by_key(|r| r.timestamp);
+                    prev =
+                        prev.map(|(prev_range, _)| (prev_range.union(&range), signature(merged)));
+                }
+                _ => {
+                    self.groups.push(Group {
+                        start: self.staged.len() - part.len(),
+                        end: self.staged.len(),
+                    });
+                    prev = Some((range, signature(part)));
+                }
+            }
+        }
+        let staged = &self.staged;
+        emit(&self.groups, &mut self.order, |k| staged[k], out, ends);
+    }
+}
+
+/// Splits a [`Scratch`] sort key into its high word and request index.
+fn split_key(key: u128) -> (u64, usize) {
+    ((key >> 64) as u64, key as u64 as usize)
+}
+
+/// Assigns the lonely regions (single-request regions, in address order)
+/// to groups per the paper: maximal runs of ≥ 3 requests with a constant
+/// address stride become one group each; everything left is pooled into
+/// one last group.
+fn group_lonely(
+    lonely: &[usize],
+    regions: &[(u64, u64, usize)],
+    group_of: &mut [usize],
+    groups: &mut Vec<Group>,
+) {
+    let address = |k: usize| regions[lonely[k]].0;
+    let mut pool = 0;
+    let mut i = 0;
+    while i < lonely.len() {
+        // Extend the longest constant-stride run starting at i.
+        let mut j = i + 1;
+        if j < lonely.len() {
+            let stride = address(j).wrapping_sub(address(i));
+            while j + 1 < lonely.len() && address(j + 1).wrapping_sub(address(j)) == stride {
+                j += 1;
+            }
+        }
+        let run_len = j - i + 1;
+        if run_len >= 3 {
+            for &region in &lonely[i..=j] {
+                group_of[region] = groups.len();
+            }
+            groups.push(Group {
+                start: 0,
+                end: run_len,
+            });
+            i = j + 1;
+        } else {
+            pool += 1;
+            i += 1;
+        }
+    }
+    if pool > 0 {
+        for &region in lonely {
+            if group_of[region] == usize::MAX {
+                group_of[region] = groups.len();
+            }
+        }
+        groups.push(Group {
+            start: 0,
+            end: pool,
+        });
+    }
+}
+
+/// Appends `groups` — runs of the grouped sequence whose `k`-th request
+/// is `at(k)` — to `out` by start time, then start address, then group
+/// order, and pushes each one's end relative to the first appended
+/// request.
+fn emit(
+    groups: &[Group],
+    order: &mut Vec<usize>,
+    at: impl Fn(usize) -> Request,
+    out: &mut Vec<Request>,
+    ends: &mut Vec<usize>,
+) {
+    order.clear();
+    order.extend(0..groups.len());
+    order.sort_unstable_by_key(|&g| {
+        let first = at(groups[g].start);
+        (first.timestamp, first.address, g)
+    });
+    let base = out.len();
+    for &g in order.iter() {
+        out.extend((groups[g].start..groups[g].end).map(&at));
+        ends.push(out.len() - base);
+    }
+}
+
+/// The constant `(stride, op, size)` behaviour of a partition, when it
+/// has one.
+type Signature = (i64, i64, i64);
+
+fn signature(part: &[Request]) -> Option<Signature> {
+    let first = part.first()?;
+    let stride = part.get(1).map_or(0, |second| {
+        second.address.wrapping_sub(first.address) as i64
+    });
+    let constant = part
+        .windows(2)
+        .all(|w| w[1].address.wrapping_sub(w[0].address) as i64 == stride)
+        && part
+            .iter()
+            .all(|r| r.op.as_bit() == first.op.as_bit() && r.size == first.size);
+    constant.then_some((stride, i64::from(first.op.as_bit()), i64::from(first.size)))
+}
+
+/// The smallest range covering every byte of a non-empty run.
+fn range_of(part: &[Request]) -> AddrRange {
+    part.iter()
+        .skip(1)
+        .fold(part[0].range(), |acc, r| acc.union(&r.range()))
 }
 
 #[cfg(test)]
@@ -320,6 +545,22 @@ mod tests {
     #[test]
     fn dynamic_empty_input() {
         assert!(dynamic(&[], true).is_empty());
+    }
+
+    #[test]
+    fn dynamic_places_a_request_at_the_top_address() {
+        // Its range saturates to the empty [MAX, MAX); the sweep still
+        // gives it a region.
+        let reqs = vec![
+            Request::read(0, u64::MAX - 64, 64),
+            Request::read(1, u64::MAX, 1),
+            Request::read(2, 0x1000, 64),
+        ];
+        for merge_lonely in [true, false] {
+            let parts = dynamic(&reqs, merge_lonely);
+            let total: usize = parts.iter().map(Partition::len).sum();
+            assert_eq!(total, reqs.len());
+        }
     }
 
     #[test]

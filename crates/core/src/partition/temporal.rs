@@ -11,7 +11,7 @@
 
 use mocktails_trace::Request;
 
-use super::Partition;
+use super::{partitions, Partition};
 
 /// Splits requests into consecutive chunks of at most `n` requests.
 ///
@@ -30,11 +30,9 @@ use super::Partition;
 /// assert_eq!(parts.iter().map(|p| p.len()).collect::<Vec<_>>(), vec![4, 4, 2]);
 /// ```
 pub fn by_request_count(requests: &[Request], n: usize) -> Vec<Partition> {
-    assert!(n > 0, "request count per interval must be non-zero");
-    requests
-        .chunks(n)
-        .map(|chunk| Partition::new(chunk.to_vec()))
-        .collect()
+    let mut ends = Vec::new();
+    request_count_ends(requests.len(), n, &mut ends);
+    partitions(requests, &ends)
 }
 
 /// Splits requests into fixed windows of `cycles` cycles, anchored at the
@@ -46,30 +44,9 @@ pub fn by_request_count(requests: &[Request], n: usize) -> Vec<Partition> {
 ///
 /// Panics if `cycles` is zero or the input is not sorted by timestamp.
 pub fn by_cycle_count(requests: &[Request], cycles: u64) -> Vec<Partition> {
-    assert!(cycles > 0, "cycle count per interval must be non-zero");
-    let Some(first) = requests.first() else {
-        return Vec::new();
-    };
-    let origin = first.timestamp;
-    let mut partitions = Vec::new();
-    let mut current: Vec<Request> = Vec::new();
-    let mut current_window = 0u64;
-    for &r in requests {
-        assert!(
-            r.timestamp >= origin,
-            "requests must be sorted by timestamp"
-        );
-        let window = (r.timestamp - origin) / cycles;
-        if window != current_window && !current.is_empty() {
-            partitions.push(Partition::new(std::mem::take(&mut current)));
-        }
-        current_window = window;
-        current.push(r);
-    }
-    if !current.is_empty() {
-        partitions.push(Partition::new(current));
-    }
-    partitions
+    let mut ends = Vec::new();
+    cycle_count_ends(requests, cycles, &mut ends);
+    partitions(requests, &ends)
 }
 
 /// Splits requests into exactly `k` intervals of (near-)equal request count.
@@ -82,21 +59,54 @@ pub fn by_cycle_count(requests: &[Request], cycles: u64) -> Vec<Partition> {
 ///
 /// Panics if `k` is zero.
 pub fn by_interval_count(requests: &[Request], k: usize) -> Vec<Partition> {
+    let mut ends = Vec::new();
+    interval_count_ends(requests.len(), k, &mut ends);
+    partitions(requests, &ends)
+}
+
+/// Pushes the end of each [`by_request_count`] chunk of `len` requests.
+pub(crate) fn request_count_ends(len: usize, n: usize, ends: &mut Vec<usize>) {
+    assert!(n > 0, "request count per interval must be non-zero");
+    ends.extend((1..=len.div_ceil(n)).map(|i| (i * n).min(len)));
+}
+
+/// Pushes the end of each [`by_cycle_count`] window of `requests`.
+pub(crate) fn cycle_count_ends(requests: &[Request], cycles: u64, ends: &mut Vec<usize>) {
+    assert!(cycles > 0, "cycle count per interval must be non-zero");
+    let Some(first) = requests.first() else {
+        return;
+    };
+    let origin = first.timestamp;
+    let mut current_window = 0u64;
+    for (i, r) in requests.iter().enumerate() {
+        assert!(
+            r.timestamp >= origin,
+            "requests must be sorted by timestamp"
+        );
+        let window = (r.timestamp - origin) / cycles;
+        if window != current_window {
+            ends.push(i);
+            current_window = window;
+        }
+    }
+    ends.push(requests.len());
+}
+
+/// Pushes the end of each [`by_interval_count`] interval of `len`
+/// requests.
+pub(crate) fn interval_count_ends(len: usize, k: usize, ends: &mut Vec<usize>) {
     assert!(k > 0, "interval count must be non-zero");
-    if requests.is_empty() {
-        return Vec::new();
+    if len == 0 {
+        return;
     }
-    let k = k.min(requests.len());
-    let base = requests.len() / k;
-    let remainder = requests.len() % k;
-    let mut partitions = Vec::with_capacity(k);
-    let mut offset = 0;
-    for i in 0..k {
-        let take = base + usize::from(i < remainder);
-        partitions.push(Partition::new(requests[offset..offset + take].to_vec()));
-        offset += take;
-    }
-    partitions
+    let k = k.min(len);
+    let base = len / k;
+    let remainder = len % k;
+    let mut end = 0;
+    ends.extend((0..k).map(|i| {
+        end += base + usize::from(i < remainder);
+        end
+    }));
 }
 
 #[cfg(test)]

@@ -17,14 +17,13 @@
 //!             zigzag from | edge count | per edge (zigzag to, count varint)
 //! ```
 
-use std::collections::BTreeMap;
 use std::io::{Read, Write};
 
 use mocktails_trace::codec::{read_i64, read_u64, write_i64, write_u64};
 use mocktails_trace::{checked_usize, AddrRange, DecodeLimits, DecodeOptions};
 
 use crate::config::{HierarchyConfig, LayerSpec, ModelOptions};
-use crate::model::{LeafModel, MarkovChain, McC};
+use crate::model::{ChainBuilder, LeafModel, McC};
 use crate::ProfileError;
 
 use super::Profile;
@@ -107,8 +106,8 @@ fn write_mcc<W: Write>(w: &mut W, model: &McC) -> Result<(), ProfileError> {
             w.write_all(&[1])?;
             write_i64(w, chain.initial())?;
             write_u64(w, chain.num_states() as u64)?;
-            for (from, edges) in chain.transitions() {
-                write_i64(w, *from)?;
+            for (from, edges) in chain.rows() {
+                write_i64(w, from)?;
                 write_u64(w, edges.len() as u64)?;
                 for &(to, count) in edges {
                     write_i64(w, to)?;
@@ -135,8 +134,11 @@ pub fn read_profile<R: Read>(r: &mut R) -> Result<Profile, ProfileError> {
 ///
 /// Every count declared by the input — layers, leaves, Markov states and
 /// edges — is checked against the options' limits *before* any allocation
-/// sized by it, and collections are grown in [`DECODE_CHUNK`]-element steps
-/// so peak memory is bounded by the bytes actually supplied. When
+/// sized by it. Layers and leaves are reserved in [`DECODE_CHUNK`]-element
+/// steps, and Markov rows go into buffers reused across chains that grow
+/// only as edges are read, so peak memory is bounded by the bytes actually
+/// supplied. Markov rows may arrive in any order; each chain stores them
+/// sorted by state. When
 /// [`DecodeOptions::validates`] is set (the default), the profile's
 /// semantic invariants are verified via [`Profile::validate`] after
 /// structural decode, so a successful return is safe to synthesize from;
@@ -214,6 +216,7 @@ pub fn read_profile_with<R: Read>(
 
     let leaf_count = limits.check("leaves", read_u64(r)?, limits.max_leaves)?;
     let mut leaves = Vec::with_capacity(leaf_count.min(DECODE_CHUNK));
+    let mut table = ChainBuilder::default();
     for _ in 0..leaf_count {
         let start_time = read_u64(r)?;
         let start_address = read_u64(r)?;
@@ -222,13 +225,13 @@ pub fn read_profile_with<R: Read>(
         let count = read_u64(r)?;
         let range = AddrRange::from_start_size(range_start, range_len);
         // lint: allow(L018, decode output construction: the McC tables ARE the decoded profile, not loop scratch)
-        let delta_time = read_mcc(r, limits)?;
+        let delta_time = read_mcc(r, limits, &mut table)?;
         // lint: allow(L018, decode output construction: the McC tables ARE the decoded profile, not loop scratch)
-        let stride = read_mcc(r, limits)?;
+        let stride = read_mcc(r, limits, &mut table)?;
         // lint: allow(L018, decode output construction: the McC tables ARE the decoded profile, not loop scratch)
-        let op = read_mcc(r, limits)?;
+        let op = read_mcc(r, limits, &mut table)?;
         // lint: allow(L018, decode output construction: the McC tables ARE the decoded profile, not loop scratch)
-        let size = read_mcc(r, limits)?;
+        let size = read_mcc(r, limits, &mut table)?;
         // lint: allow(L018, try_from_parts allocates only in its rejection branch, never for a well-formed leaf)
         let leaf = LeafModel::try_from_parts(
             start_time,
@@ -250,7 +253,11 @@ pub fn read_profile_with<R: Read>(
     Ok(profile)
 }
 
-fn read_mcc<R: Read>(r: &mut R, limits: &DecodeLimits) -> Result<McC, ProfileError> {
+fn read_mcc<R: Read>(
+    r: &mut R,
+    limits: &DecodeLimits,
+    table: &mut ChainBuilder,
+) -> Result<McC, ProfileError> {
     let mut tag = [0u8; 1];
     r.read_exact(&mut tag)?;
     match tag[0] {
@@ -259,30 +266,27 @@ fn read_mcc<R: Read>(r: &mut R, limits: &DecodeLimits) -> Result<McC, ProfileErr
             let initial = read_i64(r)?;
             let state_count =
                 limits.check("markov states", read_u64(r)?, limits.max_markov_states)?;
-            let mut transitions = BTreeMap::new();
             for _ in 0..state_count {
                 let from = read_i64(r)?;
                 let edge_count =
                     limits.check("markov edges", read_u64(r)?, limits.max_markov_edges)?;
-                // lint: allow(L018, decode output construction: the edge list is the decoded row itself, capacity capped by DECODE_CHUNK)
-                let mut edges = Vec::with_capacity(edge_count.min(DECODE_CHUNK));
                 for _ in 0..edge_count {
                     let to = read_i64(r)?;
                     let count = read_u64(r)?;
                     if count == 0 {
                         return Err(ProfileError::Corrupt("zero transition count".into()));
                     }
-                    edges.push((to, count));
+                    table.push_edge(to, count);
                 }
-                if transitions.insert(from, edges).is_some() {
+                // lint: allow(L018, end_row allocates only for rows out of state order: it builds the seen-state set once per chain)
+                if let Err(state) = table.end_row(from) {
                     // lint: allow(L018, cold error branch: allocates once for the duplicate state, then aborts the decode)
                     return Err(ProfileError::Corrupt(format!(
-                        "duplicate markov state {from}"
+                        "duplicate markov state {state}"
                     )));
                 }
             }
-            let chain =
-                MarkovChain::try_from_parts(initial, transitions).map_err(ProfileError::Corrupt)?;
+            let chain = table.finish(initial).map_err(ProfileError::Corrupt)?;
             Ok(McC::Markov(chain))
         }
         t => Err(ProfileError::UnknownTag {
@@ -484,6 +488,78 @@ mod tests {
             matches!(&err, ProfileError::Corrupt(m) if m.contains("duplicate markov state")),
             "{err:?}"
         );
+    }
+
+    /// A one-leaf profile whose delta-time model is a Markov chain from
+    /// `initial` with the given `(from, [(to, count)])` rows, written in
+    /// that order.
+    fn markov_rows(initial: i64, rows: &[(i64, &[(i64, u64)])]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(b"MPRO\x01");
+        write_u64(&mut buf, 1).unwrap();
+        buf.push(3);
+        write_u64(&mut buf, 0).unwrap();
+        buf.push(0b01);
+        write_u64(&mut buf, 1).unwrap();
+        for v in [0u64, 0, 0, 64, 10] {
+            write_u64(&mut buf, v).unwrap();
+        }
+        buf.push(1);
+        write_i64(&mut buf, initial).unwrap();
+        write_u64(&mut buf, rows.len() as u64).unwrap();
+        for &(from, edges) in rows {
+            write_i64(&mut buf, from).unwrap();
+            write_u64(&mut buf, edges.len() as u64).unwrap();
+            for &(to, count) in edges {
+                write_i64(&mut buf, to).unwrap();
+                write_u64(&mut buf, count).unwrap();
+            }
+        }
+        for _ in 0..3 {
+            buf.push(0);
+            write_i64(&mut buf, 64).unwrap();
+        }
+        buf
+    }
+
+    #[test]
+    fn markov_rows_in_any_order_decode_sorted() {
+        let rows: [(i64, &[(i64, u64)]); 3] = [(5, &[(-2, 1)]), (-2, &[(9, 2)]), (9, &[(5, 3)])];
+        let shuffled = read_profile(&mut markov_rows(5, &rows).as_slice()).unwrap();
+        let mut sorted_rows = rows;
+        sorted_rows.sort_by_key(|row| row.0);
+        let sorted = read_profile(&mut markov_rows(5, &sorted_rows).as_slice()).unwrap();
+        assert_eq!(shuffled, sorted);
+        let McC::Markov(chain) = shuffled.leaves()[0].delta_time_model() else {
+            panic!("expected a Markov delta-time model");
+        };
+        let states: Vec<i64> = chain.rows().map(|(from, _)| from).collect();
+        assert_eq!(states, vec![-2, 5, 9]);
+        // Re-encoding writes the rows sorted.
+        let mut encoded = Vec::new();
+        write_profile(&mut encoded, &shuffled).unwrap();
+        assert_eq!(read_profile(&mut encoded.as_slice()).unwrap(), shuffled);
+    }
+
+    #[test]
+    fn out_of_order_duplicate_and_empty_rows_are_corrupt() {
+        for (rows, want) in [
+            (
+                &[(5, &[(1, 1)][..]), (1, &[(5, 1)][..]), (5, &[(1, 1)][..])][..],
+                "duplicate markov state 5",
+            ),
+            (&[(5, &[(1, 1)][..]), (1, &[][..])][..], "no out-edges"),
+            (
+                &[(5, &[(1, 0)][..]), (1, &[(5, 1)][..])][..],
+                "zero transition count",
+            ),
+        ] {
+            let err = read_profile(&mut markov_rows(5, rows).as_slice()).unwrap_err();
+            assert!(
+                matches!(&err, ProfileError::Corrupt(m) if m.contains(want)),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -15,11 +15,11 @@ pub use record::{ProfileRecord, RECORD_TAG_PROFILE};
 pub use summary::ProfileSummary;
 
 use mocktails_pool::Parallelism;
-use mocktails_trace::{DecodeOptions, Trace};
+use mocktails_trace::{DecodeOptions, Request, Trace};
 
 use crate::config::HierarchyConfig;
 use crate::model::{LeafModel, McC};
-use crate::partition::hierarchy;
+use crate::partition::hierarchy::Leaves;
 use crate::synth::Synthesizer;
 use crate::ProfileError;
 
@@ -61,12 +61,14 @@ impl Profile {
 
     /// [`Profile::fit`] with an explicit thread count.
     ///
-    /// Every leaf fits its own partition independently, so the profile is
-    /// bit-identical at any thread count — [`Parallelism::map`] keeps leaf
-    /// order fixed by partition index regardless of scheduling.
+    /// Every leaf fits its own run of the leaf-ordered request buffer
+    /// independently, so the profile is bit-identical at any thread count
+    /// — [`Parallelism::map`] keeps leaf order fixed by leaf index
+    /// regardless of scheduling.
     pub fn fit_with(trace: &Trace, config: &HierarchyConfig, parallelism: Parallelism) -> Self {
-        let partitions = hierarchy::partition(trace, config);
-        let leaves = parallelism.map(&partitions, LeafModel::fit);
+        let leaves = Leaves::build(trace, config);
+        let slices: Vec<&[Request]> = leaves.iter().collect();
+        let leaves = parallelism.map(&slices, |leaf| LeafModel::fit_requests(leaf));
         Self {
             config: config.clone(),
             leaves,
@@ -122,34 +124,12 @@ impl Profile {
     /// invariant.
     pub fn validate(&self) -> Result<(), ProfileError> {
         let mut total: u64 = 0;
-        for (i, leaf) in self.leaves.iter().enumerate() {
-            if leaf.count() == 0 {
-                return Err(ProfileError::Invalid(format!(
-                    "leaf {i} declares zero requests"
-                )));
-            }
-            if !leaf.range().contains(leaf.start_address()) {
-                return Err(ProfileError::Invalid(format!(
-                    "leaf {i} start address outside its range"
-                )));
-            }
-            total = total.checked_add(leaf.count()).ok_or_else(|| {
-                ProfileError::Invalid("total request count overflows u64".to_string())
-            })?;
-            for (feature, model) in [
-                ("delta-time", leaf.delta_time_model()),
-                ("stride", leaf.stride_model()),
-                ("op", leaf.op_model()),
-                ("size", leaf.size_model()),
-            ] {
-                if let McC::Markov(chain) = model {
-                    chain.validate().map_err(|msg| {
-                        ProfileError::Invalid(format!("leaf {i} {feature} model: {msg}"))
-                    })?;
-                }
-            }
-        }
-        Ok(())
+        let fault = self
+            .leaves
+            .iter()
+            .enumerate()
+            .find_map(|(i, leaf)| check_leaf(leaf, &mut total).err().map(|fault| (i, fault)));
+        fault.map_or(Ok(()), |(i, fault)| Err(fault.into_error(i)))
     }
 
     /// Validates the profile, then synthesizes a complete trace.
@@ -217,6 +197,53 @@ impl Profile {
         codec::write_profile(&mut counter, self).expect("ByteCounter never fails"); // lint: allow(L001, ByteCounter's Write impl never errors)
         counter.bytes()
     }
+}
+
+/// The first invariant a leaf breaks in [`Profile::validate`].
+enum LeafFault {
+    ZeroCount,
+    StartOutsideRange,
+    TotalOverflow,
+    /// A feature's Markov chain failed [`crate::MarkovChain::validate`].
+    Model(&'static str, String),
+}
+
+impl LeafFault {
+    fn into_error(self, leaf: usize) -> ProfileError {
+        ProfileError::Invalid(match self {
+            LeafFault::ZeroCount => format!("leaf {leaf} declares zero requests"),
+            LeafFault::StartOutsideRange => format!("leaf {leaf} start address outside its range"),
+            LeafFault::TotalOverflow => "total request count overflows u64".to_string(),
+            LeafFault::Model(feature, msg) => format!("leaf {leaf} {feature} model: {msg}"),
+        })
+    }
+}
+
+/// Checks one leaf for [`Profile::validate`], adding its request count
+/// to `total`.
+fn check_leaf(leaf: &LeafModel, total: &mut u64) -> Result<(), LeafFault> {
+    if leaf.count() == 0 {
+        return Err(LeafFault::ZeroCount);
+    }
+    if !leaf.range().contains(leaf.start_address()) {
+        return Err(LeafFault::StartOutsideRange);
+    }
+    *total = total
+        .checked_add(leaf.count())
+        .ok_or(LeafFault::TotalOverflow)?;
+    for (feature, model) in [
+        ("delta-time", leaf.delta_time_model()),
+        ("stride", leaf.stride_model()),
+        ("op", leaf.op_model()),
+        ("size", leaf.size_model()),
+    ] {
+        if let McC::Markov(chain) = model {
+            chain
+                .validate()
+                .map_err(|msg| LeafFault::Model(feature, msg))?;
+        }
+    }
+    Ok(())
 }
 
 /// Cache key for a fit request: the digest of the *inputs* to fitting —

@@ -178,7 +178,7 @@ fn perturb(chain: &MarkovChain, epsilon: f64, seed: u64) -> McC {
     let mut rng = Prng::seed_from_u64(seed ^ 0xD1FF_C0DE);
     let scale = 1.0 / epsilon;
     let mut transitions = std::collections::BTreeMap::new();
-    for (from, edges) in chain.transitions() {
+    for (from, edges) in chain.rows() {
         let mut noisy: Vec<(i64, u64)> = edges
             .iter()
             .filter_map(|&(to, count)| {
@@ -189,7 +189,7 @@ fn perturb(chain: &MarkovChain, epsilon: f64, seed: u64) -> McC {
             .collect();
         noisy.sort_unstable();
         if !noisy.is_empty() {
-            transitions.insert(*from, noisy);
+            transitions.insert(from, noisy);
         }
     }
     if transitions.is_empty() {

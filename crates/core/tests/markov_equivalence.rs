@@ -1,13 +1,16 @@
-//! Equivalence of the flat-table Markov sampler and the sort-based fit
-//! with a straightforward reference: a nested-map fit and a sampler that
-//! walks a `BTreeMap` of remaining counts. Same chain, same seed, same
-//! values — on fitted chains and on hand-built tables with terminal
-//! states, empty rows and extreme state values.
+//! Equivalence of the flat Markov table — its sort-based fit, its
+//! sampler and its encoding — with a straightforward reference: a
+//! nested-map fit, a sampler that walks a `BTreeMap` of remaining counts
+//! and an encoder that writes the map row by row. Same table, same seed,
+//! same values and same bytes — on fitted chains and on hand-built tables
+//! with terminal states, empty rows and extreme state values.
 
 use std::collections::BTreeMap;
 
-use mocktails_core::MarkovChain;
+use mocktails_core::{HierarchyConfig, LeafModel, MarkovChain, McC, Profile};
+use mocktails_trace::codec::{write_i64, write_u64};
 use mocktails_trace::rng::{Prng, Rng};
+use mocktails_trace::AddrRange;
 
 const SEQUENCES: u64 = 1200;
 
@@ -48,11 +51,11 @@ struct ReferenceSampler {
 }
 
 impl ReferenceSampler {
-    fn new(chain: &MarkovChain, strict: bool) -> Self {
+    fn new(initial: i64, table: &Table, strict: bool) -> Self {
         Self {
-            initial: chain.initial(),
-            table: chain.transitions().clone(),
-            remaining: strict.then(|| chain.transitions().clone()),
+            initial,
+            table: table.clone(),
+            remaining: strict.then(|| table.clone()),
             current: None,
         }
     }
@@ -173,7 +176,7 @@ fn random_sequence(rng: &mut Prng) -> Vec<i64> {
 
 /// A hand-built table: rows may be empty, successors may be terminal,
 /// and the initial state may have no row at all.
-fn random_table(rng: &mut Prng) -> MarkovChain {
+fn random_table(rng: &mut Prng) -> (i64, Table) {
     let values = alphabet(rng);
     let mut table = Table::new();
     for &from in &values {
@@ -198,15 +201,24 @@ fn random_table(rng: &mut Prng) -> MarkovChain {
     } else {
         values[rng.gen_range(0..values.len())]
     };
-    MarkovChain::from_parts(initial, table)
+    (initial, table)
 }
 
-/// Asserts both samplers emit the same values from `chain` under `seed`,
-/// drawing well past the chain's transition count.
-fn assert_same_values(chain: &MarkovChain, seed: u64, seen: &mut Branches) {
+/// The chain's rows, gathered back into a map.
+fn table_of(chain: &MarkovChain) -> Table {
+    chain
+        .rows()
+        .map(|(from, edges)| (from, edges.to_vec()))
+        .collect()
+}
+
+/// Asserts the flat sampler of `chain` and the map walk over `table`
+/// emit the same values under `seed`, drawing well past the chain's
+/// transition count.
+fn assert_same_values(chain: &MarkovChain, table: &Table, seed: u64, seen: &mut Branches) {
     let draws = 2 * chain.num_transitions() as usize + 8;
     for strict in [true, false] {
-        let mut reference = ReferenceSampler::new(chain, strict);
+        let mut reference = ReferenceSampler::new(chain.initial(), table, strict);
         let mut sampler = chain.sampler(strict);
         let mut want_rng = Prng::seed_from_u64(seed);
         let mut got_rng = Prng::seed_from_u64(seed);
@@ -223,6 +235,53 @@ fn assert_same_values(chain: &MarkovChain, seed: u64, seen: &mut Branches) {
     }
 }
 
+/// The profile codec's Markov record, written from the map: tag 1,
+/// zigzag initial, state count, then per row the zigzag state, edge count
+/// and `(zigzag to, count)` edges.
+fn reference_encoding(initial: i64, table: &Table) -> Vec<u8> {
+    let mut buf = vec![1];
+    write_i64(&mut buf, initial).unwrap();
+    write_u64(&mut buf, table.len() as u64).unwrap();
+    for (&from, edges) in table {
+        write_i64(&mut buf, from).unwrap();
+        write_u64(&mut buf, edges.len() as u64).unwrap();
+        for &(to, count) in edges {
+            write_i64(&mut buf, to).unwrap();
+            write_u64(&mut buf, count).unwrap();
+        }
+    }
+    buf
+}
+
+/// Encodes a one-leaf profile whose size model (the last record of the
+/// encoding) is `chain`.
+fn encode_with(chain: &MarkovChain) -> Vec<u8> {
+    let leaf = LeafModel::from_parts(
+        0,
+        0,
+        AddrRange::new(0, 64),
+        1,
+        McC::Constant(0),
+        McC::Constant(0),
+        McC::Constant(0),
+        McC::Markov(chain.clone()),
+    );
+    let profile = Profile::from_parts(HierarchyConfig::two_level_ts(100), vec![leaf]);
+    let mut buf = Vec::new();
+    profile.write(&mut buf).unwrap();
+    buf
+}
+
+/// Asserts `chain` encodes exactly as the map encoder writes `table`,
+/// and as the chain built from that map does.
+fn assert_same_encoding(chain: &MarkovChain, initial: i64, table: &Table, case: u64) {
+    let bytes = encode_with(chain);
+    let want = reference_encoding(initial, table);
+    assert!(bytes.ends_with(&want), "case {case}: {chain:?}");
+    let from_map = MarkovChain::from_parts(initial, table.clone());
+    assert_eq!(bytes, encode_with(&from_map), "case {case}");
+}
+
 #[test]
 fn sort_based_fit_equals_nested_map_fit() {
     let mut rng = Prng::seed_from_u64(0xF17);
@@ -231,7 +290,7 @@ fn sort_based_fit_equals_nested_map_fit() {
         let chain = MarkovChain::fit(&sequence);
         let (initial, table) = reference_fit(&sequence);
         assert_eq!(chain.initial(), initial, "case {case}: {sequence:?}");
-        assert_eq!(chain.transitions(), &table, "case {case}: {sequence:?}");
+        assert_eq!(table_of(&chain), table, "case {case}: {sequence:?}");
         assert_eq!(chain, MarkovChain::from_parts(initial, table));
     }
 }
@@ -242,7 +301,8 @@ fn flat_sampler_replays_the_map_walk_on_fitted_chains() {
     let mut seen = Branches::default();
     for case in 0..SEQUENCES {
         let sequence = random_sequence(&mut rng);
-        assert_same_values(&MarkovChain::fit(&sequence), case, &mut seen);
+        let (_, table) = reference_fit(&sequence);
+        assert_same_values(&MarkovChain::fit(&sequence), &table, case, &mut seen);
     }
     // The corpus reaches every rare branch, not just the row walk.
     assert!(seen.dead_ends > 0, "{seen:?}");
@@ -256,10 +316,26 @@ fn flat_sampler_replays_the_map_walk_on_hand_built_tables() {
     let mut rng = Prng::seed_from_u64(0x7AB);
     let mut seen = Branches::default();
     for case in 0..SEQUENCES {
-        assert_same_values(&random_table(&mut rng), case, &mut seen);
+        let (initial, table) = random_table(&mut rng);
+        let chain = MarkovChain::from_parts(initial, table.clone());
+        assert_eq!(table_of(&chain), table, "case {case}");
+        assert_same_values(&chain, &table, case, &mut seen);
     }
     assert!(seen.dead_ends > 0, "{seen:?}");
     assert!(seen.exhausted > 0, "{seen:?}");
     assert!(seen.terminal > 0, "{seen:?}");
     assert!(seen.no_transitions > 0, "{seen:?}");
+}
+
+#[test]
+fn flat_tables_encode_like_the_map() {
+    let mut rng = Prng::seed_from_u64(0xE1C);
+    for case in 0..SEQUENCES {
+        let sequence = random_sequence(&mut rng);
+        let (initial, table) = reference_fit(&sequence);
+        assert_same_encoding(&MarkovChain::fit(&sequence), initial, &table, case);
+        let (initial, table) = random_table(&mut rng);
+        let chain = MarkovChain::from_parts(initial, table.clone());
+        assert_same_encoding(&chain, initial, &table, case);
+    }
 }

@@ -609,12 +609,14 @@ fn l017_reactor_blocking(
 // L018: hot-loop allocation
 // ---------------------------------------------------------------------------
 
-/// Files on the synthesis, codec and DRAM/cache simulation hot paths
-/// whose loops L018 polices.
+/// Files on the fit, synthesis, codec and DRAM/cache simulation hot
+/// paths whose loops L018 polices.
 fn l018_path(path: &str) -> bool {
     [
         "core/src/synth",
         "core/src/model",
+        "core/src/partition",
+        "core/src/profile/mod",
         "core/src/profile/codec",
         "trace/src/codec",
         "trace/src/stream",

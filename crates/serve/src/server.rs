@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use mocktails_core::{
-    fit_key, HierarchyConfig, InjectionFeedback, LayerSpec, Profile, ProfileError,
+    fit_key, HierarchyConfig, InjectionFeedback, LayerSpec, Profile, ProfileError, ProfileRecord,
 };
 use mocktails_dram::{DramConfig, MemorySystem};
 use mocktails_pool::bounded::{SubmitError, WorkerPool};
@@ -632,10 +632,12 @@ fn fit_job(shared: &Shared, cycles: u64, trace_bytes: &[u8]) -> Reply {
     let now = shared.clock.now_micros();
     let cached = shared.cache.get_by_fit_key(key, now);
     shared.sync_cache_metrics();
-    let (fingerprint, profile, cache_hit) = match cached {
+    // A fresh fit is encoded once: the record's bytes give the
+    // fingerprint, the write-ahead log entry and the reply.
+    let (fingerprint, profile, record) = match cached {
         Some((fingerprint, profile)) => {
             metrics.cache_hits_total.fetch_add(1, Ordering::SeqCst);
-            (fingerprint, profile, true)
+            (fingerprint, profile, None)
         }
         None => {
             metrics.cache_misses_total.fetch_add(1, Ordering::SeqCst);
@@ -651,38 +653,47 @@ fn fit_job(shared: &Shared, cycles: u64, trace_bytes: &[u8]) -> Reply {
                 &config,
                 Parallelism::sequential(),
             ));
-            let fingerprint = profile.content_fingerprint();
+            let record = ProfileRecord::from_profile(&profile, Some(key))
+                .map_err(|e| (ErrorCode::Internal, e.to_string()))?;
             let now = shared.clock.now_micros();
             shared
                 .cache
-                .insert(fingerprint, Arc::clone(&profile), Some(key), now);
+                .insert(record.fingerprint, Arc::clone(&profile), Some(key), now);
             shared.sync_cache_metrics();
-            (fingerprint, profile, false)
+            (record.fingerprint, profile, Some(record))
         }
     };
-    // Durability before acknowledgement: a freshly fitted record must be
-    // in the write-ahead log (fsynced) before the FitResult goes out, so
-    // a crash after the ack can always replay it.
-    if !cache_hit {
-        if let Some(store) = shared.store.as_ref() {
-            let persisted = {
-                let mut store = store.lock().unwrap_or_else(PoisonError::into_inner);
-                let result = store.put_profile(&profile, Some(key)); // lint: allow(L013, the WAL append must serialize under the store lock — durability-before-ack is the point)
-                if result.is_ok() {
-                    shared.sync_store_metrics(&store);
-                }
-                result
-            };
-            persisted.map_err(|e| (ErrorCode::Internal, format!("profile store: {e}")))?;
-            metrics
-                .store_wal_appends_total
-                .fetch_add(1, Ordering::SeqCst);
+    let cache_hit = record.is_none();
+    let profile_bytes = match record {
+        Some(record) => {
+            // Durability before acknowledgement: a freshly fitted record
+            // must be in the write-ahead log (fsynced) before the
+            // FitResult goes out, so a crash after the ack can always
+            // replay it.
+            if let Some(store) = shared.store.as_ref() {
+                let persisted = {
+                    let mut store = store.lock().unwrap_or_else(PoisonError::into_inner);
+                    let result = store.put_record(&profile, &record); // lint: allow(L013, the WAL append must serialize under the store lock — durability-before-ack is the point)
+                    if result.is_ok() {
+                        shared.sync_store_metrics(&store);
+                    }
+                    result
+                };
+                persisted.map_err(|e| (ErrorCode::Internal, format!("profile store: {e}")))?;
+                metrics
+                    .store_wal_appends_total
+                    .fetch_add(1, Ordering::SeqCst);
+            }
+            record.profile_bytes
         }
-    }
-    let mut profile_bytes = Vec::new();
-    profile
-        .write(&mut profile_bytes)
-        .map_err(|e| (ErrorCode::Internal, e.to_string()))?;
+        None => {
+            let mut profile_bytes = Vec::new();
+            profile
+                .write(&mut profile_bytes)
+                .map_err(|e| (ErrorCode::Internal, e.to_string()))?;
+            profile_bytes
+        }
+    };
     metrics
         .fit_latency_micros
         .observe(shared.clock.now_micros().saturating_sub(started));

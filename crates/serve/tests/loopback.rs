@@ -9,7 +9,7 @@ use mocktails_serve::{
     Client, ErrorCode, ManualClock, ProfileSource, ServeError, Server, ServerConfig,
 };
 use mocktails_trace::codec::write_trace;
-use mocktails_trace::{DecodeLimits, DecodeOptions, Trace};
+use mocktails_trace::{DecodeLimits, DecodeOptions, Request, Trace};
 use mocktails_workloads::spec::generate_n;
 
 const CYCLES: u64 = 50_000;
@@ -268,6 +268,35 @@ fn malformed_uploads_get_typed_errors_not_dropped_connections() {
     );
     // Still alive after three typed failures.
     assert!(client.metricsz().is_ok());
+    shut_down(&addr, handle);
+}
+
+#[test]
+fn upload_past_the_top_of_the_address_space_gets_an_error_frame() {
+    // A request at the last address once panicked the fit job, which
+    // then sent no reply at all.
+    let (addr, handle) = start_server(ServerConfig::default());
+    let mut client = Client::connect(&addr).expect("connect");
+    let trace = small_trace();
+    let mut requests = trace.requests().to_vec();
+    let last = requests.last().expect("non-empty trace").timestamp;
+    requests.push(Request::read(last + 1, u64::MAX, 1));
+    let err = client
+        .fit(CYCLES, trace_bytes(&Trace::from_requests(requests)))
+        .expect_err("range past u64::MAX");
+    assert!(
+        matches!(
+            &err,
+            ServeError::Remote {
+                code: ErrorCode::Malformed,
+                message,
+            } if message.contains("address space")
+        ),
+        "{err}"
+    );
+    // The same connection still fits a valid trace.
+    let fit = client.fit(CYCLES, trace_bytes(&trace)).expect("fit");
+    assert_eq!(fit.profile_bytes, offline_round_trip(&trace).0);
     shut_down(&addr, handle);
 }
 

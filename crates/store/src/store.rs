@@ -273,8 +273,23 @@ impl ProfileStore {
         fit_key: Option<u64>,
     ) -> Result<u64, StoreError> {
         let record = ProfileRecord::from_profile(profile, fit_key)?;
+        self.put_record(profile, &record)
+    }
+
+    /// [`ProfileStore::put_profile`] for a caller that already holds the
+    /// profile's record (from [`ProfileRecord::from_profile`]), so the
+    /// profile is not encoded a second time.
+    ///
+    /// # Errors
+    ///
+    /// As [`ProfileStore::put_profile`].
+    pub fn put_record(
+        &mut self,
+        profile: &Arc<Profile>,
+        record: &ProfileRecord,
+    ) -> Result<u64, StoreError> {
         if let Some(existing) = self.entries.get(&record.fingerprint) {
-            if existing.fit_key == fit_key {
+            if existing.fit_key == record.fit_key {
                 return Ok(record.fingerprint);
             }
         }
@@ -283,7 +298,7 @@ impl ProfileStore {
             record.fingerprint,
             StoredEntry {
                 profile: Arc::clone(profile),
-                fit_key,
+                fit_key: record.fit_key,
             },
         );
         Ok(record.fingerprint)

@@ -251,7 +251,8 @@ impl RecordDecoder {
     /// # Errors
     ///
     /// Returns [`TraceError::Corrupt`] for malformed fields (varint or
-    /// timestamp overflow, oversized or zero request size), or an I/O
+    /// timestamp overflow, oversized or zero request size, a byte range
+    /// past the end of the address space), or an I/O
     /// error — including `UnexpectedEof` on a truncated record — from the
     /// reader.
     pub fn decode<R: Read>(&mut self, r: &mut R) -> Result<Request, TraceError> {
@@ -269,12 +270,25 @@ impl RecordDecoder {
             .checked_add(dt)
             .ok_or_else(|| TraceError::Corrupt("timestamp overflows u64".into()))?;
         self.last_addr = self.last_addr.wrapping_add(da);
+        check_range(self.last_addr as u64, size)?;
         Ok(Request::new(
             self.last_time,
             self.last_addr as u64,
             op,
             size,
         ))
+    }
+}
+
+/// Rejects a request whose exclusive end `address + size` overflows
+/// `u64`: its range would saturate, and a request at the top address
+/// would get an empty range that no memory region contains.
+fn check_range(address: u64, size: u32) -> Result<(), TraceError> {
+    match address.checked_add(u64::from(size)) {
+        Some(_) => Ok(()),
+        None => Err(TraceError::Corrupt(
+            "request range overflows the address space".into(),
+        )),
     }
 }
 
@@ -415,6 +429,7 @@ pub fn read_csv<R: Read>(r: &mut R) -> Result<Trace, TraceError> {
         if fields.next().is_some() {
             return Err(bad("too many fields"));
         }
+        check_range(address, size)?;
         requests.push(Request::new(timestamp, address, op, size));
     }
     Ok(Trace::from_requests(requests))
@@ -727,6 +742,36 @@ mod tests {
             RecordDecoder::new().decode(&mut huge_size.as_slice()),
             Err(TraceError::Corrupt(_))
         ));
+    }
+
+    #[test]
+    fn requests_past_the_top_of_the_address_space_are_corrupt() {
+        // The encoder writes what it is given; the decoder refuses a
+        // request whose range would run past u64::MAX.
+        for (address, size) in [(u64::MAX, 1), (u64::MAX - 63, 64)] {
+            let trace = Trace::from_requests(vec![
+                Request::read(0, 0x1000, 64),
+                Request::write(5, address, size),
+            ]);
+            let mut buf = Vec::new();
+            write_trace(&mut buf, &trace).unwrap();
+            let err = read_trace(&mut buf.as_slice()).unwrap_err();
+            assert!(
+                matches!(&err, TraceError::Corrupt(m) if m.contains("address space")),
+                "{err:?}"
+            );
+            let mut csv = Vec::new();
+            write_csv(&mut csv, &trace).unwrap();
+            assert!(matches!(
+                read_csv(&mut csv.as_slice()),
+                Err(TraceError::Corrupt(_))
+            ));
+        }
+        // The highest range that still ends inside u64 decodes.
+        let top = Trace::from_requests(vec![Request::read(0, u64::MAX - 64, 64)]);
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &top).unwrap();
+        assert_eq!(read_trace(&mut buf.as_slice()).unwrap(), top);
     }
 
     #[test]

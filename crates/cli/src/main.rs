@@ -13,7 +13,7 @@
 //! ```
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufWriter, Read, Write};
 use std::process::ExitCode;
 
 use mocktails_core::{HierarchyConfig, LayerSpec, Profile, ProfileError};
@@ -299,13 +299,24 @@ fn cmd_trace(args: &[&String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Reads a whole input file for decoding. A file that will not open is
+/// an I/O error about the path; one that opens but fails to read is
+/// classified like a codec I/O error (exit 4 either way).
+fn read_input(path: &str) -> Result<Vec<u8>, CliError> {
+    let mut bytes = Vec::new();
+    File::open(path)
+        .map_err(|e| io_error(path, e))?
+        .read_to_end(&mut bytes)
+        .map_err(|e| classify_trace_error(path, e.into()))?;
+    Ok(bytes)
+}
+
 fn load_trace(path: &str) -> Result<Trace, CliError> {
-    let file = File::open(path).map_err(|e| io_error(path, e))?;
-    let mut r = BufReader::new(file);
+    let bytes = read_input(path)?;
     if path.ends_with(".csv") {
-        codec::read_csv(&mut r)
+        codec::read_csv(&mut bytes.as_slice())
     } else {
-        Trace::read(&mut r, &DecodeOptions::default())
+        Trace::read(&mut bytes.as_slice(), &DecodeOptions::default())
     }
     .map_err(|e| classify_trace_error(path, e))
 }
@@ -335,8 +346,8 @@ fn cmd_synth(args: &[&String]) -> Result<(), CliError> {
     let input = positional(args, 0)?;
     let out = flag_value(args, "-o").ok_or_else(|| usage("missing -o <FILE>"))?;
     let seed = parse_u64(args, "--seed", 1)?;
-    let file = File::open(input).map_err(|e| io_error(input, e))?;
-    let profile = Profile::read(&mut BufReader::new(file), &DecodeOptions::default())
+    let bytes = read_input(input)?;
+    let profile = Profile::read(&mut bytes.as_slice(), &DecodeOptions::default())
         .map_err(|e| classify_profile_error(input, e))?;
     let trace = profile
         .try_synthesize(seed)

@@ -17,9 +17,9 @@
 //!             zigzag from | edge count | per edge (zigzag to, count varint)
 //! ```
 
-use std::io::{Read, Write};
+use std::io::Write;
 
-use mocktails_trace::codec::{read_i64, read_u64, write_i64, write_u64};
+use mocktails_trace::codec::{write_i64, write_u64, ByteCursor};
 use mocktails_trace::{checked_usize, AddrRange, DecodeLimits, DecodeOptions};
 
 use crate::config::{HierarchyConfig, LayerSpec, ModelOptions};
@@ -32,12 +32,6 @@ use super::Profile;
 pub const PROFILE_MAGIC: [u8; 4] = *b"MPRO";
 /// Current profile codec version.
 pub const PROFILE_VERSION: u8 = 1;
-
-/// Allocation granularity while decoding declared-length collections.
-///
-/// Capacity is reserved per chunk of decoded elements, so memory tracks the
-/// bytes actually read rather than a count an attacker merely declared.
-const DECODE_CHUNK: usize = 1 << 16;
 
 /// Encodes `profile` to `w`.
 ///
@@ -119,14 +113,14 @@ fn write_mcc<W: Write>(w: &mut W, model: &McC) -> Result<(), ProfileError> {
     Ok(())
 }
 
-/// Decodes a profile written by [`write_profile`] under default
-/// [`DecodeOptions`].
+/// Decodes a profile written by [`write_profile`] from the front of `r`
+/// under default [`DecodeOptions`], advancing `r` past the encoding.
 ///
 /// # Errors
 ///
 /// Returns [`ProfileError`] for malformed input, limit violations, semantic
 /// invariant violations or I/O failures.
-pub fn read_profile<R: Read>(r: &mut R) -> Result<Profile, ProfileError> {
+pub fn read_profile(r: &mut &[u8]) -> Result<Profile, ProfileError> {
     read_profile_with(r, &DecodeOptions::default())
 }
 
@@ -134,11 +128,11 @@ pub fn read_profile<R: Read>(r: &mut R) -> Result<Profile, ProfileError> {
 ///
 /// Every count declared by the input — layers, leaves, Markov states and
 /// edges — is checked against the options' limits *before* any allocation
-/// sized by it. Layers and leaves are reserved in [`DECODE_CHUNK`]-element
-/// steps, and Markov rows go into buffers reused across chains that grow
-/// only as edges are read, so peak memory is bounded by the bytes actually
-/// supplied. Markov rows may arrive in any order; each chain stores them
-/// sorted by state. When
+/// sized by it. Layers and leaves reserve no more entries than the bytes
+/// left could hold, and Markov rows go into buffers reused across chains
+/// that grow only as edges are read, so peak memory is bounded by the
+/// bytes actually supplied. Markov rows may arrive in any order; each
+/// chain stores them sorted by state. When
 /// [`DecodeOptions::validates`] is set (the default), the profile's
 /// semantic invariants are verified via [`Profile::validate`] after
 /// structural decode, so a successful return is safe to synthesize from;
@@ -150,38 +144,32 @@ pub fn read_profile<R: Read>(r: &mut R) -> Result<Profile, ProfileError> {
 ///
 /// Returns [`ProfileError`] for malformed input, limit violations, semantic
 /// invariant violations or I/O failures.
-pub fn read_profile_with<R: Read>(
-    r: &mut R,
-    options: &DecodeOptions,
-) -> Result<Profile, ProfileError> {
+pub fn read_profile_with(r: &mut &[u8], options: &DecodeOptions) -> Result<Profile, ProfileError> {
     let limits = options.limits();
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if magic != PROFILE_MAGIC {
+    let mut c = ByteCursor::new(r);
+    if c.array()? != PROFILE_MAGIC {
         return Err(ProfileError::Corrupt("bad profile magic".into()));
     }
-    let mut version = [0u8; 1];
-    r.read_exact(&mut version)?;
-    if version[0] != PROFILE_VERSION {
+    let version = c.u8()?;
+    if version != PROFILE_VERSION {
         return Err(ProfileError::Corrupt(format!(
-            "unsupported profile version {}",
-            version[0]
+            "unsupported profile version {version}"
         )));
     }
 
-    let layer_count = limits.check("layers", read_u64(r)?, limits.max_layers)?;
+    let layer_count = limits.check("layers", c.varint()?, limits.max_layers)?;
     if layer_count == 0 {
         return Err(ProfileError::Corrupt("zero layer count".into()));
     }
-    let mut layers = Vec::with_capacity(layer_count.min(DECODE_CHUNK));
+    // A layer takes at least two bytes: its tag and a one-byte parameter.
+    let mut layers = Vec::with_capacity(layer_count.min(c.len() / 2));
     for _ in 0..layer_count {
-        let mut tag = [0u8; 1];
-        r.read_exact(&mut tag)?;
-        let param = read_u64(r)?;
-        if param == 0 && tag[0] != 3 {
+        let tag = c.u8()?;
+        let param = c.varint()?;
+        if param == 0 && tag != 3 {
             return Err(ProfileError::Corrupt("zero layer parameter".into()));
         }
-        let layer = match tag[0] {
+        let layer = match tag {
             // lint: allow(L018, checked_usize formats lazily and only when a u64 cannot narrow to usize on a 32-bit host)
             0 => LayerSpec::TemporalRequestCount(checked_usize(param, "layer parameter")?),
             1 => LayerSpec::TemporalCycleCount(param),
@@ -198,12 +186,11 @@ pub fn read_profile_with<R: Read>(
         };
         layers.push(layer);
     }
-    let mut options_byte = [0u8; 1];
-    r.read_exact(&mut options_byte)?;
+    let options_byte = c.u8()?;
     let model_options = ModelOptions {
-        strict_convergence: options_byte[0] & 1 != 0,
-        merge_lonely: options_byte[0] & 2 != 0,
-        merge_similar: options_byte[0] & 4 != 0,
+        strict_convergence: options_byte & 1 != 0,
+        merge_lonely: options_byte & 2 != 0,
+        merge_similar: options_byte & 4 != 0,
     };
     // Layer count and parameters were already rejected above when invalid,
     // so the builder cannot actually fail here; map any residual error to
@@ -214,24 +201,26 @@ pub fn read_profile_with<R: Read>(
         .build()
         .map_err(|e| ProfileError::Corrupt(e.to_string()))?;
 
-    let leaf_count = limits.check("leaves", read_u64(r)?, limits.max_leaves)?;
-    let mut leaves = Vec::with_capacity(leaf_count.min(DECODE_CHUNK));
+    let leaf_count = limits.check("leaves", c.varint()?, limits.max_leaves)?;
+    // A leaf takes at least 13 bytes: five one-byte varints and four
+    // two-byte constant McCs.
+    let mut leaves = Vec::with_capacity(leaf_count.min(c.len() / 13));
     let mut table = ChainBuilder::default();
     for _ in 0..leaf_count {
-        let start_time = read_u64(r)?;
-        let start_address = read_u64(r)?;
-        let range_start = read_u64(r)?;
-        let range_len = read_u64(r)?;
-        let count = read_u64(r)?;
+        let start_time = c.varint()?;
+        let start_address = c.varint()?;
+        let range_start = c.varint()?;
+        let range_len = c.varint()?;
+        let count = c.varint()?;
         let range = AddrRange::from_start_size(range_start, range_len);
         // lint: allow(L018, decode output construction: the McC tables ARE the decoded profile, not loop scratch)
-        let delta_time = read_mcc(r, limits, &mut table)?;
+        let delta_time = read_mcc(&mut c, limits, &mut table)?;
         // lint: allow(L018, decode output construction: the McC tables ARE the decoded profile, not loop scratch)
-        let stride = read_mcc(r, limits, &mut table)?;
+        let stride = read_mcc(&mut c, limits, &mut table)?;
         // lint: allow(L018, decode output construction: the McC tables ARE the decoded profile, not loop scratch)
-        let op = read_mcc(r, limits, &mut table)?;
+        let op = read_mcc(&mut c, limits, &mut table)?;
         // lint: allow(L018, decode output construction: the McC tables ARE the decoded profile, not loop scratch)
-        let size = read_mcc(r, limits, &mut table)?;
+        let size = read_mcc(&mut c, limits, &mut table)?;
         // lint: allow(L018, try_from_parts allocates only in its rejection branch, never for a well-formed leaf)
         let leaf = LeafModel::try_from_parts(
             start_time,
@@ -253,26 +242,24 @@ pub fn read_profile_with<R: Read>(
     Ok(profile)
 }
 
-fn read_mcc<R: Read>(
-    r: &mut R,
+fn read_mcc(
+    c: &mut ByteCursor<'_, '_>,
     limits: &DecodeLimits,
     table: &mut ChainBuilder,
 ) -> Result<McC, ProfileError> {
-    let mut tag = [0u8; 1];
-    r.read_exact(&mut tag)?;
-    match tag[0] {
-        0 => Ok(McC::Constant(read_i64(r)?)),
+    match c.u8()? {
+        0 => Ok(McC::Constant(c.zigzag()?)),
         1 => {
-            let initial = read_i64(r)?;
+            let initial = c.zigzag()?;
             let state_count =
-                limits.check("markov states", read_u64(r)?, limits.max_markov_states)?;
+                limits.check("markov states", c.varint()?, limits.max_markov_states)?;
             for _ in 0..state_count {
-                let from = read_i64(r)?;
+                let from = c.zigzag()?;
                 let edge_count =
-                    limits.check("markov edges", read_u64(r)?, limits.max_markov_edges)?;
+                    limits.check("markov edges", c.varint()?, limits.max_markov_edges)?;
                 for _ in 0..edge_count {
-                    let to = read_i64(r)?;
-                    let count = read_u64(r)?;
+                    let to = c.zigzag()?;
+                    let count = c.varint()?;
                     if count == 0 {
                         return Err(ProfileError::Corrupt("zero transition count".into()));
                     }

@@ -157,18 +157,16 @@ impl Profile {
         codec::write_profile(w, self)
     }
 
-    /// Deserializes a profile written by [`Profile::write`] under the
-    /// given [`DecodeOptions`]. With [`DecodeOptions::default`] the decode
-    /// is fully guarded (resource limits plus [`Profile::validate`]);
+    /// Deserializes a profile written by [`Profile::write`] from the front
+    /// of `r` under the given [`DecodeOptions`], advancing `r` past it.
+    /// With [`DecodeOptions::default`] the decode is fully guarded
+    /// (resource limits plus [`Profile::validate`]);
     /// [`DecodeOptions::trusted`] skips both for locally-produced inputs.
     ///
     /// # Errors
     ///
-    /// Returns [`ProfileError`] for malformed input or I/O failures.
-    pub fn read<R: std::io::Read>(
-        r: &mut R,
-        options: &DecodeOptions,
-    ) -> Result<Self, ProfileError> {
+    /// Returns [`ProfileError`] for malformed or truncated input.
+    pub fn read(r: &mut &[u8], options: &DecodeOptions) -> Result<Self, ProfileError> {
         codec::read_profile_with(r, options)
     }
 

@@ -19,6 +19,7 @@
 //! carry exactly the bytes that were written, independent of any outer
 //! checksum the log adds.
 
+use mocktails_trace::codec::ByteCursor;
 use mocktails_trace::{fnv1a, DecodeOptions};
 
 use crate::ProfileError;
@@ -83,33 +84,26 @@ impl ProfileRecord {
     /// [`ProfileError::Corrupt`] for an unknown tag, a short body, or a
     /// fingerprint that does not match the carried bytes.
     pub fn decode(payload: &[u8]) -> Result<Self, ProfileError> {
-        let take_u64 = |bytes: &[u8], what: &str| -> Result<u64, ProfileError> {
-            let array: [u8; 8] = bytes
-                .get(..8)
-                .and_then(|s| s.try_into().ok())
-                .ok_or_else(|| ProfileError::Corrupt(format!("record ends before {what}")))?;
-            Ok(u64::from_le_bytes(array))
-        };
-        let (&tag, rest) = payload
-            .split_first()
-            .ok_or_else(|| ProfileError::Corrupt("empty record".to_string()))?;
+        let mut input = payload;
+        let mut c = ByteCursor::new(&mut input);
+        let short = |what: &str| ProfileError::Corrupt(format!("record ends before {what}"));
+        let tag = c
+            .u8()
+            .map_err(|_| ProfileError::Corrupt("empty record".to_string()))?;
         if tag != RECORD_TAG_PROFILE {
             return Err(ProfileError::Corrupt(format!("unknown record tag {tag}")));
         }
-        let fingerprint = take_u64(rest, "fingerprint")?;
-        let rest = &rest[8..];
-        let (&flag, rest) = rest
-            .split_first()
-            .ok_or_else(|| ProfileError::Corrupt("record ends before fit-key flag".to_string()))?;
-        let (fit_key, profile_bytes) = match flag {
-            0 => (None, rest),
-            1 => (Some(take_u64(rest, "fit key")?), &rest[8..]),
+        let fingerprint = c.u64().map_err(|_| short("fingerprint"))?;
+        let fit_key = match c.u8().map_err(|_| short("fit-key flag"))? {
+            0 => None,
+            1 => Some(c.u64().map_err(|_| short("fit key"))?),
             other => {
                 return Err(ProfileError::Corrupt(format!(
                     "unknown fit-key flag {other}"
                 )))
             }
         };
+        let profile_bytes = c.rest();
         if fnv1a(profile_bytes) != fingerprint {
             return Err(ProfileError::Corrupt(format!(
                 "record fingerprint {fingerprint:#018x} does not match its profile bytes"

@@ -7,9 +7,9 @@
 //! abort or unbounded allocation anywhere fails the suite.
 
 use mocktails_core::profile::{read_profile, write_profile};
-use mocktails_core::{HierarchyConfig, ModelOptions, Profile, ProfileError};
+use mocktails_core::{HierarchyConfig, ModelOptions, Profile, ProfileError, ProfileRecord};
 use mocktails_pool::Parallelism;
-use mocktails_trace::{fuzz, Request, Trace};
+use mocktails_trace::{fnv1a, fuzz, DecodeOptions, Request, Trace};
 
 /// Fixed campaign seed; keep stable so CI failures replay locally.
 const FUZZ_SEED: u64 = 0x4d50_524f_0000_0001; // "MPRO" | campaign 1
@@ -131,4 +131,42 @@ fn spliced_profiles_with_trace_bytes_never_panic() {
     );
     assert!(report.cases >= 1000);
     assert!(report.rejected > 0, "{report:?}");
+}
+
+#[test]
+fn mutated_profile_records_decode_cleanly_or_fail_typed() {
+    // Store records around each corpus profile, with and without a fit
+    // key. Framing damage must be a typed `Corrupt`; an accepted record
+    // is canonical and carries bytes matching its fingerprint, and its
+    // profile then decodes or fails typed like any other.
+    let records: Vec<Vec<u8>> = corpus()
+        .into_iter()
+        .enumerate()
+        .map(|(i, profile_bytes)| {
+            ProfileRecord {
+                fingerprint: fnv1a(&profile_bytes),
+                fit_key: (i % 2 == 0).then_some(0x5eed_0000 + i as u64),
+                profile_bytes,
+            }
+            .encode()
+        })
+        .collect();
+    let report = fuzz::run_parallel(
+        Parallelism::current(),
+        &records,
+        CASES_PER_ENTRY,
+        FUZZ_SEED ^ 0x5245_4344, // "RECD"
+        |bytes| match ProfileRecord::decode(bytes) {
+            Ok(record) => {
+                assert_eq!(record.encode(), bytes, "record framing is not canonical");
+                assert_eq!(fnv1a(&record.profile_bytes), record.fingerprint);
+                let _ = record.decode_profile(&DecodeOptions::default());
+                true
+            }
+            Err(ProfileError::Corrupt(_)) => false,
+            Err(other) => panic!("record framing failed with a non-Corrupt error: {other:?}"),
+        },
+    );
+    assert!(report.cases >= 2000, "only {} cases ran", report.cases);
+    assert!(report.accepted > 0 && report.rejected > 0, "{report:?}");
 }

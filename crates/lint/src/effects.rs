@@ -423,9 +423,21 @@ fn indexes_non_constant(tokens: &[Token], i: usize) -> bool {
 // Entry points and chains
 // ---------------------------------------------------------------------------
 
-/// The L016 entry points: the synthesis iterator, the codec decode
-/// surface, and the reactor sweep loop (which drives the whole conn
-/// state machine).
+/// Files whose decoders read untrusted bytes through the shared byte
+/// cursor: their `read*`, `decode` and `scan_frames` functions are L016
+/// entry points.
+const DECODE_FILES: [&str; 6] = [
+    "trace/src/codec.rs",
+    "core/src/profile/codec.rs",
+    "core/src/profile/record.rs",
+    "serve/src/protocol.rs",
+    "store/src/wal.rs",
+    "store/src/checkpoint.rs",
+];
+
+/// The L016 entry points: the synthesis iterator, the decoders of
+/// untrusted bytes, and the reactor sweep loop (which drives the whole
+/// conn state machine).
 fn l016_entries(files: &[FileAnalysis], fns: &[Func<'_>]) -> Vec<usize> {
     let mut out = Vec::new();
     for (id, info) in fns.iter().enumerate() {
@@ -433,10 +445,8 @@ fn l016_entries(files: &[FileAnalysis], fns: &[Func<'_>]) -> Vec<usize> {
         let name = info.fc.name.as_str();
         let synth = info.fc.self_type.as_deref() == Some("Synthesizer")
             && (name == "next" || name == "next_request");
-        let decode = (path.contains("trace/src/codec.rs")
-            || path.contains("trace/src/stream.rs")
-            || path.contains("core/src/profile/codec.rs"))
-            && (name.starts_with("read") || name == "decode");
+        let decode = DECODE_FILES.iter().any(|p| path.contains(p))
+            && (name.starts_with("read") || name == "decode" || name == "scan_frames");
         if synth || decode || is_reactor_sweep(path, name) {
             out.push(id);
         }
@@ -619,7 +629,6 @@ fn l018_path(path: &str) -> bool {
         "core/src/profile/mod",
         "core/src/profile/codec",
         "trace/src/codec",
-        "trace/src/stream",
         "trace/src/fingerprint",
         "dram/src",
         "cache/src",

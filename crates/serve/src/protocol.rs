@@ -34,6 +34,8 @@
 //! allocation proportional to declared-but-absent bytes — which makes the
 //! whole parser directly fuzzable (see `tests/fuzz_frames.rs`).
 
+use mocktails_trace::codec::ByteCursor;
+
 use crate::error::{ErrorCode, ServeError};
 
 /// Version of the message set defined in this module; negotiated by
@@ -199,66 +201,45 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// A zero-copy cursor over a payload slice.
-struct Cursor<'a> {
-    bytes: &'a [u8],
+// Payload fields are read through the workspace's one byte cursor; these
+// helpers give a short or malformed field the protocol's own message.
+
+fn byte(c: &mut ByteCursor<'_, '_>, what: &str) -> Result<u8, ServeError> {
+    c.u8()
+        .map_err(|_| ServeError::Protocol(format!("payload ends before {what}")))
 }
 
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes }
-    }
+fn field<const N: usize>(c: &mut ByteCursor<'_, '_>, what: &str) -> Result<[u8; N], ServeError> {
+    let have = c.len();
+    c.array().map_err(|_| {
+        ServeError::Protocol(format!("payload ends before {what} ({have} of {N} bytes)"))
+    })
+}
 
-    fn u8(&mut self, what: &str) -> Result<u8, ServeError> {
-        let (&b, rest) = self
-            .bytes
-            .split_first()
-            .ok_or_else(|| ServeError::Protocol(format!("payload ends before {what}")))?;
-        self.bytes = rest;
-        Ok(b)
-    }
+fn u32_field(c: &mut ByteCursor<'_, '_>, what: &str) -> Result<u32, ServeError> {
+    field(c, what).map(u32::from_le_bytes)
+}
 
-    fn u32(&mut self, what: &str) -> Result<u32, ServeError> {
-        Ok(u32::from_le_bytes(self.array(what)?))
-    }
+fn u64_field(c: &mut ByteCursor<'_, '_>, what: &str) -> Result<u64, ServeError> {
+    field(c, what).map(u64::from_le_bytes)
+}
 
-    fn u64(&mut self, what: &str) -> Result<u64, ServeError> {
-        Ok(u64::from_le_bytes(self.array(what)?))
-    }
+/// The remainder of the payload as text (the final variable field).
+fn text(c: &mut ByteCursor<'_, '_>, what: &str) -> Result<String, ServeError> {
+    std::str::from_utf8(c.rest())
+        .map(str::to_owned)
+        .map_err(|_| ServeError::Protocol(format!("{what} is not valid UTF-8")))
+}
 
-    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], ServeError> {
-        if self.bytes.len() < N {
-            return Err(ServeError::Protocol(format!(
-                "payload ends before {what} ({} of {N} bytes)",
-                self.bytes.len()
-            )));
-        }
-        let (head, rest) = self.bytes.split_at(N);
-        self.bytes = rest;
-        let mut out = [0u8; N];
-        out.copy_from_slice(head);
-        Ok(out)
-    }
-
-    /// Consumes the remainder of the payload (the final variable field).
-    fn rest(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.bytes).to_vec()
-    }
-
-    fn rest_utf8(&mut self, what: &str) -> Result<String, ServeError> {
-        String::from_utf8(self.rest())
-            .map_err(|_| ServeError::Protocol(format!("{what} is not valid UTF-8")))
-    }
-
-    fn finish(&self, what: &str) -> Result<(), ServeError> {
-        if self.bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(ServeError::Protocol(format!(
-                "{} trailing bytes after {what}",
-                self.bytes.len()
-            )))
-        }
+/// Rejects bytes left after a fixed-size message.
+fn finish(c: &ByteCursor<'_, '_>, what: &str) -> Result<(), ServeError> {
+    if c.is_empty() {
+        Ok(())
+    } else {
+        Err(ServeError::Protocol(format!(
+            "{} trailing bytes after {what}",
+            c.len()
+        )))
     }
 }
 
@@ -276,10 +257,10 @@ impl ProfileSource {
         }
     }
 
-    fn decode_from(cursor: &mut Cursor<'_>) -> Result<Self, ServeError> {
-        match cursor.u8("profile source kind")? {
-            0 => Ok(Self::Fingerprint(cursor.u64("profile fingerprint")?)),
-            1 => Ok(Self::Inline(cursor.rest())),
+    fn decode_from(c: &mut ByteCursor<'_, '_>) -> Result<Self, ServeError> {
+        match byte(c, "profile source kind")? {
+            0 => Ok(Self::Fingerprint(u64_field(c, "profile fingerprint")?)),
+            1 => Ok(Self::Inline(c.rest().to_vec())),
             k => Err(ServeError::Protocol(format!(
                 "unknown profile source kind {k}"
             ))),
@@ -344,49 +325,50 @@ impl Request {
     /// [`ServeError::Protocol`] for an empty payload, unknown tag, short
     /// body, or trailing bytes after a fixed-size message.
     pub fn decode(payload: &[u8]) -> Result<Self, ServeError> {
-        let mut c = Cursor::new(payload);
-        let tag = c.u8("request tag")?;
+        let mut input = payload;
+        let mut c = ByteCursor::new(&mut input);
+        let tag = byte(&mut c, "request tag")?;
         let request = match tag {
             1 => {
-                let version = c.u32("hello version")?;
-                c.finish("hello")?;
+                let version = u32_field(&mut c, "hello version")?;
+                finish(&c, "hello")?;
                 Self::Hello { version }
             }
             2 => Self::FitProfile {
-                cycles: c.u64("fit cycles")?,
-                trace_bytes: c.rest(),
+                cycles: u64_field(&mut c, "fit cycles")?,
+                trace_bytes: c.rest().to_vec(),
             },
             3 => Self::Synthesize {
-                seed: c.u64("synthesize seed")?,
-                chunk_len: c.u32("synthesize chunk length")?,
+                seed: u64_field(&mut c, "synthesize seed")?,
+                chunk_len: u32_field(&mut c, "synthesize chunk length")?,
                 source: ProfileSource::decode_from(&mut c)?,
             },
             4 => Self::Stats {
                 source: ProfileSource::decode_from(&mut c)?,
             },
             5 => {
-                c.finish("metricsz")?;
+                finish(&c, "metricsz")?;
                 Self::Metricsz
             }
             6 => {
-                c.finish("shutdown")?;
+                finish(&c, "shutdown")?;
                 Self::Shutdown
             }
             7 => {
-                c.finish("ack")?;
+                finish(&c, "ack")?;
                 Self::Ack
             }
             8 => {
-                c.finish("cancel")?;
+                finish(&c, "cancel")?;
                 Self::Cancel
             }
             9 => {
-                c.finish("compact")?;
+                finish(&c, "compact")?;
                 Self::Compact
             }
             10 => Self::CoupledSynthesize {
-                seed: c.u64("coupled seed")?,
-                chunk_len: c.u32("coupled chunk length")?,
+                seed: u64_field(&mut c, "coupled seed")?,
+                chunk_len: u32_field(&mut c, "coupled chunk length")?,
                 source: ProfileSource::decode_from(&mut c)?,
             },
             t => return Err(ServeError::Protocol(format!("unknown request tag {t}"))),
@@ -481,62 +463,63 @@ impl Response {
     /// body, unknown error code, or trailing bytes after a fixed-size
     /// message.
     pub fn decode(payload: &[u8]) -> Result<Self, ServeError> {
-        let mut c = Cursor::new(payload);
-        let tag = c.u8("response tag")?;
+        let mut input = payload;
+        let mut c = ByteCursor::new(&mut input);
+        let tag = byte(&mut c, "response tag")?;
         let response = match tag {
             1 => {
-                let version = c.u32("hello version")?;
-                c.finish("hello-ok")?;
+                let version = u32_field(&mut c, "hello version")?;
+                finish(&c, "hello-ok")?;
                 Self::HelloOk { version }
             }
             2 => Self::FitResult {
-                fingerprint: c.u64("fit fingerprint")?,
-                cache_hit: c.u8("fit cache-hit flag")? != 0,
-                profile_bytes: c.rest(),
+                fingerprint: u64_field(&mut c, "fit fingerprint")?,
+                cache_hit: byte(&mut c, "fit cache-hit flag")? != 0,
+                profile_bytes: c.rest().to_vec(),
             },
             3 => {
-                let total_requests = c.u64("synth total")?;
-                c.finish("synth-start")?;
+                let total_requests = u64_field(&mut c, "synth total")?;
+                finish(&c, "synth-start")?;
                 Self::SynthStart { total_requests }
             }
             4 => Self::SynthChunk {
-                count: c.u32("chunk count")?,
-                records: c.rest(),
+                count: u32_field(&mut c, "chunk count")?,
+                records: c.rest().to_vec(),
             },
             5 => {
-                let total_requests = c.u64("synth total")?;
-                let fingerprint = c.u64("synth fingerprint")?;
-                c.finish("synth-end")?;
+                let total_requests = u64_field(&mut c, "synth total")?;
+                let fingerprint = u64_field(&mut c, "synth fingerprint")?;
+                finish(&c, "synth-end")?;
                 Self::SynthEnd {
                     total_requests,
                     fingerprint,
                 }
             }
             6 => Self::StatsText {
-                text: c.rest_utf8("stats text")?,
+                text: text(&mut c, "stats text")?,
             },
             7 => Self::MetricsText {
-                text: c.rest_utf8("metrics text")?,
+                text: text(&mut c, "metrics text")?,
             },
             8 => {
-                c.finish("shutdown-ok")?;
+                finish(&c, "shutdown-ok")?;
                 Self::ShutdownOk
             }
             9 => {
-                let byte = c.u8("error code")?;
+                let byte = byte(&mut c, "error code")?;
                 let code = ErrorCode::from_byte(byte)
                     .ok_or_else(|| ServeError::Protocol(format!("unknown error code {byte}")))?;
                 Self::Error {
                     code,
-                    message: c.rest_utf8("error message")?,
+                    message: text(&mut c, "error message")?,
                 }
             }
             10 => {
-                let generation = c.u64("compact generation")?;
-                let profiles = c.u64("compact profile count")?;
-                let checkpoint_bytes = c.u64("compact checkpoint bytes")?;
-                let wal_bytes_dropped = c.u64("compact dropped bytes")?;
-                c.finish("compact-ok")?;
+                let generation = u64_field(&mut c, "compact generation")?;
+                let profiles = u64_field(&mut c, "compact profile count")?;
+                let checkpoint_bytes = u64_field(&mut c, "compact checkpoint bytes")?;
+                let wal_bytes_dropped = u64_field(&mut c, "compact dropped bytes")?;
+                finish(&c, "compact-ok")?;
                 Self::CompactOk {
                     generation,
                     profiles,
@@ -545,10 +528,10 @@ impl Response {
                 }
             }
             11 => Self::CoupledChunk {
-                count: c.u32("coupled chunk count")?,
-                simulated_cycles: c.u64("coupled simulated cycles")?,
-                stall_cycles: c.u64("coupled stall cycles")?,
-                records: c.rest(),
+                count: u32_field(&mut c, "coupled chunk count")?,
+                simulated_cycles: u64_field(&mut c, "coupled simulated cycles")?,
+                stall_cycles: u64_field(&mut c, "coupled stall cycles")?,
+                records: c.rest().to_vec(),
             },
             t => return Err(ServeError::Protocol(format!("unknown response tag {t}"))),
         };

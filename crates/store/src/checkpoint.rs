@@ -18,6 +18,7 @@
 use std::io::{self, Write};
 use std::path::Path;
 
+use mocktails_trace::codec::ByteCursor;
 use mocktails_trace::fault::AtomicFileWriter;
 use mocktails_trace::{fnv1a, FnvWriter};
 
@@ -98,45 +99,45 @@ pub fn read_checkpoint(
         Err(err) => return Err(StoreError::Io(err)),
     };
     let corrupt = |what: &str| StoreError::Corrupt(format!("checkpoint {what}"));
-    if bytes.len() < CHECKPOINT_HEADER_LEN + 8 {
-        return Err(corrupt("shorter than its fixed header"));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let digest = u64::from_le_bytes(trailer.try_into().expect("8 bytes")); // lint: allow(L001, split_at guarantees an 8-byte trailer)
+    let (mut body, digest) = match bytes.split_last_chunk::<8>() {
+        Some((body, digest)) if body.len() >= CHECKPOINT_HEADER_LEN => {
+            (body, u64::from_le_bytes(*digest))
+        }
+        _ => return Err(corrupt("shorter than its fixed header")),
+    };
     if fnv1a(body) != digest {
         return Err(corrupt("digest mismatch"));
     }
-    if body[..4] != CHECKPOINT_MAGIC {
+    let mut c = ByteCursor::new(&mut body);
+    let (Ok(magic), Ok(version), Ok(generation), Ok(count)) =
+        (c.array::<4>(), c.u8(), c.u64(), c.u64())
+    else {
+        return Err(corrupt("shorter than its fixed header"));
+    };
+    if magic != CHECKPOINT_MAGIC {
         return Err(corrupt("magic mismatch"));
     }
-    if body[4] != CHECKPOINT_VERSION {
+    if version != CHECKPOINT_VERSION {
         return Err(StoreError::Corrupt(format!(
-            "checkpoint version {} unsupported (expected {CHECKPOINT_VERSION})",
-            body[4]
+            "checkpoint version {version} unsupported (expected {CHECKPOINT_VERSION})"
         )));
     }
-    let generation = u64::from_le_bytes(body[5..13].try_into().expect("8 bytes")); // lint: allow(L001, the header-length check above covers bytes 5..13)
-    let count = u64::from_le_bytes(body[13..21].try_into().expect("8 bytes")); // lint: allow(L001, the header-length check above covers bytes 13..21)
     let mut payloads = Vec::new();
-    let mut offset = CHECKPOINT_HEADER_LEN;
     for index in 0..count {
-        let len_bytes = body
-            .get(offset..offset + 4)
-            .ok_or_else(|| corrupt("truncated inside an entry length"))?;
-        let len = u32::from_le_bytes(len_bytes.try_into().expect("4 bytes")) as usize; // lint: allow(L001, the get() above returned exactly 4 bytes)
+        let len = c
+            .u32()
+            .map_err(|_| corrupt("truncated inside an entry length"))? as usize;
         if len > max_record_len {
             return Err(StoreError::Corrupt(format!(
                 "checkpoint entry {index} of {len} bytes exceeds the record limit"
             )));
         }
-        offset += 4;
-        let payload = body
-            .get(offset..offset + len)
+        let payload = c
+            .take(len)
             .ok_or_else(|| corrupt("truncated inside an entry payload"))?;
         payloads.push(payload.to_vec());
-        offset += len;
     }
-    if offset != body.len() {
+    if !c.is_empty() {
         return Err(corrupt("has trailing bytes after its last entry"));
     }
     Ok(Some(Checkpoint {

@@ -20,6 +20,7 @@
 //! The generation number in the header ties a log to the checkpoint it
 //! extends; [`crate::ProfileStore`] documents the reconciliation rules.
 
+use mocktails_trace::codec::ByteCursor;
 use mocktails_trace::fault::SyncWrite;
 use mocktails_trace::fnv1a;
 
@@ -152,23 +153,20 @@ pub enum WalHeader {
 
 /// Parses the log header at the start of `bytes`.
 pub fn read_header(bytes: &[u8]) -> WalHeader {
-    if bytes.len() < WAL_HEADER_LEN as usize {
+    let mut input = bytes;
+    let mut c = ByteCursor::new(&mut input);
+    let (Ok(magic), Ok(version), Ok(generation)) = (c.array::<4>(), c.u8(), c.u64()) else {
         return WalHeader::Torn;
+    };
+    if magic != WAL_MAGIC {
+        return WalHeader::Foreign(format!("bad WAL magic {magic:02x?}"));
     }
-    if bytes[..4] != WAL_MAGIC {
-        return WalHeader::Foreign(format!("bad WAL magic {:02x?}", &bytes[..4]));
-    }
-    if bytes[4] != WAL_VERSION {
+    if version != WAL_VERSION {
         return WalHeader::Foreign(format!(
-            "unsupported WAL version {} (expected {WAL_VERSION})",
-            bytes[4]
+            "unsupported WAL version {version} (expected {WAL_VERSION})"
         ));
     }
-    let mut generation = [0u8; 8];
-    generation.copy_from_slice(&bytes[5..13]);
-    WalHeader::Valid {
-        generation: u64::from_le_bytes(generation),
-    }
+    WalHeader::Valid { generation }
 }
 
 /// One structurally valid record recovered from the log.
@@ -195,38 +193,31 @@ pub struct WalScan {
 /// Scans the records after a [valid](WalHeader::Valid) header, stopping
 /// at the first frame that is short, larger than `max_record_len`, or
 /// fails its checksum. Never errors: any byte state maps to a (possibly
-/// empty) consistent prefix.
+/// empty) consistent prefix, at most `bytes.len()` long.
 pub fn scan_frames(bytes: &[u8], max_record_len: usize) -> WalScan {
     let mut frames = Vec::new();
-    let mut offset = WAL_HEADER_LEN as usize;
-    while offset < bytes.len() {
-        let remaining = &bytes[offset..];
-        if remaining.len() < FRAME_HEADER_LEN as usize {
-            break;
-        }
-        let len = u32::from_le_bytes(remaining[..4].try_into().expect("4 bytes")) as usize; // lint: allow(L001, the frame-header length check above covers bytes 0..4)
-        if len > max_record_len {
-            break;
-        }
-        let Some(payload) =
-            remaining.get(FRAME_HEADER_LEN as usize..FRAME_HEADER_LEN as usize + len)
-        else {
-            break;
+    let mut rest = bytes.get(WAL_HEADER_LEN as usize..).unwrap_or_default();
+    let mut c = ByteCursor::new(&mut rest);
+    let valid_len = loop {
+        let offset = (bytes.len() - c.len()) as u64;
+        let (Ok(len), Ok(crc)) = (c.u32(), c.u64()) else {
+            break offset;
         };
-        let crc = u64::from_le_bytes(remaining[4..12].try_into().expect("8 bytes")); // lint: allow(L001, the frame-header length check above covers bytes 4..12)
+        if len as usize > max_record_len {
+            break offset;
+        }
+        let Some(payload) = c.take(len as usize) else {
+            break offset;
+        };
         if fnv1a(payload) != crc {
-            break;
+            break offset;
         }
         frames.push(WalFrame {
-            offset: offset as u64,
+            offset,
             payload: payload.to_vec(),
         });
-        offset += FRAME_HEADER_LEN as usize + len;
-    }
-    WalScan {
-        frames,
-        valid_len: offset as u64,
-    }
+    };
+    WalScan { frames, valid_len }
 }
 
 #[cfg(test)]

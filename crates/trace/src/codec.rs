@@ -30,11 +30,6 @@ use std::io::{Read, Write};
 
 use crate::{DecodeOptions, Op, Request, Trace, TraceError};
 
-/// Requests decoded per allocation chunk. Capacity grows with bytes
-/// actually consumed, never with the attacker-declared count, so a tiny
-/// file declaring billions of requests cannot reserve memory for them.
-const DECODE_CHUNK: usize = 1 << 16;
-
 /// Magic bytes identifying an encoded trace.
 pub const TRACE_MAGIC: [u8; 4] = *b"MTRC";
 /// Current codec version.
@@ -53,30 +48,6 @@ pub fn write_u64<W: Write>(w: &mut W, mut value: u64) -> std::io::Result<()> {
             return w.write_all(&[byte]);
         }
         w.write_all(&[byte | 0x80])?;
-    }
-}
-
-/// Reads an LEB128 varint written by [`write_u64`].
-///
-/// # Errors
-///
-/// Returns [`TraceError::Corrupt`] if the varint overflows 64 bits, or an
-/// I/O error from the reader.
-pub fn read_u64<R: Read>(r: &mut R) -> Result<u64, TraceError> {
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let mut byte = [0u8; 1];
-        r.read_exact(&mut byte)?;
-        let b = byte[0];
-        if shift >= 64 || (shift == 63 && (b & 0x7f) > 1) {
-            return Err(TraceError::Corrupt("varint overflows u64".into()));
-        }
-        value |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Ok(value);
-        }
-        shift += 7;
     }
 }
 
@@ -99,33 +70,168 @@ pub fn write_i64<W: Write>(w: &mut W, value: i64) -> std::io::Result<()> {
     write_u64(w, zigzag(value))
 }
 
-/// Reads a signed value written by [`write_i64`].
+/// The one byte reader of the workspace: a zero-copy cursor over an
+/// in-memory encoding that every decoder — traces, profiles, store
+/// records, checkpoints, the write-ahead log and the serving protocol —
+/// reads through.
 ///
-/// # Errors
+/// The cursor borrows the caller's slice and advances it past every byte
+/// it consumes, so a decoder that takes `&mut &[u8]` leaves the slice at
+/// the first byte it did not read. A read past the end fails with the
+/// `UnexpectedEof` error `Read::read_exact` gives on the remainder (wrapped
+/// in [`TraceError::Io`]); formats with their own short-input messages map
+/// that error, or [`ByteCursor::take`]'s `None`, at the call site.
 ///
-/// See [`read_u64`].
-pub fn read_i64<R: Read>(r: &mut R) -> Result<i64, TraceError> {
-    Ok(unzigzag(read_u64(r)?))
+/// ```
+/// use mocktails_trace::codec::{write_u64, ByteCursor};
+///
+/// let mut buf = vec![7u8, 0x01, 0x00];
+/// write_u64(&mut buf, 300)?;
+/// let mut input = buf.as_slice();
+/// let mut cursor = ByteCursor::new(&mut input);
+/// assert_eq!(cursor.u8()?, 7);
+/// assert_eq!(cursor.array::<2>()?, [0x01, 0x00]);
+/// assert_eq!(cursor.varint()?, 300);
+/// assert!(cursor.is_empty());
+/// assert!(cursor.u8().is_err());
+/// # Ok::<(), mocktails_trace::TraceError>(())
+/// ```
+#[derive(Debug)]
+pub struct ByteCursor<'c, 'a> {
+    bytes: &'c mut &'a [u8],
 }
 
-/// Writes an `f64` as its raw little-endian bits.
-///
-/// # Errors
-///
-/// Propagates errors from the underlying writer.
-pub fn write_f64<W: Write>(w: &mut W, value: f64) -> std::io::Result<()> {
-    w.write_all(&value.to_le_bytes())
-}
+// The readers are `#[inline]`: decoders in other crates call them per
+// field, and without it they could not be inlined there.
+impl<'c, 'a> ByteCursor<'c, 'a> {
+    /// A cursor reading from, and advancing, `bytes`.
+    #[inline]
+    pub fn new(bytes: &'c mut &'a [u8]) -> Self {
+        Self { bytes }
+    }
 
-/// Reads an `f64` written by [`write_f64`].
-///
-/// # Errors
-///
-/// Propagates errors from the underlying reader.
-pub fn read_f64<R: Read>(r: &mut R) -> Result<f64, TraceError> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    Ok(f64::from_le_bytes(buf))
+    /// Bytes not yet consumed.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Whether every byte has been consumed.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// Reads one byte.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::Io`] (`UnexpectedEof`) at the end of the input.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, TraceError> {
+        self.array().map(u8::from_le_bytes)
+    }
+
+    /// Reads the next `N` bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::Io`] (`UnexpectedEof`) if fewer than `N` bytes are
+    /// left; the remainder is consumed.
+    #[inline]
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], TraceError> {
+        match self.bytes.split_first_chunk::<N>() {
+            Some((head, rest)) => {
+                *self.bytes = rest;
+                Ok(*head)
+            }
+            None => self.short_read(),
+        }
+    }
+
+    /// A read of `N` bytes past a shorter remainder: std's `read_exact`
+    /// consumes the remainder and reports it with its own error.
+    #[cold]
+    #[inline(never)]
+    fn short_read<const N: usize>(&mut self) -> Result<[u8; N], TraceError> {
+        let mut buf = [0u8; N];
+        // lint: allow(L017, read_exact on an in-memory slice returns at once and never blocks)
+        self.bytes.read_exact(&mut buf)?;
+        Ok(buf)
+    }
+
+    /// Reads a little-endian `u32`.
+    ///
+    /// # Errors
+    ///
+    /// See [`ByteCursor::array`].
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, TraceError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u64`.
+    ///
+    /// # Errors
+    ///
+    /// See [`ByteCursor::array`].
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, TraceError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Borrows the next `n` bytes, or `None` (consuming nothing) if fewer
+    /// are left.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.bytes.split_at_checked(n)?;
+        *self.bytes = rest;
+        Some(head)
+    }
+
+    /// Borrows every byte left.
+    #[inline]
+    pub fn rest(&mut self) -> &'a [u8] {
+        std::mem::take(self.bytes)
+    }
+
+    /// Reads an LEB128 varint written by [`write_u64`].
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::Corrupt`] if the varint overflows 64 bits;
+    /// [`TraceError::Io`] (`UnexpectedEof`) if the input ends inside it.
+    #[inline]
+    pub fn varint(&mut self) -> Result<u64, TraceError> {
+        let bytes: &'a [u8] = self.bytes;
+        let mut value = 0u64;
+        for (i, &b) in bytes.iter().enumerate() {
+            let shift = 7 * i as u32;
+            if shift >= 64 || (shift == 63 && (b & 0x7f) > 1) {
+                *self.bytes = &bytes[i + 1..];
+                return Err(TraceError::Corrupt("varint overflows u64".into()));
+            }
+            value |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                *self.bytes = &bytes[i + 1..];
+                return Ok(value);
+            }
+        }
+        // The input ends inside the varint: every byte is consumed, and
+        // reading one more reports the short input.
+        *self.bytes = &[];
+        self.u8().map(u64::from)
+    }
+
+    /// Reads a signed value written by [`write_i64`].
+    ///
+    /// # Errors
+    ///
+    /// See [`ByteCursor::varint`].
+    #[inline]
+    pub fn zigzag(&mut self) -> Result<i64, TraceError> {
+        Ok(unzigzag(self.varint()?))
+    }
 }
 
 /// A writer that discards bytes while counting them — used to measure
@@ -216,7 +322,9 @@ impl RecordEncoder {
                 TraceError::Corrupt("records must be encoded in timestamp order".into())
             })?;
         write_u64(w, dt)?;
-        write_i64(w, request.address as i64 - self.last_addr)?;
+        // Wrapping, like the decoder: a jump across 2^63 encodes as the
+        // delta that wraps back to the target address.
+        write_i64(w, (request.address as i64).wrapping_sub(self.last_addr))?;
         write_u64(
             w,
             (u64::from(request.size) << 1) | u64::from(request.op.as_bit()),
@@ -246,19 +354,20 @@ impl RecordDecoder {
         Self::default()
     }
 
-    /// Decodes one record from `r`.
+    /// Decodes one record from the front of `r`, advancing it past the
+    /// record.
     ///
     /// # Errors
     ///
     /// Returns [`TraceError::Corrupt`] for malformed fields (varint or
     /// timestamp overflow, oversized or zero request size, a byte range
-    /// past the end of the address space), or an I/O
-    /// error — including `UnexpectedEof` on a truncated record — from the
-    /// reader.
-    pub fn decode<R: Read>(&mut self, r: &mut R) -> Result<Request, TraceError> {
-        let dt = read_u64(r)?;
-        let da = read_i64(r)?;
-        let size_op = read_u64(r)?;
+    /// past the end of the address space), or [`TraceError::Io`]
+    /// (`UnexpectedEof`) on a truncated record.
+    pub fn decode(&mut self, r: &mut &[u8]) -> Result<Request, TraceError> {
+        let mut c = ByteCursor::new(r);
+        let dt = c.varint()?;
+        let da = c.zigzag()?;
+        let size_op = c.varint()?;
         let size = u32::try_from(size_op >> 1)
             .map_err(|_| TraceError::Corrupt("request size overflows u32".into()))?;
         if size == 0 {
@@ -312,34 +421,35 @@ pub fn write_trace<W: Write>(w: &mut W, trace: &Trace) -> Result<(), TraceError>
     Ok(())
 }
 
-/// Decodes a trace written by [`write_trace`] using default
-/// [`DecodeOptions`].
+/// Decodes a trace written by [`write_trace`] from the front of `r` using
+/// default [`DecodeOptions`], advancing `r` past the encoding.
 ///
 /// # Errors
 ///
 /// Returns [`TraceError::Corrupt`] for bad magic or malformed fields,
 /// [`TraceError::UnsupportedVersion`] for a version mismatch,
 /// [`TraceError::LimitExceeded`] for an implausible declared request
-/// count, or an I/O error from the reader.
-pub fn read_trace<R: Read>(r: &mut R) -> Result<Trace, TraceError> {
+/// count, or [`TraceError::Io`] (`UnexpectedEof`) for a truncated input.
+pub fn read_trace(r: &mut &[u8]) -> Result<Trace, TraceError> {
     read_trace_with(r, &DecodeOptions::default())
 }
 
 /// Decodes a trace written by [`write_trace`] under caller-chosen
 /// [`DecodeOptions`]. The declared request count is validated against the
-/// options' limits before any allocation, and the request buffer grows
-/// only as records are actually read, so a hostile header cannot force
-/// memory proportional to its claims.
+/// options' limits before any allocation, and the request buffer reserves
+/// no more records than the bytes left could hold, so a hostile header
+/// cannot force memory proportional to its claims.
 ///
 /// [`Trace::read`] is the method-form equivalent.
 ///
 /// # Errors
 ///
 /// See [`read_trace`].
-pub fn read_trace_with<R: Read>(r: &mut R, options: &DecodeOptions) -> Result<Trace, TraceError> {
+pub fn read_trace_with(r: &mut &[u8], options: &DecodeOptions) -> Result<Trace, TraceError> {
     let limits = options.limits();
     let count = limits.check("requests", read_header(r)?, limits.max_requests)?;
-    let mut requests = Vec::with_capacity(count.min(DECODE_CHUNK));
+    // A record takes at least three bytes (three one-byte varints).
+    let mut requests = Vec::with_capacity(count.min(r.len() / 3));
     let mut decoder = RecordDecoder::new();
     for _ in 0..count {
         requests.push(decoder.decode(r)?);
@@ -349,21 +459,19 @@ pub fn read_trace_with<R: Read>(r: &mut R, options: &DecodeOptions) -> Result<Tr
 
 /// Reads and checks a trace header (magic, version) and returns the
 /// declared request count, unchecked against any limit.
-pub(crate) fn read_header<R: Read>(r: &mut R) -> Result<u64, TraceError> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if magic != TRACE_MAGIC {
+fn read_header(r: &mut &[u8]) -> Result<u64, TraceError> {
+    let mut c = ByteCursor::new(r);
+    if c.array()? != TRACE_MAGIC {
         return Err(TraceError::Corrupt("bad trace magic".into()));
     }
-    let mut version = [0u8; 1];
-    r.read_exact(&mut version)?;
-    if version[0] != CODEC_VERSION {
+    let version = c.u8()?;
+    if version != CODEC_VERSION {
         return Err(TraceError::UnsupportedVersion {
-            found: version[0],
+            found: version,
             expected: CODEC_VERSION,
         });
     }
-    read_u64(r)
+    c.varint()
 }
 
 /// Writes a trace as CSV (`timestamp,address,op,size`, addresses in hex)
@@ -384,11 +492,13 @@ pub fn write_csv<W: Write>(w: &mut W, trace: &Trace) -> Result<(), TraceError> {
 /// shape). Addresses accept `0x`-prefixed hex or plain decimal; the header
 /// line is optional.
 ///
+/// Consumes all of `r`.
+///
 /// # Errors
 ///
-/// Returns [`TraceError::Corrupt`] for malformed rows, or an I/O error
-/// from the reader.
-pub fn read_csv<R: Read>(r: &mut R) -> Result<Trace, TraceError> {
+/// Returns [`TraceError::Corrupt`] for malformed rows, or
+/// [`TraceError::Io`] (`InvalidData`) if the text is not UTF-8.
+pub fn read_csv(r: &mut &[u8]) -> Result<Trace, TraceError> {
     let mut text = String::new();
     r.read_to_string(&mut text)?;
     let mut requests = Vec::new();
@@ -452,7 +562,9 @@ mod tests {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
             let mut buf = Vec::new();
             write_u64(&mut buf, v).unwrap();
-            assert_eq!(read_u64(&mut buf.as_slice()).unwrap(), v);
+            let mut input = buf.as_slice();
+            assert_eq!(ByteCursor::new(&mut input).varint().unwrap(), v);
+            assert!(input.is_empty());
         }
     }
 
@@ -470,9 +582,49 @@ mod tests {
         // 11 bytes of continuation overflows 64 bits.
         let buf = [0xffu8; 11];
         assert!(matches!(
-            read_u64(&mut buf.as_slice()),
+            ByteCursor::new(&mut buf.as_slice()).varint(),
             Err(TraceError::Corrupt(_))
         ));
+        // A tenth byte above 1 overflows too; a varint cut short is EOF.
+        let mut tenth = [0xffu8; 10];
+        tenth[9] = 0x02;
+        assert!(matches!(
+            ByteCursor::new(&mut tenth.as_slice()).varint(),
+            Err(TraceError::Corrupt(_))
+        ));
+        assert!(matches!(
+            ByteCursor::new(&mut &[0x80u8, 0x80][..]).varint(),
+            Err(TraceError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof
+        ));
+    }
+
+    #[test]
+    fn cursor_reads_fixed_width_fields_and_advances_the_slice() {
+        let bytes = [1u8, 2, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 9, 8, 7];
+        let mut input = &bytes[..];
+        let mut c = ByteCursor::new(&mut input);
+        assert_eq!(c.u8().unwrap(), 1);
+        assert_eq!(c.u32().unwrap(), 2);
+        assert_eq!(c.u64().unwrap(), 3);
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.take(4), None, "a short take consumes nothing");
+        assert_eq!(c.take(1), Some(&[9u8][..]));
+        assert_eq!(c.rest(), &[8u8, 7][..]);
+        assert!(c.is_empty());
+        assert!(input.is_empty());
+    }
+
+    #[test]
+    fn short_reads_fail_like_read_exact_and_consume_the_rest() {
+        let bytes = [1u8, 2, 3];
+        let mut input = &bytes[..];
+        let err = ByteCursor::new(&mut input).u64().unwrap_err();
+        let mut reference = &bytes[..];
+        let want = reference.read_exact(&mut [0u8; 8]).unwrap_err();
+        assert!(matches!(&err, TraceError::Io(e) if e.kind() == want.kind()));
+        assert_eq!(err.to_string(), TraceError::Io(want).to_string());
+        assert!(input.is_empty());
+        assert!(ByteCursor::new(&mut input).u8().is_err());
     }
 
     #[test]
@@ -488,15 +640,6 @@ mod tests {
         assert_eq!(zigzag(-1), 1);
         assert_eq!(zigzag(1), 2);
         assert_eq!(zigzag(-2), 3);
-    }
-
-    #[test]
-    fn f64_round_trip() {
-        for v in [0.0f64, -1.5, f64::MAX, f64::MIN_POSITIVE, 3.25] {
-            let mut buf = Vec::new();
-            write_f64(&mut buf, v).unwrap();
-            assert_eq!(read_f64(&mut buf.as_slice()).unwrap(), v);
-        }
     }
 
     fn sample_trace() -> Trace {
@@ -708,6 +851,34 @@ mod tests {
             }
         }
         assert_eq!(back, trace.requests());
+    }
+
+    #[test]
+    fn address_jumps_across_the_sign_boundary_round_trip() {
+        // Deltas between addresses on either side of 2^63 wrap in i64;
+        // encoder and decoder must wrap the same way, in both directions.
+        let trace = Trace::from_requests(vec![
+            Request::read(0, 0x7fff_ffff_ffff_ff00, 64),
+            Request::write(1, 0x8000_0000_0000_0000, 64),
+            Request::read(2, 0x10, 64),
+            Request::read(3, u64::MAX - 64, 64),
+            Request::write(4, 0x7fff_ffff_ffff_ffc0, 64),
+            Request::read(5, 0, 4),
+        ]);
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &trace).unwrap();
+        assert_eq!(read_trace(&mut buf.as_slice()).unwrap(), trace);
+    }
+
+    #[test]
+    fn decoders_advance_the_slice_past_what_they_read() {
+        let trace = sample_trace();
+        let mut buf = Vec::new();
+        write_trace(&mut buf, &trace).unwrap();
+        buf.extend_from_slice(b"tail");
+        let mut input = buf.as_slice();
+        assert_eq!(read_trace(&mut input).unwrap(), trace);
+        assert_eq!(input, b"tail");
     }
 
     #[test]

@@ -56,7 +56,6 @@ mod range;
 mod request;
 pub mod rng;
 mod stats;
-mod stream;
 mod trace;
 pub mod transform;
 
@@ -66,5 +65,4 @@ pub use limits::{checked_usize, DecodeLimits, DecodeOptions};
 pub use range::AddrRange;
 pub use request::{Op, Request};
 pub use stats::{BinnedCounts, TraceStats};
-pub use stream::{StreamReader, StreamWriter};
 pub use trace::Trace;

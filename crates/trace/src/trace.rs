@@ -165,8 +165,9 @@ impl Trace {
         (reads, self.len() - reads)
     }
 
-    /// Decodes a trace from `r` under the given [`DecodeOptions`] — the
-    /// method form of [`crate::codec::read_trace_with`].
+    /// Decodes a trace from the front of `r` under the given
+    /// [`DecodeOptions`], advancing `r` past it — the method form of
+    /// [`crate::codec::read_trace_with`].
     ///
     /// ```
     /// use mocktails_trace::{DecodeOptions, Request, Trace};
@@ -182,10 +183,7 @@ impl Trace {
     /// # Errors
     ///
     /// See [`crate::codec::read_trace`].
-    pub fn read<R: std::io::Read>(
-        r: &mut R,
-        options: &DecodeOptions,
-    ) -> Result<Self, crate::TraceError> {
+    pub fn read(r: &mut &[u8], options: &DecodeOptions) -> Result<Self, crate::TraceError> {
         crate::codec::read_trace_with(r, options)
     }
 

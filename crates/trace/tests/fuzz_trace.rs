@@ -1,16 +1,16 @@
 //! Tier-1 seeded fuzz gate for the trace codec.
 //!
 //! Thousands of deterministically mutated encodings are pushed through
-//! `read_trace` (and the streaming decoder): every case must either decode
-//! cleanly — and then round-trip canonically — or return a typed error.
-//! A panic, abort or unbounded allocation anywhere fails the suite.
+//! `read_trace`: every case must either decode cleanly — and then
+//! round-trip canonically — or return a typed error. A panic, abort or
+//! unbounded allocation anywhere fails the suite.
+
+use std::io::Read;
 
 use mocktails_pool::Parallelism;
 use mocktails_trace::codec::{read_trace, write_trace};
 use mocktails_trace::fault::{FaultPlan, FaultyReader};
-use mocktails_trace::{
-    fuzz, DecodeLimits, DecodeOptions, Request, StreamReader, Trace, TraceError,
-};
+use mocktails_trace::{fuzz, DecodeLimits, DecodeOptions, Request, Trace, TraceError};
 
 /// Fixed campaign seed: never change without a good reason — CI failures
 /// replay locally only while the seed matches.
@@ -84,26 +84,12 @@ fn mutated_traces_decode_cleanly_or_fail_typed() {
     );
 }
 
-#[test]
-fn mutated_streams_iterate_to_completion_or_typed_error() {
-    let report = fuzz::run(&corpus(), 200, FUZZ_SEED ^ 0xf00d, |bytes| {
-        let mut reader = match StreamReader::new(bytes) {
-            Ok(r) => r,
-            Err(_) => return false,
-        };
-        // Bounded drain: the iterator must terminate (count or EOF) and
-        // surface corruption as an Err item, never hang or panic.
-        let mut ok = true;
-        for item in reader.by_ref().take(100_000) {
-            if item.is_err() {
-                ok = false;
-                break;
-            }
-        }
-        ok
-    });
-    assert!(report.cases >= 800);
-    assert!(report.accepted > 0 && report.rejected > 0, "{report:?}");
+/// Reads all of `reader` the way a file-backed caller does before
+/// decoding: `read_to_end`, then decode the slice.
+fn read_through(mut reader: impl Read) -> Result<Trace, TraceError> {
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    read_trace(&mut bytes.as_slice())
 }
 
 #[test]
@@ -113,8 +99,8 @@ fn decode_is_immune_to_benign_io_faults() {
     let base = &corpus()[1];
     let want = read_trace(&mut base.as_slice()).unwrap();
     for seed in 0..100u64 {
-        let mut r = FaultyReader::new(base.as_slice(), FaultPlan::flaky(), seed);
-        let got = read_trace(&mut r).unwrap();
+        let r = FaultyReader::new(base.as_slice(), FaultPlan::flaky(), seed);
+        let got = read_through(r).unwrap();
         assert_eq!(got, want, "seed {seed}");
     }
 }
@@ -129,9 +115,9 @@ fn decode_under_corruption_faults_never_panics() {
             short_op: 0.3,
             ..FaultPlan::none()
         };
-        let mut r = FaultyReader::new(base.as_slice(), plan, seed);
+        let r = FaultyReader::new(base.as_slice(), plan, seed);
         // Ok or typed Err are both acceptable; a panic fails the test.
-        let _ = read_trace(&mut r);
+        let _ = read_through(r);
     }
 }
 
@@ -142,9 +128,9 @@ fn hostile_count_under_faults_stays_bounded() {
     hostile.extend_from_slice(b"MTRC\x01");
     mocktails_trace::codec::write_u64(&mut hostile, 1 << 60).unwrap();
     for seed in 0..50u64 {
-        let mut r = FaultyReader::new(hostile.as_slice(), FaultPlan::flaky(), seed);
+        let r = FaultyReader::new(hostile.as_slice(), FaultPlan::flaky(), seed);
         assert!(matches!(
-            read_trace(&mut r),
+            read_through(r),
             Err(TraceError::LimitExceeded { .. } | TraceError::Io(_))
         ));
     }

@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example profile_exchange`
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
 
 use mocktails::trace::codec;
 use mocktails::workloads::catalog;
@@ -31,10 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- Academia side -------------------------------------------------
-    let received = Profile::read(
-        &mut BufReader::new(File::open(&profile_path)?),
-        &DecodeOptions::default(),
-    )?;
+    let bytes = std::fs::read(&profile_path)?;
+    let received = Profile::read(&mut bytes.as_slice(), &DecodeOptions::default())?;
     assert_eq!(received, profile);
 
     // Option B: couple the synthesizer to the simulator so backpressure

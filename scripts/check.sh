@@ -54,6 +54,7 @@ MOCKTAILS_THREADS=4 ./scripts/store-smoke.sh
 echo "==> fuzz smoke (seeded mutation campaigns)"
 cargo test -q --offline -p mocktails-trace --test fuzz_trace
 cargo test -q --offline -p mocktails-core --test fuzz_profile
+cargo test -q --offline -p mocktails-store --test fuzz_store
 
 echo "==> e2e golden outputs (all four workloads at seed 0)"
 # Each run fails on a non-zero exit when an output no longer matches its

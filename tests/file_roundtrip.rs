@@ -2,7 +2,7 @@
 //! profiles written to real files and read back.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufWriter;
 
 use mocktails::trace::codec;
 use mocktails::workloads::catalog;
@@ -22,7 +22,8 @@ fn trace_file_round_trip() {
         .truncate_to(5_000);
     let path = temp_path("trace.mtrace");
     codec::write_trace(&mut BufWriter::new(File::create(&path).unwrap()), &trace).unwrap();
-    let back = codec::read_trace(&mut BufReader::new(File::open(&path).unwrap())).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let back = codec::read_trace(&mut bytes.as_slice()).unwrap();
     assert_eq!(back, trace);
     std::fs::remove_file(&path).ok();
 }
@@ -39,7 +40,7 @@ fn profile_file_round_trip_and_synthesis_equivalence() {
         .write(&mut BufWriter::new(File::create(&path).unwrap()))
         .unwrap();
     let back = Profile::read(
-        &mut BufReader::new(File::open(&path).unwrap()),
+        &mut std::fs::read(&path).unwrap().as_slice(),
         &DecodeOptions::default(),
     )
     .unwrap();
@@ -89,7 +90,7 @@ fn corrupted_profile_file_is_rejected() {
     bytes.truncate(mid);
     std::fs::write(&path, &bytes).unwrap();
     assert!(Profile::read(
-        &mut BufReader::new(File::open(&path).unwrap()),
+        &mut std::fs::read(&path).unwrap().as_slice(),
         &DecodeOptions::default()
     )
     .is_err());

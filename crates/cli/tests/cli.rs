@@ -237,6 +237,22 @@ fn corrupt_input_exits_3_without_usage_noise() {
 }
 
 #[test]
+fn non_utf8_csv_is_corrupt_input_exit_3() {
+    let path = temp("not-utf8.csv");
+    std::fs::write(&path, b"\xff\xfe").unwrap();
+    let out = mocktails(&[
+        "profile",
+        path.to_str().unwrap(),
+        "-o",
+        temp("not-utf8.mprofile").to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(3));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("not UTF-8 at byte 0"), "{stderr}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn truncated_input_exits_3() {
     // A valid profile cut in half is corrupt input, not an I/O failure.
     let trace_path = temp("trunc.mtrace");

@@ -13,6 +13,16 @@
 //!   acks the caller sends explicitly, for consumers that want real
 //!   backpressure (or tests that withhold acks on purpose).
 //!
+//! Every stream runs a credit window: each `Ack` is one credit, and the
+//! server encodes one chunk per banked credit. On `SynthStart` the client
+//! sends up to `WINDOW - 1` credits at once, then one more per chunk it
+//! takes, so the server runs up to `WINDOW` chunks ahead of the reader
+//! instead of paying one round trip per chunk. The client never sends more
+//! credits than the stream will consume — one per chunk, the last one
+//! releasing `SynthEnd` — so a stream that ends normally or by
+//! [`SynthStream::cancel`] leaves no ack behind and the connection stays
+//! reusable.
+//!
 //! The coupled (Option B) stream is the same stream with a richer chunk:
 //! [`Client::couple`] and [`Client::begin_couple`] mirror the two calls
 //! above, and [`SynthStream`]`<'_, CoupledChunk>` carries each chunk's
@@ -104,6 +114,10 @@ pub struct CompactOutcome {
 /// `max_frame_len`, so any response a default server sends fits.
 const MAX_FRAME_LEN: usize = 64 << 20;
 
+/// Chunks a stream keeps in flight: the client stays `WINDOW - 1` acks
+/// ahead of the chunk it is reading.
+const WINDOW: u64 = 8;
+
 /// A connected protocol client.
 pub struct Client {
     reader: BufReader<TcpStream>,
@@ -143,6 +157,16 @@ impl Client {
 
     fn send(&mut self, request: &Request) -> Result<(), ServeError> {
         write_frame(&mut self.writer, &request.encode())?;
+        self.writer.flush()?;
+        Ok(())
+    }
+
+    /// Sends `count` `Ack` frames in one flush.
+    fn send_acks(&mut self, count: u64) -> Result<(), ServeError> {
+        let ack = Request::Ack.encode();
+        for _ in 0..count {
+            write_frame(&mut self.writer, &ack)?;
+        }
         self.writer.flush()?;
         Ok(())
     }
@@ -246,7 +270,7 @@ impl Client {
             chunk_len,
             source,
         };
-        self.begin_stream(&request, |response| match response {
+        self.begin_stream(&request, chunk_len, |response| match response {
             Response::CoupledChunk {
                 count,
                 simulated_cycles,
@@ -279,29 +303,37 @@ impl Client {
             chunk_len,
             source,
         };
-        self.begin_stream(&request, |response| match response {
+        self.begin_stream(&request, chunk_len, |response| match response {
             Response::SynthChunk { records, .. } => Ok(records),
             other => Err(unexpected("synth-chunk", &other)),
         })
     }
 
-    /// Sends a stream-opening request and reads its `SynthStart`; `chunk`
-    /// decodes every later chunk frame.
+    /// Sends a stream-opening request, reads its `SynthStart` and opens
+    /// the credit window; `chunk` decodes every later chunk frame.
     fn begin_stream<C>(
         &mut self,
         request: &Request,
+        chunk_len: u32,
         chunk: fn(Response) -> Result<C, ServeError>,
     ) -> Result<SynthStream<'_, C>, ServeError> {
         self.send(request)?;
-        match self.recv()? {
-            Response::SynthStart { total_requests } => Ok(SynthStream {
-                client: self,
-                declared_total: total_requests,
-                end: None,
-                chunk,
-            }),
-            other => Err(unexpected("synth-start", &other)),
-        }
+        let total_requests = match self.recv()? {
+            Response::SynthStart { total_requests } => total_requests,
+            other => return Err(unexpected("synth-start", &other)),
+        };
+        // One ack per chunk, the last releasing `SynthEnd`; the server
+        // refuses `chunk_len` 0 before `SynthStart`.
+        let owed = total_requests.div_ceil(u64::from(chunk_len.max(1)));
+        let ahead = owed.min(WINDOW - 1);
+        self.send_acks(ahead)?;
+        Ok(SynthStream {
+            client: self,
+            declared_total: total_requests,
+            acks_owed: owed - ahead,
+            end: None,
+            chunk,
+        })
     }
 
     /// Requests a profile summary.
@@ -372,15 +404,19 @@ impl Client {
 /// An in-progress synthesis stream with caller-controlled acks.
 ///
 /// Call [`SynthStream::next_chunk`] until it returns `None`, sending
-/// [`SynthStream::ack`] between chunks (the server ships chunk *n+1*
-/// only after chunk *n* is acked), then read the end-of-stream totals
-/// with [`SynthStream::end`]. A plain stream's chunks are their record
-/// bytes; a coupled stream ([`Client::begin_couple`]) yields
-/// [`CoupledChunk`]s.
+/// [`SynthStream::ack`] after each chunk, then read the end-of-stream
+/// totals with [`SynthStream::end`]. The stream opens with a window of
+/// credits already granted and each ack grants one more, so the server
+/// runs up to `WINDOW` (8) chunks ahead of the reader; a caller that
+/// stops acking stops the stream within that window. A plain stream's
+/// chunks are their record bytes; a coupled stream
+/// ([`Client::begin_couple`]) yields [`CoupledChunk`]s.
 #[derive(Debug)]
 pub struct SynthStream<'a, C = Vec<u8>> {
     client: &'a mut Client,
     declared_total: u64,
+    /// Acks the server will still consume that have not been sent.
+    acks_owed: u64,
     end: Option<(u64, u64)>,
     chunk: fn(Response) -> Result<C, ServeError>,
 }
@@ -413,23 +449,34 @@ impl<C> SynthStream<'_, C> {
         }
     }
 
-    /// Acknowledges the chunk just received, releasing the next one.
+    /// Acknowledges the chunk just received, granting the server one
+    /// more credit. Once every credit the stream will consume has been
+    /// sent this sends nothing.
     ///
     /// # Errors
     ///
     /// Transport failures.
     pub fn ack(&mut self) -> Result<(), ServeError> {
+        if self.acks_owed == 0 {
+            return Ok(());
+        }
+        self.acks_owed -= 1;
         self.client.send(&Request::Ack)
     }
 
     /// Cancels the stream and drains it to its (clean) end-of-stream
-    /// frame, so the connection is reusable afterwards.
+    /// frame, so the connection is reusable afterwards. Chunks already
+    /// in flight are read and dropped; the end frame's totals count them.
     ///
     /// # Errors
     ///
     /// Transport failures.
     pub fn cancel(mut self) -> Result<(u64, u64), ServeError> {
-        self.client.send(&Request::Cancel)?;
+        // With every credit sent the server ends the stream by itself,
+        // and a `Cancel` racing that end would answer as a stray error.
+        if self.end.is_none() && self.acks_owed > 0 {
+            self.client.send(&Request::Cancel)?;
+        }
         while self.next_chunk()?.is_some() {}
         self.end()
     }

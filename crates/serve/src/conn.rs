@@ -187,8 +187,9 @@ pub(crate) struct Coupling {
     pub(crate) simulated_cycles: u64,
 }
 
-/// A streaming synthesis parked between chunk jobs. Chunk jobs lock it,
-/// encode one chunk, and release; the reactor never computes on it.
+/// A streaming synthesis parked between chunk jobs. A chunk job locks it
+/// for each chunk it encodes and releases it before sending the frame;
+/// the reactor never computes on it.
 pub(crate) struct SynthState {
     pub(crate) synth: Synthesizer,
     pub(crate) encoder: RecordEncoder,
@@ -410,7 +411,8 @@ pub(crate) struct StreamCtl {
     /// True while a chunk/finalize job for this stream is in the pool;
     /// at most one is ever in flight, so chunks stay ordered.
     pub(crate) job_in_flight: bool,
-    /// Acks received but not yet turned into chunk jobs.
+    /// Credits (acks) banked but not yet handed to a chunk job; each
+    /// releases one chunk, or `SynthEnd` after the last.
     pub(crate) pending_acks: u32,
     /// Set by `Cancel`, client EOF, or a superseding request: the next
     /// dispatch finalizes the stream instead of chunking.

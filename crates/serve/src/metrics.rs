@@ -77,23 +77,51 @@ impl Clock for ManualClock {
     }
 }
 
+/// Buckets per power of two.
+const SUB_BUCKETS: usize = 4;
+
+/// Bounded buckets: 1–4 µs one apiece, then [`SUB_BUCKETS`] per power of
+/// two from 4 µs up to 2^27 µs (~134 s).
+const BUCKETS: usize = SUB_BUCKETS * 26;
+
 /// Upper bounds (microseconds, inclusive) of the histogram buckets; the
-/// final implicit bucket is unbounded. Powers of ~4 from 100 µs to ~100 s.
-const BUCKET_BOUNDS: [u64; 8] = [
-    100,
-    400,
-    1_600,
-    6_400,
-    25_600,
-    102_400,
-    1_638_400,
-    104_857_600,
-];
+/// final implicit bucket is unbounded. Log-linear: 1, 2, 3, 4, then four
+/// evenly spaced bounds per power of two (5, 6, 7, 8, 10, 12, 14, 16,
+/// 20, …, 2^27), so a quantile reads within 25% of the observation at
+/// any scale. The set is fixed, so the rendered lines never depend on
+/// what was observed.
+const BUCKET_BOUNDS: [u64; BUCKETS] = {
+    let mut bounds = [0u64; BUCKETS];
+    let mut i = 0;
+    while i < BUCKETS {
+        bounds[i] = if i < SUB_BUCKETS {
+            i as u64 + 1
+        } else {
+            // Bucket i sits in the octave (2^k, 2^(k+1)], in steps of 2^k / 4.
+            let k = i / SUB_BUCKETS + 1;
+            let step = 1u64 << (k - 2);
+            (1u64 << k) + (i % SUB_BUCKETS) as u64 * step + step
+        };
+        i += 1;
+    }
+    bounds
+};
+
+/// One cell per bucket of [`BUCKET_BOUNDS`], then the overflow bucket.
+/// (Arrays this long have no derived `Default`.)
+#[derive(Debug)]
+struct Buckets([AtomicU64; BUCKETS + 1]);
+
+impl Default for Buckets {
+    fn default() -> Self {
+        Self(std::array::from_fn(|_| AtomicU64::new(0)))
+    }
+}
 
 /// A fixed-bucket latency histogram with atomic cells.
 #[derive(Debug, Default)]
 pub struct Histogram {
-    buckets: [AtomicU64; BUCKET_BOUNDS.len() + 1],
+    buckets: Buckets,
     sum: AtomicU64,
     count: AtomicU64,
 }
@@ -106,16 +134,10 @@ impl Histogram {
 
     /// Records one observation.
     pub fn observe(&self, micros: u64) {
-        // Pair each bound with its bucket so no index arithmetic can go
-        // out of range; the unpaired final bucket is the overflow bucket.
-        let mut chosen = self.buckets.last();
-        for (&bound, bucket) in BUCKET_BOUNDS.iter().zip(self.buckets.iter()) {
-            if micros <= bound {
-                chosen = Some(bucket);
-                break;
-            }
-        }
-        if let Some(bucket) = chosen {
+        // The first bound at or above the observation; past every bound
+        // that is the final, overflow bucket.
+        let chosen = BUCKET_BOUNDS.partition_point(|&bound| bound < micros);
+        if let Some(bucket) = self.buckets.0.get(chosen) {
             bucket.fetch_add(1, Ordering::SeqCst);
         }
         // Saturate rather than wrap: a sum stuck at `u64::MAX` still
@@ -149,8 +171,8 @@ impl Histogram {
         }
         let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
         let mut seen = 0u64;
-        for (i, &bound) in BUCKET_BOUNDS.iter().enumerate() {
-            seen += self.buckets[i].load(Ordering::SeqCst);
+        for (&bound, bucket) in BUCKET_BOUNDS.iter().zip(&self.buckets.0) {
+            seen += bucket.load(Ordering::SeqCst);
             if seen >= rank {
                 return bound;
             }
@@ -160,17 +182,17 @@ impl Histogram {
 
     fn render_into(&self, name: &str, out: &mut String) {
         use std::fmt::Write;
-        for (i, &bound) in BUCKET_BOUNDS.iter().enumerate() {
+        for (&bound, bucket) in BUCKET_BOUNDS.iter().zip(&self.buckets.0) {
             let _ = writeln!(
                 out,
                 "{name}_bucket{{le=\"{bound}\"}} {}",
-                self.buckets[i].load(Ordering::SeqCst)
+                bucket.load(Ordering::SeqCst)
             );
         }
         let _ = writeln!(
             out,
             "{name}_bucket{{le=\"+inf\"}} {}",
-            self.buckets[BUCKET_BOUNDS.len()].load(Ordering::SeqCst)
+            self.buckets.0[BUCKETS].load(Ordering::SeqCst)
         );
         let _ = writeln!(out, "{name}_sum_micros {}", self.sum_micros());
         let _ = writeln!(out, "{name}_count {}", self.count());
@@ -372,15 +394,15 @@ mod tests {
     #[test]
     fn histogram_buckets_by_bound() {
         let h = Histogram::new();
-        h.observe(50); // first bucket
-        h.observe(100); // still first (inclusive)
-        h.observe(101); // second
+        h.observe(90); // le="96"
+        h.observe(96); // still le="96" (inclusive)
+        h.observe(97); // the next bucket, le="112"
         h.observe(u64::MAX); // overflow bucket
         assert_eq!(h.count(), 4);
         let mut text = String::new();
         h.render_into("t", &mut text);
-        assert!(text.contains("t_bucket{le=\"100\"} 2"), "{text}");
-        assert!(text.contains("t_bucket{le=\"400\"} 1"), "{text}");
+        assert!(text.contains("t_bucket{le=\"96\"} 2"), "{text}");
+        assert!(text.contains("t_bucket{le=\"112\"} 1"), "{text}");
         assert!(text.contains("t_bucket{le=\"+inf\"} 1"), "{text}");
         assert!(text.contains("t_count 4"), "{text}");
         // The sum saturates instead of wrapping past `u64::MAX`.
@@ -510,15 +532,29 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.quantile(0.99), 0, "empty histogram");
         for _ in 0..99 {
-            h.observe(50); // le="100"
+            h.observe(50); // le="56"
         }
         h.observe(200_000_000); // overflow bucket
-        assert_eq!(h.quantile(0.50), 100);
-        assert_eq!(h.quantile(0.99), 100, "rank 99 is still in le=100");
+        assert_eq!(h.quantile(0.50), 56);
+        assert_eq!(h.quantile(0.99), 56, "rank 99 is still in le=56");
         assert_eq!(h.quantile(1.0), u64::MAX, "the max landed past all bounds");
         let h = Histogram::new();
-        h.observe(500); // le="1600"
-        assert_eq!(h.quantile(0.50), 1_600);
-        assert_eq!(h.quantile(0.99), 1_600);
+        h.observe(25_000); // le="28672" (7 × 2^12)
+        assert_eq!(h.quantile(0.50), 28_672);
+        assert_eq!(h.quantile(0.99), 28_672);
+    }
+
+    #[test]
+    fn bucket_bounds_are_log_linear_with_four_per_octave() {
+        assert_eq!(
+            BUCKET_BOUNDS[..12],
+            [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16]
+        );
+        assert_eq!(BUCKET_BOUNDS[BUCKETS - 1], 1 << 27);
+        // Every bucket is at most a quarter of its lower edge wide.
+        for pair in BUCKET_BOUNDS.windows(2) {
+            assert!(pair[0] < pair[1]);
+            assert!((pair[1] - pair[0]) * 4 <= pair[0].max(4), "{pair:?}");
+        }
     }
 }

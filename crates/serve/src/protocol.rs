@@ -85,7 +85,9 @@ pub enum Request {
     Metricsz,
     /// Begin graceful shutdown: drain in-flight work, then exit.
     Shutdown,
-    /// Client-driven backpressure: release the next `SynthChunk`.
+    /// One credit: the server encodes one chunk per banked ack, so a
+    /// client may ack ahead of the chunks it has read (the last credit
+    /// releases `SynthEnd`).
     Ack,
     /// Abandon the in-flight streaming request on this connection.
     Cancel,

@@ -17,7 +17,12 @@
 //! bounded reads assembled into frames (unless paused by backpressure or
 //! phase), and completed frames dispatched. Compute never happens here —
 //! requests are admitted against their shard's budget and submitted to
-//! the pool; streams advance one chunk job per client ack.
+//! the pool. A stream banks its client's acks as credits and hands every
+//! banked credit (up to [`STREAM_JOB_CHUNKS`]) to one chunk job; while
+//! the connection's output sits above
+//! [`crate::conn::WRITE_HIGH_WATERMARK`] it starts no chunk job, so
+//! credits banked by a client that stopped reading cannot grow the
+//! write queue without bound.
 
 use std::io;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -27,13 +32,17 @@ use std::sync::Arc;
 use mocktails_pool::bounded::SubmitError;
 
 use crate::cache::ShardSlot;
-use crate::conn::{Conn, Outgoing, Phase, StreamCtl, WriteOutcome};
+use crate::conn::{Conn, Outgoing, Phase, StreamCtl, WriteOutcome, WRITE_HIGH_WATERMARK};
 use crate::error::{ErrorCode, ServeError};
 use crate::protocol::{Request, Response, PROTOCOL_VERSION};
-use crate::server::{self, Job, Shared};
+use crate::server::{self, Job, Shared, StreamWork};
 
 /// Connections accepted per sweep before yielding to existing ones.
 const ACCEPT_BURST: usize = 64;
+
+/// Most banked credits one stream job turns into chunks before it hands
+/// its worker back, so one fast client cannot monopolise a worker.
+const STREAM_JOB_CHUNKS: u32 = 16;
 
 /// Park timeout ceiling: an upper bound on how stale an idle reactor can
 /// be about anything that did not explicitly wake it.
@@ -182,6 +191,8 @@ fn sweep_conn(shared: &Arc<Shared>, conn: &mut Conn, now: u64, open_conns: usize
             return true;
         }
     }
+    // Credits held back by the write-queue gate resume once it drains.
+    drive_stream(shared, conn);
     if !conn.read_paused() {
         progress |= conn.pump_read();
     }
@@ -234,8 +245,14 @@ fn handle_event(
                 settle_idle(shared, conn, now, open_conns);
             } else {
                 drive_stream(shared, conn);
+                // Credits held back by the write-queue gate wait on the
+                // client's reads, not on its next ack.
                 if let Phase::Streaming(ctl) = &mut conn.phase {
-                    if !ctl.job_in_flight && !ctl.cancel && ctl.awaiting_ack_since.is_none() {
+                    if !ctl.job_in_flight
+                        && !ctl.cancel
+                        && ctl.pending_acks == 0
+                        && ctl.awaiting_ack_since.is_none()
+                    {
                         ctl.awaiting_ack_since = Some(now);
                     }
                 }
@@ -245,23 +262,31 @@ fn handle_event(
 }
 
 /// If the connection's stream owes work and has no job in flight,
-/// submits the next one: a finalize when cancelled, else a chunk per
-/// banked ack.
+/// submits the next one: a finalize when cancelled, else one job that
+/// encodes a chunk per banked credit (at most [`STREAM_JOB_CHUNKS`]).
+/// No chunk job starts while the write queue is above the high
+/// watermark; the sweep calls back here once writes drain it.
 fn drive_stream(shared: &Arc<Shared>, conn: &mut Conn) {
-    let tx = conn.tx();
-    let mut submit_failed = false;
-    if let Phase::Streaming(ctl) = &mut conn.phase {
-        if ctl.job_in_flight || (!ctl.cancel && ctl.pending_acks == 0) {
-            return;
-        }
-        if !ctl.cancel {
-            ctl.pending_acks -= 1;
-            ctl.awaiting_ack_since = None;
-        }
-        ctl.job_in_flight = true;
-        let state = Arc::clone(&ctl.state);
-        submit_failed = server::submit_stream_job(shared, tx, state, ctl.cancel).is_err();
+    let backed_up = conn.writeq.queued_bytes() > WRITE_HIGH_WATERMARK;
+    let Phase::Streaming(ctl) = &mut conn.phase else {
+        return;
+    };
+    if ctl.job_in_flight {
+        return;
     }
+    let work = if ctl.cancel {
+        StreamWork::Finalize
+    } else if ctl.pending_acks == 0 || backed_up {
+        return;
+    } else {
+        let credits = ctl.pending_acks.min(STREAM_JOB_CHUNKS);
+        ctl.pending_acks -= credits;
+        ctl.awaiting_ack_since = None;
+        StreamWork::Chunks(credits)
+    };
+    ctl.job_in_flight = true;
+    let state = Arc::clone(&ctl.state);
+    let submit_failed = server::submit_stream_job(shared, conn.tx(), state, work).is_err();
     // Continuations are only refused by pool drain, which cannot happen
     // while the reactor runs; defensively treat it as a dead connection.
     if submit_failed {
@@ -454,7 +479,7 @@ fn handle_streaming_request(shared: &Arc<Shared>, conn: &mut Conn, request: Requ
         Request::Ack => {
             if let Phase::Streaming(ctl) = &mut conn.phase {
                 if !ctl.cancel {
-                    ctl.pending_acks += 1;
+                    ctl.pending_acks = ctl.pending_acks.saturating_add(1);
                     ctl.awaiting_ack_since = None;
                 }
             }

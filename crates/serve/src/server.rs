@@ -7,9 +7,10 @@
 //! runs on a bounded [`WorkerPool`]; jobs hand their responses back
 //! through a per-connection outbox ([`crate::conn::ConnTx`]) and the
 //! reactor writes them out. A streaming synthesis never pins a worker:
-//! each client ack schedules one short chunk job against the stream's
-//! parked [`crate::conn::SynthState`], so thousands of concurrent
-//! streams need only as many workers as there are chunks in flight.
+//! each client ack banks one credit, and the reactor hands a stream's
+//! banked credits to one short chunk job against its parked
+//! [`crate::conn::SynthState`], so thousands of concurrent streams need
+//! only as many workers as there are chunk jobs in flight.
 //!
 //! Admission is sharded: the profile cache is a [`ShardedCache`] keyed
 //! by content fingerprint, and each shard has a bounded in-flight budget
@@ -583,9 +584,17 @@ pub(crate) fn submit_request_job(
     })
 }
 
-/// Submits a continuation of an admitted stream: its next acked chunk,
-/// or its finalize once cancelled. Bypasses the queue cap so an open
-/// stream can never be wedged by fresh load.
+/// What one continuation job does for an open stream.
+pub(crate) enum StreamWork {
+    /// Encode one chunk per banked credit, stopping early at the end.
+    Chunks(u32),
+    /// Cancelled, superseded or abandoned: send the clean `SynthEnd`.
+    Finalize,
+}
+
+/// Submits a continuation of an admitted stream: chunks for its banked
+/// credits, or its finalize once cancelled. Bypasses the queue cap so an
+/// open stream can never be wedged by fresh load.
 ///
 /// # Errors
 ///
@@ -594,11 +603,11 @@ pub(crate) fn submit_stream_job(
     shared: &Arc<Shared>,
     tx: ConnTx,
     state: Arc<Mutex<SynthState>>,
-    finalize: bool,
+    work: StreamWork,
 ) -> Result<(), SubmitError> {
     let job_shared = Arc::clone(shared);
     shared.pool.submit_continuation(move || {
-        stream_job(&job_shared, &tx, &state, finalize);
+        stream_job(&job_shared, &tx, &state, &work);
         job_shared.wake.wake();
     })
 }
@@ -874,25 +883,37 @@ fn open_stream(
     })
 }
 
-/// Worker-side continuation of a stream: one acked chunk or, when
-/// `finalize` (cancelled, superseded or abandoned), the clean `SynthEnd`.
-fn stream_job(shared: &Shared, tx: &ConnTx, state: &Arc<Mutex<SynthState>>, finalize: bool) {
-    let (reply, ended) = {
-        let mut state = state.lock().unwrap_or_else(PoisonError::into_inner);
-        let reply = if state.finished {
-            None
-        } else if finalize {
-            Some(Ok(end_stream(shared, &mut state)))
-        } else {
-            // Pure compute under the stream's own lock (no other thread
-            // touches this stream while its one job runs); the frame is
-            // sent after release.
-            Some(encode_next(shared, &mut state)) // lint: allow(L013, the coupled path's MemorySystem::inject is in-memory simulation, not blocking I/O — the stream's lock is held by exactly this one job)
-        };
-        (reply, state.finished)
+/// Worker-side continuation of a stream: a chunk per credit or, on
+/// [`StreamWork::Finalize`], the clean `SynthEnd`. Each frame is sent as
+/// soon as it is encoded; one `stream_progress` reports the job done.
+fn stream_job(shared: &Shared, tx: &ConnTx, state: &Mutex<SynthState>, work: &StreamWork) {
+    let steps = match work {
+        StreamWork::Chunks(credits) => *credits,
+        StreamWork::Finalize => 1,
     };
-    if let Some(reply) = reply {
-        send_reply(shared, tx, reply);
+    let mut ended = false;
+    for _ in 0..steps {
+        let reply = {
+            let mut state = state.lock().unwrap_or_else(PoisonError::into_inner);
+            let reply = if state.finished {
+                None
+            } else if let StreamWork::Finalize = work {
+                Some(Ok(end_stream(shared, &mut state)))
+            } else {
+                // Pure compute under the stream's own lock (no other
+                // thread touches this stream while its one job runs); the
+                // frame is sent after release.
+                Some(encode_next(shared, &mut state)) // lint: allow(L013, the coupled path's MemorySystem::inject is in-memory simulation, not blocking I/O — the stream's lock is held by exactly this one job)
+            };
+            ended = state.finished;
+            reply
+        };
+        if let Some(reply) = reply {
+            send_reply(shared, tx, reply);
+        }
+        if ended {
+            break;
+        }
     }
     tx.stream_progress(ended);
 }

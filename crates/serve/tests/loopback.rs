@@ -3,13 +3,15 @@
 
 use std::sync::Arc;
 
-use mocktails_core::{HierarchyConfig, LayerSpec, Profile};
+use mocktails_core::{HierarchyConfig, LayerSpec, LeafModel, McC, Profile};
 use mocktails_pool::Parallelism;
+use mocktails_serve::frame::{read_frame, write_frame};
 use mocktails_serve::{
-    Client, ErrorCode, ManualClock, ProfileSource, ServeError, Server, ServerConfig,
+    Client, ErrorCode, ManualClock, ProfileSource, Request as WireRequest, Response, ServeError,
+    Server, ServerConfig,
 };
-use mocktails_trace::codec::write_trace;
-use mocktails_trace::{DecodeLimits, DecodeOptions, Request, Trace};
+use mocktails_trace::codec::{write_trace, RecordDecoder, RecordEncoder};
+use mocktails_trace::{AddrRange, DecodeLimits, DecodeOptions, Fingerprinter, Request, Trace};
 use mocktails_workloads::spec::generate_n;
 
 const CYCLES: u64 = 50_000;
@@ -173,13 +175,11 @@ fn idle_server_backs_off_to_one_sweep_per_park_tick() {
     client
         .synthesize(SEED, 64, ProfileSource::Fingerprint(fit.fingerprint))
         .expect("synthesize");
-    let mut wakeups = || -> u64 {
-        let text = client.metricsz().expect("metricsz");
-        text.lines()
-            .find_map(|l| l.strip_prefix("reactor_wakeups_total "))
-            .expect("reactor_wakeups_total present")
-            .parse()
-            .expect("numeric")
+    let mut wakeups = || {
+        metric(
+            &client.metricsz().expect("metricsz"),
+            "reactor_wakeups_total",
+        )
     };
     let started = std::time::Instant::now();
     let before = wakeups();
@@ -479,27 +479,14 @@ fn thirty_two_concurrent_clients_complete_without_deadlock() {
     // The hit-rate metric reflects the repeats.
     let mut client = Client::connect(&addr).expect("metrics connect");
     let text = client.metricsz().expect("metricsz");
-    let hits: u64 = text
-        .lines()
-        .find_map(|l| l.strip_prefix("cache_hits_total "))
-        .expect("cache_hits_total present")
-        .parse()
-        .expect("numeric");
-    let misses: u64 = text
-        .lines()
-        .find_map(|l| l.strip_prefix("cache_misses_total "))
-        .expect("cache_misses_total present")
-        .parse()
-        .expect("numeric");
-    assert_eq!(hits, 32, "{text}");
-    assert_eq!(misses, 1, "{text}");
+    assert_eq!(metric(&text, "cache_hits_total"), 32, "{text}");
+    assert_eq!(metric(&text, "cache_misses_total"), 1, "{text}");
     shut_down(&addr, handle);
 }
 
 #[test]
 fn version_mismatch_is_refused_with_typed_error() {
-    use mocktails_serve::frame::{read_frame, write_frame};
-    use mocktails_serve::{Request, Response, PROTOCOL_VERSION};
+    use mocktails_serve::PROTOCOL_VERSION;
     use std::io::Write;
 
     // A version-3 `FitProfile`: a `clusters u32` sat between the cycle
@@ -513,7 +500,7 @@ fn version_mismatch_is_refused_with_typed_error() {
     for version in [9999, PROTOCOL_VERSION - 1] {
         let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
         let mut framed = Vec::new();
-        write_frame(&mut framed, &Request::Hello { version }.encode()).expect("frame hello");
+        write_frame(&mut framed, &WireRequest::Hello { version }.encode()).expect("frame hello");
         write_frame(&mut framed, &old_fit).expect("frame fit");
         stream.write_all(&framed).expect("send");
         stream.flush().expect("flush");
@@ -706,6 +693,15 @@ fn compact_without_a_store_is_not_found() {
 /// and feed stalls back — collecting the paced trace plus the
 /// backpressure totals the server must reproduce over the wire.
 fn offline_coupled(trace: &Trace) -> (Vec<u8>, u64, u64) {
+    let (paced, stall_cycles) = offline_paced(trace);
+    let simulated_cycles = paced.last().expect("non-empty").timestamp;
+    let paced = Trace::from_sorted_requests(paced);
+    (trace_bytes(&paced), simulated_cycles, stall_cycles)
+}
+
+/// The paced requests of the offline Option B run, plus its total stall
+/// cycles.
+fn offline_paced(trace: &Trace) -> (Vec<Request>, u64) {
     use mocktails_core::InjectionFeedback;
     use mocktails_dram::{DramConfig, MemorySystem};
     let profile = Profile::fit_with(trace, &offline_config(), Parallelism::sequential());
@@ -719,10 +715,7 @@ fn offline_coupled(trace: &Trace) -> (Vec<u8>, u64, u64) {
         }
         paced.push(request);
     }
-    let stall_cycles = synth.accumulated_delay();
-    let simulated_cycles = paced.last().expect("non-empty").timestamp;
-    let paced = Trace::from_sorted_requests(paced);
-    (trace_bytes(&paced), simulated_cycles, stall_cycles)
+    (paced, synth.accumulated_delay())
 }
 
 #[test]
@@ -799,5 +792,284 @@ fn coupled_chunks_report_monotonic_simulated_time_and_end_cleanly() {
     let text = client.metricsz().expect("metricsz after stream");
     assert!(text.contains("coupled_requests_total 1"), "{text}");
     assert!(text.contains("coupled_chunks_total"), "{text}");
+    shut_down(&addr, handle);
+}
+
+/// A protocol client speaking raw frames, so a test can send any number
+/// of acks at any point without going through [`Client`]'s window.
+struct RawConn {
+    stream: std::net::TcpStream,
+}
+
+impl RawConn {
+    fn connect(addr: &str) -> Self {
+        let stream = std::net::TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        let mut conn = Self { stream };
+        conn.send(&[WireRequest::Hello {
+            version: mocktails_serve::PROTOCOL_VERSION,
+        }]);
+        assert!(matches!(conn.recv(), Response::HelloOk { .. }));
+        conn
+    }
+
+    /// Writes every request's frame in one write.
+    fn send(&mut self, requests: &[WireRequest]) {
+        use std::io::Write;
+        let mut bytes = Vec::new();
+        for request in requests {
+            write_frame(&mut bytes, &request.encode()).expect("frame");
+        }
+        self.stream.write_all(&bytes).expect("send");
+    }
+
+    fn recv(&mut self) -> Response {
+        let payload = read_frame(&mut self.stream, 64 << 20)
+            .expect("read frame")
+            .expect("server closed the connection");
+        Response::decode(&payload).expect("decodable response")
+    }
+
+    fn errors_total(&mut self) -> u64 {
+        self.send(&[WireRequest::Metricsz]);
+        match self.recv() {
+            Response::MetricsText { text } => metric(&text, "errors_total"),
+            other => panic!("expected metrics text, got {other:?}"),
+        }
+    }
+}
+
+/// One `name value` line of a `/metricsz` rendering.
+fn metric(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("{name} missing from:\n{text}"))
+        .parse()
+        .expect("numeric metric")
+}
+
+/// The record bytes, request count and order-sensitive fingerprint a
+/// stream of `requests` must carry.
+fn expected_stream(requests: &[Request]) -> (Vec<u8>, u64, u64) {
+    let mut encoder = RecordEncoder::new();
+    let mut fingerprinter = Fingerprinter::new();
+    let mut records = Vec::new();
+    for request in requests {
+        encoder.encode(&mut records, request).expect("encode");
+        fingerprinter.push(request);
+    }
+    (records, requests.len() as u64, fingerprinter.digest())
+}
+
+/// A stream-opening request: `CoupledSynthesize` when `coupled`.
+fn open_request(coupled: bool, chunk_len: u32, source: ProfileSource) -> WireRequest {
+    if coupled {
+        WireRequest::CoupledSynthesize {
+            seed: SEED,
+            chunk_len,
+            source,
+        }
+    } else {
+        WireRequest::Synthesize {
+            seed: SEED,
+            chunk_len,
+            source,
+        }
+    }
+}
+
+/// A chunk frame's request count and record bytes; `None` for anything
+/// else.
+fn chunk_records(response: Response) -> Option<(u32, Vec<u8>)> {
+    match response {
+        Response::SynthChunk { count, records } | Response::CoupledChunk { count, records, .. } => {
+            Some((count, records))
+        }
+        _ => None,
+    }
+}
+
+#[test]
+fn streamed_bytes_do_not_depend_on_credits_sent_ahead() {
+    // However many acks the client sends before reading — none, a few,
+    // more than the window, or every ack the stream will consume — the
+    // server encodes one chunk per credit and the bytes equal the offline
+    // pipeline's, plain and coupled, at any chunk length.
+    let trace = small_trace();
+    let profile = Profile::fit_with(&trace, &offline_config(), Parallelism::sequential());
+    let open_loop = expected_stream(profile.synthesize(SEED).requests());
+    let paced = expected_stream(&offline_paced(&trace).0);
+    let (addr, handle) = start_server(ServerConfig::default());
+    let fingerprint = Client::connect(&addr)
+        .expect("connect")
+        .fit(CYCLES, trace_bytes(&trace))
+        .expect("fit")
+        .fingerprint;
+    let mut conn = RawConn::connect(&addr);
+    for coupled in [false, true] {
+        let (want_records, want_total, want_fingerprint) =
+            if coupled { &paced } else { &open_loop };
+        for chunk_len in [1u32, 7, 512] {
+            let owed = want_total.div_ceil(u64::from(chunk_len));
+            for ahead in [0, 3, 15, owed] {
+                let case = format!("coupled {coupled}, chunk_len {chunk_len}, ahead {ahead}");
+                let source = ProfileSource::Fingerprint(fingerprint);
+                conn.send(&[open_request(coupled, chunk_len, source)]);
+                match conn.recv() {
+                    Response::SynthStart { total_requests } => {
+                        assert_eq!(total_requests, *want_total, "{case}")
+                    }
+                    other => panic!("{case}: expected synth-start, got {other:?}"),
+                }
+                let mut sent = ahead.min(owed);
+                conn.send(&vec![WireRequest::Ack; sent as usize]);
+                let mut records = Vec::new();
+                let end = loop {
+                    let response = conn.recv();
+                    if let Response::SynthEnd {
+                        total_requests,
+                        fingerprint,
+                    } = response
+                    {
+                        break (total_requests, fingerprint);
+                    }
+                    let (count, bytes) = chunk_records(response)
+                        .unwrap_or_else(|| panic!("{case}: expected a chunk"));
+                    assert!(count > 0 && count <= chunk_len, "{case}");
+                    records.extend_from_slice(&bytes);
+                    if sent < owed {
+                        conn.send(&[WireRequest::Ack]);
+                        sent += 1;
+                    }
+                };
+                assert_eq!(sent, owed, "{case}");
+                assert!(records == *want_records, "{case}: streamed bytes differ");
+                assert_eq!(end, (*want_total, *want_fingerprint), "{case}");
+                assert_eq!(conn.errors_total(), 0, "{case}");
+            }
+        }
+    }
+    shut_down(&addr, handle);
+}
+
+#[test]
+fn cancel_with_banked_credits_reports_what_was_sent() {
+    let trace = small_trace();
+    let (addr, handle) = start_server(ServerConfig::default());
+    let fingerprint = Client::connect(&addr)
+        .expect("connect")
+        .fit(CYCLES, trace_bytes(&trace))
+        .expect("fit")
+        .fingerprint;
+    let mut conn = RawConn::connect(&addr);
+    for coupled in [false, true] {
+        let source = ProfileSource::Fingerprint(fingerprint);
+        conn.send(&[open_request(coupled, 8, source)]);
+        let Response::SynthStart { total_requests } = conn.recv() else {
+            panic!("expected synth-start");
+        };
+        // Bank 20 credits of 250, take one chunk, then cancel.
+        conn.send(&vec![WireRequest::Ack; 20]);
+        let (first, mut records) = chunk_records(conn.recv()).expect("first chunk");
+        conn.send(&[WireRequest::Cancel]);
+        let mut received = u64::from(first);
+        let end = loop {
+            match conn.recv() {
+                Response::SynthEnd {
+                    total_requests,
+                    fingerprint,
+                } => break (total_requests, fingerprint),
+                other => {
+                    let (count, bytes) = chunk_records(other).expect("a chunk");
+                    received += u64::from(count);
+                    records.extend_from_slice(&bytes);
+                }
+            }
+        };
+        assert!(received < total_requests, "cancel ended the stream early");
+        let mut decoder = RecordDecoder::new();
+        let mut replay = Fingerprinter::new();
+        let mut cursor = records.as_slice();
+        while !cursor.is_empty() {
+            replay.push(&decoder.decode(&mut cursor).expect("record"));
+        }
+        assert_eq!(end, (received, replay.digest()), "coupled {coupled}");
+        assert_eq!(conn.errors_total(), 0, "coupled {coupled}");
+    }
+    // The connection serves a full stream after the cancels.
+    let mut client = Client::connect(&addr).expect("connect");
+    let synth = client
+        .synthesize(SEED, 512, ProfileSource::Fingerprint(fingerprint))
+        .expect("synthesize");
+    assert_eq!(synth.total_requests, trace.len() as u64);
+    shut_down(&addr, handle);
+}
+
+#[test]
+fn banked_credits_do_not_grow_the_write_queue_past_the_watermark() {
+    // One leaf of a million requests whose timestamps step by 2^40
+    // cycles: every record carries a 6-byte time delta, so a 512-request
+    // chunk frame is at least 3 KiB and the stream runs to ~13 MB.
+    const REQUESTS: u64 = 1_000_000;
+    const CHUNK_LEN: u32 = 512;
+    let range = AddrRange::new(0, 1 << 40);
+    let leaf = LeafModel::try_from_parts(
+        0,
+        0,
+        range,
+        REQUESTS,
+        McC::Constant(1 << 40),
+        McC::Constant(0x1234_5678),
+        McC::Constant(0),
+        McC::Constant(64),
+    )
+    .expect("valid leaf");
+    let profile = Profile::from_parts(offline_config(), vec![leaf]);
+    profile.validate().expect("valid profile");
+    let mut profile_bytes = Vec::new();
+    profile.write(&mut profile_bytes).expect("profile encode");
+
+    let (addr, handle) = start_server(ServerConfig::default());
+    let mut hog = RawConn::connect(&addr);
+    hog.send(&[WireRequest::Synthesize {
+        seed: SEED,
+        chunk_len: CHUNK_LEN,
+        source: ProfileSource::Inline(profile_bytes),
+    }]);
+    // Bank far more credits than the stream has chunks, then never read.
+    hog.send(&vec![WireRequest::Ack; 10_000]);
+
+    // The server stops encoding once the hog's queued output passes the
+    // 1 MiB high watermark: what is queued then is under the watermark,
+    // plus one stream job of at most 16 chunks, plus the stream's
+    // `SynthStart`.
+    const WRITE_HIGH_WATERMARK: u64 = 1 << 20;
+    const STREAM_JOB_CHUNKS: u64 = 16;
+    let min_chunk_frame = u64::from(CHUNK_LEN) * 6;
+    let bound = WRITE_HIGH_WATERMARK / min_chunk_frame + STREAM_JOB_CHUNKS + 2;
+
+    let mut observer = Client::connect(&addr).expect("observer connect");
+    let mut peak_frames = 0;
+    let mut streamed = 0;
+    let mut still = 0;
+    let started = std::time::Instant::now();
+    // Watch until the stream has stood still for 300 ms or has finished.
+    while still < 30 && streamed < REQUESTS && started.elapsed().as_secs() < 120 {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        let text = observer.metricsz().expect("metricsz");
+        peak_frames = peak_frames.max(metric(&text, "reactor_write_queue_frames"));
+        let now = metric(&text, "streamed_requests_total");
+        still = if now == streamed { still + 1 } else { 0 };
+        streamed = now;
+    }
+    assert!(
+        peak_frames <= bound,
+        "{peak_frames} frames queued (bound {bound}) after {streamed} requests streamed"
+    );
+    assert!(
+        streamed < REQUESTS,
+        "a client that never reads got the whole stream"
+    );
+    drop(hog);
     shut_down(&addr, handle);
 }

@@ -496,11 +496,13 @@ pub fn write_csv<W: Write>(w: &mut W, trace: &Trace) -> Result<(), TraceError> {
 ///
 /// # Errors
 ///
-/// Returns [`TraceError::Corrupt`] for malformed rows, or
-/// [`TraceError::Io`] (`InvalidData`) if the text is not UTF-8.
+/// Returns [`TraceError::Corrupt`] for malformed rows, or for text that
+/// is not UTF-8 (naming the offset of the first invalid byte).
 pub fn read_csv(r: &mut &[u8]) -> Result<Trace, TraceError> {
-    let mut text = String::new();
-    r.read_to_string(&mut text)?;
+    let bytes = std::mem::take(r);
+    let text = std::str::from_utf8(bytes).map_err(|e| {
+        TraceError::Corrupt(format!("CSV is not UTF-8 at byte {}", e.valid_up_to()))
+    })?;
     let mut requests = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         let line = line.trim();
@@ -778,6 +780,15 @@ mod tests {
         write_csv(&mut buf, &trace).unwrap();
         let back = read_csv(&mut buf.as_slice()).unwrap();
         assert_eq!(back, trace);
+    }
+
+    #[test]
+    fn csv_that_is_not_utf8_is_corrupt_not_io() {
+        let err = read_csv(&mut b"0,4096,r,64\n\xff\xfe".as_slice()).unwrap_err();
+        match err {
+            TraceError::Corrupt(msg) => assert_eq!(msg, "CSV is not UTF-8 at byte 12"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

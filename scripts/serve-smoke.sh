@@ -5,7 +5,9 @@
 # through a server on an ephemeral loopback port — and byte-compares the
 # artifacts. A coupled (Fig. 1 Option B) stream — every chunk paced
 # through the server's DRAM model — must then reassemble to the same
-# bytes at two chunk sizes. Honours MOCKTAILS_THREADS like every other
+# bytes at three chunk sizes, and a plain stream at chunk length 1 (the
+# most chunks, so the most acks in flight in the client's credit window)
+# must match the 512-request stream. Honours MOCKTAILS_THREADS like every other
 # gate, so running it at 1 and 4 threads proves the serving layer
 # preserves the workspace's determinism invariant.
 # Run from the repository root:  ./scripts/serve-smoke.sh
@@ -51,7 +53,11 @@ ADDR="$(cat "$WORK/port")"
   -o "$WORK/srv.mprofile" --cycles "$CYCLES"
 "$BIN" client synth "$WORK/srv.mprofile" --addr "$ADDR" \
   -o "$WORK/srv-synth.mtrace" --seed "$SEED"
-for chunk in 512 64; do
+for chunk in 512 1; do
+  "$BIN" client synth "$WORK/srv.mprofile" --addr "$ADDR" \
+    -o "$WORK/synth-$chunk.mtrace" --seed "$SEED" --chunk "$chunk"
+done
+for chunk in 512 64 1; do
   "$BIN" client couple "$WORK/srv.mprofile" --addr "$ADDR" \
     -o "$WORK/coupled-$chunk.mtrace" --seed "$SEED" --chunk "$chunk"
 done
@@ -63,13 +69,16 @@ SERVER_PID=""
 echo "--- byte comparison (server vs offline)"
 cmp "$WORK/ref.mprofile" "$WORK/srv.mprofile"
 cmp "$WORK/ref-synth.mtrace" "$WORK/srv-synth.mtrace"
+cmp "$WORK/synth-512.mtrace" "$WORK/synth-1.mtrace"
+cmp "$WORK/ref-synth.mtrace" "$WORK/synth-512.mtrace"
 cmp "$WORK/coupled-512.mtrace" "$WORK/coupled-64.mtrace"
+cmp "$WORK/coupled-512.mtrace" "$WORK/coupled-1.mtrace"
 grep -q '^requests_total ' "$WORK/metrics.txt" || {
   echo "metricsz output missing requests_total" >&2
   exit 1
 }
-grep -q '^coupled_requests_total 2' "$WORK/metrics.txt" || {
-  echo "metricsz missing coupled_requests_total=2" >&2
+grep -q '^coupled_requests_total 3' "$WORK/metrics.txt" || {
+  echo "metricsz missing coupled_requests_total=3" >&2
   exit 1
 }
 echo "serve loopback smoke passed: profile, synthesized and coupled traces byte-identical"

@@ -132,7 +132,7 @@ const USAGE_HEAD: &str = "usage:
 
 const USAGE_TAIL: &str = "                       [--quick]
   mocktails serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
-                  [--cache-cap N] [--cache-ttl-micros N] [--port-file FILE]
+                  [--cache-cap N] [--port-file FILE]
                   [--shards N] [--max-conns N] [--shard-budget N]
                   [--store DIR]   (crash-recoverable profile store)
   mocktails client fit <FILE.mtrace> --addr HOST:PORT -o <FILE.mprofile>
@@ -503,16 +503,37 @@ fn cmd_experiment(args: &[&String]) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Every flag `serve` accepts; each takes a value.
+const SERVE_FLAGS: [&str; 10] = [
+    "--addr",
+    "--workers",
+    "--queue-cap",
+    "--cache-cap",
+    "--port-file",
+    "--shards",
+    "--max-conns",
+    "--shard-budget",
+    "--store",
+    "--threads",
+];
+
 /// Runs the streaming synthesis server until a client sends the protocol's
 /// `shutdown` frame (graceful: in-flight requests drain, then exit 0).
 fn cmd_serve(args: &[&String]) -> Result<(), CliError> {
+    // A misspelt or retired flag is a usage error, never silently ignored.
+    if let Some(unknown) = args
+        .iter()
+        .step_by(2)
+        .find(|a| !SERVE_FLAGS.contains(&a.as_str()))
+    {
+        return Err(usage(format!("serve: unknown argument {unknown:?}")));
+    }
     let addr = flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:0".to_string());
     let defaults = mocktails_serve::ServerConfig::default();
     let mut builder = mocktails_serve::ServerConfig::builder()
         .workers(parse_u64(args, "--workers", 4)? as usize)
         .queue_cap(parse_u64(args, "--queue-cap", 16)? as usize)
         .cache_capacity(parse_u64(args, "--cache-cap", 64)? as usize)
-        .cache_ttl_micros(parse_u64(args, "--cache-ttl-micros", 0)?)
         .shards(parse_u64(args, "--shards", defaults.shards as u64)? as usize)
         .max_conns(parse_u64(args, "--max-conns", defaults.max_conns as u64)? as usize)
         .shard_budget(parse_u64(args, "--shard-budget", defaults.shard_budget as u64)? as usize);

@@ -219,6 +219,77 @@ fn usage_errors_exit_2_and_print_usage() {
 }
 
 #[test]
+fn serve_rejects_unknown_arguments_with_exit_2() {
+    for (args, unknown) in [
+        (
+            &["serve", "--cache-ttl-micros", "5"][..],
+            "--cache-ttl-micros",
+        ),
+        (
+            &["serve", "--addr", "127.0.0.1:0", "--wrokers", "2"],
+            "--wrokers",
+        ),
+        (&["serve", "stray"], "stray"),
+    ] {
+        let out = mocktails(args);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown argument \"{unknown}\"")),
+            "args {args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn serve_accepts_every_documented_flag() {
+    let port_file = temp("serve-flags.port");
+    let store = temp("serve-flags.store");
+    let _ = std::fs::remove_file(&port_file);
+    let _ = std::fs::remove_dir_all(&store);
+    let mut server = Command::new(env!("CARGO_BIN_EXE_mocktails"))
+        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
+        .args(["--queue-cap", "16", "--cache-cap", "64", "--shards", "8"])
+        .args([
+            "--max-conns",
+            "64",
+            "--shard-budget",
+            "32",
+            "--threads",
+            "1",
+        ])
+        .arg("--store")
+        .arg(&store)
+        .arg("--port-file")
+        .arg(&port_file)
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .expect("serve starts");
+    let mut addr = String::new();
+    for _ in 0..200 {
+        addr = std::fs::read_to_string(&port_file).unwrap_or_default();
+        if !addr.trim().is_empty() || server.try_wait().expect("poll").is_some() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    let addr = addr.trim().to_string();
+    if addr.is_empty() {
+        let _ = server.kill();
+        panic!("serve never published its port: {:?}", server.wait());
+    }
+    let out = mocktails(&["client", "shutdown", "--addr", &addr]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(server.wait().expect("serve exits").success());
+    let _ = std::fs::remove_file(&port_file);
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
 fn corrupt_input_exits_3_without_usage_noise() {
     let path = temp("corrupt.mprofile");
     std::fs::write(&path, b"MPRO\x01garbage-bytes-here").unwrap();

@@ -98,7 +98,7 @@ impl Profile {
 
     /// Creates a streaming synthesizer (Fig. 1, Option B: couple it to a
     /// simulator and feed backpressure through
-    /// [`crate::InjectionFeedback`]).
+    /// [`Synthesizer::add_delay`]).
     pub fn synthesizer(&self, seed: u64) -> Synthesizer {
         Synthesizer::new(&self.leaves, self.config.options().strict_convergence, seed)
     }

@@ -8,7 +8,7 @@
 //! model.
 //!
 //! During a coupled simulation (Fig. 1, *Option B*) the consumer reports
-//! backpressure through [`InjectionFeedback`]; the accumulated delay shifts
+//! backpressure through [`Synthesizer::add_delay`]; the accumulated delay shifts
 //! the timestamps of all still-pending requests, letting the synthetic
 //! stream adapt to contention exactly as the paper describes.
 
@@ -20,25 +20,6 @@ use mocktails_trace::rng::Prng;
 use mocktails_trace::{Request, Trace};
 
 use crate::model::{LeafGenerator, LeafModel};
-
-/// Feedback channel from the simulator to the injection process.
-///
-/// Implemented by [`Synthesizer`]; memory-system harnesses accept
-/// `&mut dyn InjectionFeedback` so they can stall the injector without
-/// knowing how requests are produced.
-pub trait InjectionFeedback {
-    /// Reports that injection stalled for `cycles` (e.g. a full controller
-    /// queue); all pending synthetic timestamps shift by this amount.
-    fn add_delay(&mut self, cycles: u64);
-}
-
-/// A no-op feedback sink for open-loop (Option A) replay.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFeedback;
-
-impl InjectionFeedback for NoFeedback {
-    fn add_delay(&mut self, _cycles: u64) {}
-}
 
 /// Heap entry: pending request + the leaf that produced it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,6 +141,13 @@ impl Synthesizer {
             + self.heap.len() as u64
     }
 
+    /// Reports that injection stalled for `cycles` (e.g. a full controller
+    /// queue): the simulator's feedback channel to the injection process.
+    /// All pending synthetic timestamps shift by this amount.
+    pub fn add_delay(&mut self, cycles: u64) {
+        self.delay = self.delay.saturating_add(cycles);
+    }
+
     /// Accumulated backpressure delay in cycles.
     pub fn accumulated_delay(&self) -> u64 {
         self.delay
@@ -171,12 +159,6 @@ impl Synthesizer {
     /// non-decreasing, so the collected requests need no re-sort.
     pub fn into_trace(self) -> Trace {
         Trace::from_sorted_requests(self.collect())
-    }
-}
-
-impl InjectionFeedback for Synthesizer {
-    fn add_delay(&mut self, cycles: u64) {
-        self.delay = self.delay.saturating_add(cycles);
     }
 }
 
@@ -473,11 +455,5 @@ mod tests {
             assert_eq!(got.len(), 40 + 40 * 2 + 8 * 10);
             assert_eq!(got, want, "delays {delays:?}");
         }
-    }
-
-    #[test]
-    fn no_feedback_is_noop() {
-        let mut nf = NoFeedback;
-        nf.add_delay(100); // must not panic or do anything observable
     }
 }

@@ -148,7 +148,6 @@ fn profile_decoder_never_panics_on_corrupted_profiles() {
 
 #[test]
 fn synthesizer_timestamps_monotonic_under_random_feedback() {
-    use mocktails_core::InjectionFeedback;
     let mut rng = Prng::seed_from_u64(0xC04E_0008);
     for case in 0..CASES {
         let trace = Trace::from_requests(rand_requests(&mut rng, 2, 100));

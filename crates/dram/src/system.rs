@@ -1,7 +1,7 @@
 //! The full memory system: crossbar + per-channel controllers, with replay
 //! (Option A) and coupled-synthesizer (Option B) front-ends.
 
-use mocktails_core::{InjectionFeedback, Synthesizer};
+use mocktails_core::Synthesizer;
 use mocktails_trace::{Request, Trace};
 
 use crate::channel::{Channel, Packet};
@@ -13,8 +13,8 @@ use crate::stats::DramStats;
 /// Requests are split into DRAM bursts, routed by the address mapping and
 /// queued at their channel. Full queues exert backpressure: in trace replay
 /// the injector simply stalls; when driven by a [`Synthesizer`] the stall
-/// is reported through [`InjectionFeedback`] so pending synthetic requests
-/// shift in time, exactly as §III-C describes.
+/// is reported through [`Synthesizer::add_delay`] so pending synthetic
+/// requests shift in time, exactly as §III-C describes.
 #[derive(Debug)]
 pub struct MemorySystem {
     cfg: DramConfig,

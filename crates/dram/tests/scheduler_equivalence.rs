@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 
-use mocktails_core::{HierarchyConfig, InjectionFeedback, Profile, Synthesizer};
+use mocktails_core::{HierarchyConfig, Profile, Synthesizer};
 use mocktails_dram::{DramConfig, MappingScheme, MemorySystem, PagePolicy, SchedulingPolicy};
 use mocktails_trace::rng::{Prng, Rng};
 use mocktails_trace::{Op, Request, Trace};

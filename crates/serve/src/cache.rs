@@ -1,4 +1,5 @@
-//! Content-fingerprint-keyed LRU profile cache with optional TTL.
+//! The server's profile cache: one content-fingerprint-keyed LRU, plus
+//! the per-shard admission budgets requests are shed against.
 //!
 //! Two lookups hit the same cache:
 //!
@@ -8,17 +9,18 @@
 //!   same config) maps through an alias to the profile it produced last
 //!   time, so refitting is skipped entirely. This is sound because
 //!   fitting is deterministic: equal inputs produce bit-identical
-//!   profiles (the workspace invariant PR 3 pinned).
+//!   profiles at any thread count.
 //!
-//! Eviction is least-recently-*used* under a capacity bound; expiry is
-//! age-since-insert against an optional TTL, checked lazily on access and
-//! eagerly on insert. Time comes from the caller (the server's
-//! [`crate::metrics::Clock`]), never from the cache itself, keeping
-//! expiry testable with a frozen clock.
+//! A resident profile is immutable and content-addressed, so it never
+//! goes stale: entries leave only by least-recently-*used* eviction
+//! under the capacity bound, and a fit-key alias leaves with its entry.
+//! The server keeps one cache behind one mutex; every operation is a
+//! few ordered-map updates, far shorter than the fit or chunk encode
+//! around it.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use mocktails_core::Profile;
 
@@ -26,19 +28,16 @@ use mocktails_core::Profile;
 #[derive(Debug)]
 struct Entry {
     profile: Arc<Profile>,
-    inserted_micros: u64,
     /// Recency stamp; key into the recency index.
     last_tick: u64,
     /// The fit key aliased to this profile, if it arrived via a fit.
     fit_key: Option<u64>,
 }
 
-/// A bounded LRU + TTL cache of fitted profiles.
+/// A bounded LRU cache of fitted profiles.
 #[derive(Debug)]
 pub struct ProfileCache {
     capacity: usize,
-    /// 0 disables expiry.
-    ttl_micros: u64,
     entries: BTreeMap<u64, Entry>,
     /// tick → fingerprint, ordered oldest-first for LRU eviction.
     recency: BTreeMap<u64, u64>,
@@ -46,22 +45,18 @@ pub struct ProfileCache {
     aliases: BTreeMap<u64, u64>,
     tick: u64,
     evictions: u64,
-    expirations: u64,
 }
 
 impl ProfileCache {
-    /// A cache holding at most `capacity` profiles, each expiring
-    /// `ttl_micros` after insertion (0 = never).
-    pub fn new(capacity: usize, ttl_micros: u64) -> Self {
+    /// A cache holding at most `capacity` profiles.
+    pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            ttl_micros,
             entries: BTreeMap::new(),
             recency: BTreeMap::new(),
             aliases: BTreeMap::new(),
             tick: 0,
             evictions: 0,
-            expirations: 0,
         }
     }
 
@@ -80,16 +75,8 @@ impl ProfileCache {
         self.evictions
     }
 
-    /// Profiles dropped by TTL expiry so far.
-    pub fn expirations(&self) -> u64 {
-        self.expirations
-    }
-
     /// Looks up a profile by content fingerprint, refreshing its recency.
-    pub fn get(&mut self, fingerprint: u64, now_micros: u64) -> Option<Arc<Profile>> {
-        if self.expire_if_stale(fingerprint, now_micros) {
-            return None;
-        }
+    pub fn get(&mut self, fingerprint: u64) -> Option<Arc<Profile>> {
         let tick = self.next_tick();
         let entry = self.entries.get_mut(&fingerprint)?;
         self.recency.remove(&entry.last_tick);
@@ -100,23 +87,17 @@ impl ProfileCache {
 
     /// Looks up a profile by fit key (trace bytes + config digest),
     /// returning its content fingerprint alongside it.
-    pub fn get_by_fit_key(&mut self, fit_key: u64, now_micros: u64) -> Option<(u64, Arc<Profile>)> {
+    pub fn get_by_fit_key(&mut self, fit_key: u64) -> Option<(u64, Arc<Profile>)> {
         let fingerprint = *self.aliases.get(&fit_key)?;
-        let profile = self.get(fingerprint, now_micros)?;
+        let profile = self.get(fingerprint)?;
         Some((fingerprint, profile))
     }
 
     /// Inserts a profile under its content fingerprint, optionally
     /// aliasing `fit_key` to it, evicting the least recently used entry
     /// if the cache is full. Re-inserting an existing fingerprint
-    /// refreshes its recency, insertion time, and alias.
-    pub fn insert(
-        &mut self,
-        fingerprint: u64,
-        profile: Arc<Profile>,
-        fit_key: Option<u64>,
-        now_micros: u64,
-    ) {
+    /// refreshes its recency and alias.
+    pub fn insert(&mut self, fingerprint: u64, profile: Arc<Profile>, fit_key: Option<u64>) {
         if self.capacity == 0 {
             return;
         }
@@ -146,7 +127,6 @@ impl ProfileCache {
             fingerprint,
             Entry {
                 profile,
-                inserted_micros: now_micros,
                 last_tick: tick,
                 fit_key,
             },
@@ -172,182 +152,9 @@ impl ProfileCache {
         }
     }
 
-    /// Drops `fingerprint` if its TTL lapsed; true when it did.
-    fn expire_if_stale(&mut self, fingerprint: u64, now_micros: u64) -> bool {
-        if self.ttl_micros == 0 {
-            return false;
-        }
-        let Some(entry) = self.entries.get(&fingerprint) else {
-            return false;
-        };
-        if now_micros.saturating_sub(entry.inserted_micros) <= self.ttl_micros {
-            return false;
-        }
-        self.recency.remove(&entry.last_tick);
-        self.drop_entry(fingerprint);
-        self.expirations += 1;
-        true
-    }
-
     fn next_tick(&mut self) -> u64 {
         self.tick += 1;
         self.tick
-    }
-}
-
-/// Aggregate tallies across every shard of a [`ShardedCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Profiles currently resident (all shards).
-    pub entries: u64,
-    /// Capacity evictions so far (all shards).
-    pub evictions: u64,
-    /// TTL expirations so far (all shards).
-    pub expirations: u64,
-}
-
-/// [`ProfileCache`] sharded N ways by content fingerprint, one lock per
-/// shard, so concurrent lookups on different profiles never contend.
-///
-/// Fingerprints route to entry shards by `fingerprint % shards`; fit-key
-/// aliases live in their own shard array keyed by `fit_key % shards`
-/// (the alias's fingerprint may live in any entry shard). No operation
-/// ever holds two shard locks at once: alias resolution copies the
-/// fingerprint out, releases the alias shard, then takes the entry
-/// shard. The price is that an alias can briefly outlive its entry —
-/// stale aliases are dropped lazily on lookup and bounded by a
-/// deterministic per-shard cap.
-#[derive(Debug)]
-pub struct ShardedCache {
-    shards: Vec<Mutex<ProfileCache>>,
-    aliases: Vec<Mutex<BTreeMap<u64, u64>>>,
-    /// Fit-key aliases one alias shard retains at most (oldest key
-    /// evicted first — deterministic, not LRU).
-    alias_cap: usize,
-}
-
-impl ShardedCache {
-    /// A cache of `capacity` profiles total, split over `shards` locks
-    /// (clamped to at least 1), each entry expiring `ttl_micros` after
-    /// insertion (0 = never).
-    pub fn new(shards: usize, capacity: usize, ttl_micros: u64) -> Self {
-        let shards = shards.max(1);
-        let per_shard = capacity.div_ceil(shards);
-        Self {
-            shards: (0..shards)
-                .map(|_| Mutex::new(ProfileCache::new(per_shard, ttl_micros)))
-                .collect(),
-            aliases: (0..shards).map(|_| Mutex::new(BTreeMap::new())).collect(),
-            alias_cap: (per_shard * 4).max(16),
-        }
-    }
-
-    /// Number of shards (≥ 1).
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The entry shard `fingerprint` routes to.
-    pub fn shard_of(&self, fingerprint: u64) -> usize {
-        (fingerprint % self.shards.len() as u64) as usize
-    }
-
-    fn shard(&self, fingerprint: u64) -> MutexGuard<'_, ProfileCache> {
-        let shard = &self.shards[self.shard_of(fingerprint)];
-        shard.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn alias_shard(&self, fit_key: u64) -> MutexGuard<'_, BTreeMap<u64, u64>> {
-        let alias = &self.aliases[(fit_key % self.aliases.len() as u64) as usize];
-        alias.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Looks up a profile by content fingerprint, refreshing its recency
-    /// within its shard.
-    pub fn get(&self, fingerprint: u64, now_micros: u64) -> Option<Arc<Profile>> {
-        let mut shard = self.shard(fingerprint);
-        shard.get(fingerprint, now_micros)
-    }
-
-    /// Looks up a profile by fit key. A stale alias (its profile was
-    /// evicted or expired) is removed and reported as a miss.
-    pub fn get_by_fit_key(&self, fit_key: u64, now_micros: u64) -> Option<(u64, Arc<Profile>)> {
-        let fingerprint = {
-            let alias = self.alias_shard(fit_key);
-            *alias.get(&fit_key)?
-        };
-        let found = {
-            let mut shard = self.shard(fingerprint);
-            shard.get(fingerprint, now_micros)
-        };
-        match found {
-            Some(profile) => Some((fingerprint, profile)),
-            None => {
-                let mut alias = self.alias_shard(fit_key);
-                // Only clear the alias if it still points at the entry
-                // that just missed (an insert may have raced it forward).
-                if alias.get(&fit_key) == Some(&fingerprint) {
-                    alias.remove(&fit_key);
-                }
-                None
-            }
-        }
-    }
-
-    /// Inserts a profile under its content fingerprint, optionally
-    /// aliasing `fit_key` to it.
-    pub fn insert(
-        &self,
-        fingerprint: u64,
-        profile: Arc<Profile>,
-        fit_key: Option<u64>,
-        now_micros: u64,
-    ) {
-        {
-            let mut shard = self.shard(fingerprint);
-            // Aliases are managed at this level; the per-shard cache
-            // never sees fit keys.
-            shard.insert(fingerprint, profile, None, now_micros);
-        }
-        if let Some(key) = fit_key {
-            let mut alias = self.alias_shard(key);
-            // One insert adds at most one entry, so one eviction keeps
-            // the map at its cap — no loop, no guard held across one.
-            if alias.len() >= self.alias_cap && !alias.contains_key(&key) {
-                alias.pop_first();
-            }
-            alias.insert(key, fingerprint);
-        }
-    }
-
-    /// Profiles currently resident across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
-    }
-
-    /// Whether every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Aggregate entry/eviction/expiration tallies, summed shard by
-    /// shard (one lock at a time).
-    pub fn stats(&self) -> CacheStats {
-        let mut stats = CacheStats {
-            entries: 0,
-            evictions: 0,
-            expirations: 0,
-        };
-        for locked in &self.shards {
-            let shard = locked.lock().unwrap_or_else(PoisonError::into_inner);
-            stats.entries += shard.len() as u64;
-            stats.evictions += shard.evictions();
-            stats.expirations += shard.expirations();
-        }
-        stats
     }
 }
 
@@ -369,9 +176,10 @@ impl ShardAdmission {
         }
     }
 
-    /// The shard an admission key routes to (same modulus as the cache).
+    /// The shard an admission key routes to: the key modulo the shard
+    /// count (which `new` clamps to at least one).
     pub(crate) fn shard_of(&self, key: u64) -> usize {
-        (key % self.counters.len() as u64) as usize
+        key.checked_rem(self.counters.len() as u64).unwrap_or(0) as usize
     }
 
     /// Tries to take one slot on `key`'s shard; `None` means the shard
@@ -419,6 +227,8 @@ impl Drop for ShardSlot {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
     use mocktails_core::HierarchyConfig;
     use mocktails_trace::{Request, Trace};
@@ -434,262 +244,152 @@ mod tests {
 
     #[test]
     fn get_returns_inserted_profile() {
-        let mut cache = ProfileCache::new(4, 0);
+        let mut cache = ProfileCache::new(4);
         let p = profile(1);
-        cache.insert(11, Arc::clone(&p), None, 0);
-        assert_eq!(cache.get(11, 0).as_deref(), Some(p.as_ref()));
-        assert!(cache.get(99, 0).is_none());
+        cache.insert(11, Arc::clone(&p), None);
+        assert_eq!(cache.get(11).as_deref(), Some(p.as_ref()));
+        assert!(cache.get(99).is_none());
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let mut cache = ProfileCache::new(2, 0);
-        cache.insert(1, profile(1), None, 0);
-        cache.insert(2, profile(2), None, 0);
+        let mut cache = ProfileCache::new(2);
+        cache.insert(1, profile(1), None);
+        cache.insert(2, profile(2), None);
         // Touch 1 so 2 becomes the LRU victim.
-        assert!(cache.get(1, 0).is_some());
-        cache.insert(3, profile(3), None, 0);
-        assert!(cache.get(1, 0).is_some());
-        assert!(cache.get(2, 0).is_none(), "2 was LRU and must be gone");
-        assert!(cache.get(3, 0).is_some());
+        assert!(cache.get(1).is_some());
+        cache.insert(3, profile(3), None);
+        assert!(cache.get(1).is_some());
+        assert!(cache.get(2).is_none(), "2 was LRU and must be gone");
+        assert!(cache.get(3).is_some());
         assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.len(), 2);
     }
 
+    /// The capacity bound is the whole cache's: fingerprints that an
+    /// eight-way split by `fingerprint % 8` would put in one slot all
+    /// stay resident, and only the fifth insert evicts, taking exactly
+    /// the least recently used entry.
     #[test]
-    fn ttl_expires_on_access() {
-        let mut cache = ProfileCache::new(4, 1000);
-        cache.insert(1, profile(1), None, 0);
-        assert!(cache.get(1, 1000).is_some(), "at the TTL bound: alive");
-        assert!(cache.get(1, 1001).is_none(), "past the bound: expired");
-        assert_eq!(cache.expirations(), 1);
-        assert!(cache.is_empty());
+    fn capacity_is_honoured_exactly_whatever_the_fingerprints() {
+        let mut cache = ProfileCache::new(4);
+        for fp in [0u64, 8, 16, 24] {
+            cache.insert(fp, profile(fp), Some(fp + 1000));
+        }
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.evictions(), 0);
+        for fp in [0u64, 8, 16, 24] {
+            assert!(cache.get(fp).is_some(), "{fp} must be resident");
+        }
+        // Refresh 0, so 8 is now the least recently used.
+        assert!(cache.get(0).is_some());
+        cache.insert(32, profile(32), Some(1032));
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.evictions(), 1);
+        assert!(cache.get(8).is_none(), "8 was LRU and must be gone");
+        assert!(cache.get_by_fit_key(1008).is_none(), "its alias went too");
+        for fp in [0u64, 16, 24, 32] {
+            assert!(cache.get(fp).is_some(), "{fp} must survive");
+            assert_eq!(cache.get_by_fit_key(fp + 1000).map(|(f, _)| f), Some(fp));
+        }
     }
 
     #[test]
     fn fit_key_alias_finds_profile_and_dies_with_it() {
-        let mut cache = ProfileCache::new(1, 0);
-        cache.insert(10, profile(1), Some(777), 0);
-        let (fp, _) = cache.get_by_fit_key(777, 0).unwrap();
+        let mut cache = ProfileCache::new(1);
+        cache.insert(10, profile(1), Some(777));
+        let (fp, _) = cache.get_by_fit_key(777).unwrap();
         assert_eq!(fp, 10);
         // Evict by inserting another profile into the 1-slot cache.
-        cache.insert(20, profile(2), Some(888), 0);
-        assert!(cache.get_by_fit_key(777, 0).is_none());
-        assert!(cache.get_by_fit_key(888, 0).is_some());
+        cache.insert(20, profile(2), Some(888));
+        assert!(cache.get_by_fit_key(777).is_none());
+        assert!(cache.get_by_fit_key(888).is_some());
+    }
+
+    #[test]
+    fn reinsert_without_a_fit_key_keeps_the_alias() {
+        let mut cache = ProfileCache::new(4);
+        let p = profile(1);
+        cache.insert(6, Arc::clone(&p), Some(9));
+        // The same profile arriving inline carries no fit key.
+        cache.insert(6, Arc::clone(&p), None);
+        let (fp, found) = cache.get_by_fit_key(9).unwrap();
+        assert_eq!(fp, 6);
+        assert_eq!(found.as_ref(), p.as_ref());
+        assert!(cache.get_by_fit_key(10).is_none());
+        assert_eq!(cache.len(), 1);
+    }
+
+    /// A hit refreshes recency, which redirects the next capacity
+    /// eviction to the other resident; the victim's alias dies with it
+    /// while the survivors' aliases still resolve.
+    #[test]
+    fn get_refreshes_recency_and_redirects_the_eviction() {
+        let mut cache = ProfileCache::new(2);
+        cache.insert(10, profile(1), Some(100));
+        cache.insert(20, profile(2), Some(200));
+        assert!(cache.get(10).is_some());
+        cache.insert(30, profile(3), Some(300));
+        assert!(cache.get(10).is_some());
+        assert!(cache.get(30).is_some());
+        assert!(cache.get(20).is_none());
+        assert!(cache.get_by_fit_key(200).is_none());
+        assert!(cache.get_by_fit_key(100).is_some());
+        assert!(cache.get_by_fit_key(300).is_some());
+        assert_eq!((cache.len(), cache.evictions()), (2, 1));
     }
 
     #[test]
     fn zero_capacity_caches_nothing() {
-        let mut cache = ProfileCache::new(0, 0);
-        cache.insert(1, profile(1), Some(2), 0);
+        let mut cache = ProfileCache::new(0);
+        cache.insert(1, profile(1), Some(2));
         assert!(cache.is_empty());
-        assert!(cache.get(1, 0).is_none());
-        assert!(cache.get_by_fit_key(2, 0).is_none());
-    }
-
-    #[test]
-    fn reinsert_refreshes_age() {
-        let mut cache = ProfileCache::new(4, 1000);
-        cache.insert(1, profile(1), None, 0);
-        cache.insert(1, profile(1), None, 900);
-        assert!(cache.get(1, 1500).is_some(), "age restarts at reinsert");
-        assert_eq!(cache.len(), 1);
+        assert!(cache.get(1).is_none());
+        assert!(cache.get_by_fit_key(2).is_none());
     }
 
     #[test]
     fn remove_is_not_an_eviction() {
-        let mut cache = ProfileCache::new(4, 0);
-        cache.insert(1, profile(1), Some(5), 0);
+        let mut cache = ProfileCache::new(4);
+        cache.insert(1, profile(1), Some(5));
         cache.remove(1);
         assert!(cache.is_empty());
         assert_eq!(cache.evictions(), 0);
-        assert!(cache.get_by_fit_key(5, 0).is_none());
+        assert!(cache.get_by_fit_key(5).is_none());
     }
 
     #[test]
-    fn sharded_fingerprints_distribute_by_modulus() {
-        let cache = ShardedCache::new(8, 64, 0);
-        assert_eq!(cache.shards(), 8);
-        let mut hit = [false; 8];
-        for fp in 0..64u64 {
-            let shard = cache.shard_of(fp);
-            assert_eq!(shard, (fp % 8) as usize);
-            hit[shard] = true;
-        }
-        assert!(hit.iter().all(|&h| h), "every shard must receive keys");
-        // Zero shards is clamped, not a panic.
-        assert_eq!(ShardedCache::new(0, 4, 0).shards(), 1);
-    }
-
-    #[test]
-    fn sharded_get_and_fit_key_alias_cross_shards() {
-        let cache = ShardedCache::new(4, 16, 0);
-        let p = profile(1);
-        // Fingerprint 6 lives in shard 2; alias key 9 lives in alias
-        // shard 1 — the lookup must bridge them.
-        cache.insert(6, Arc::clone(&p), Some(9), 0);
-        assert_eq!(cache.get(6, 0).as_deref(), Some(p.as_ref()));
-        let (fp, _) = cache.get_by_fit_key(9, 0).unwrap();
-        assert_eq!(fp, 6);
-        assert!(cache.get(7, 0).is_none());
-        assert!(cache.get_by_fit_key(10, 0).is_none());
-    }
-
-    #[test]
-    fn sharded_ttl_expires_per_shard_under_manual_clock() {
-        use crate::metrics::{Clock, ManualClock};
-        let clock = ManualClock::new();
-        let cache = ShardedCache::new(4, 16, 1000);
-        cache.insert(0, profile(1), None, clock.now_micros()); // shard 0
-        clock.advance(600);
-        cache.insert(1, profile(2), None, clock.now_micros()); // shard 1
-        clock.advance(600); // now 1200: entry 0 is 1200 old, entry 1 is 600 old
-        assert!(
-            cache.get(0, clock.now_micros()).is_none(),
-            "shard 0 expired"
-        );
-        assert!(cache.get(1, clock.now_micros()).is_some(), "shard 1 alive");
-        let stats = cache.stats();
-        assert_eq!(stats.expirations, 1);
-        assert_eq!(stats.entries, 1);
-    }
-
-    #[test]
-    fn sharded_stale_alias_is_dropped_on_miss() {
-        let cache = ShardedCache::new(2, 2, 1000);
-        cache.insert(4, profile(1), Some(8), 0);
-        // Let the entry expire; the alias briefly outlives it.
-        assert!(cache.get_by_fit_key(8, 5000).is_none());
-        // A second lookup misses in the alias map itself.
-        assert!(cache.get_by_fit_key(8, 0).is_none());
-    }
-
-    #[test]
-    fn sharded_stats_are_deterministic_at_any_thread_count() {
-        // The same disjoint work split over 1, 2 and 8 threads must
-        // leave identical aggregate stats: shard state only depends on
-        // which keys hit which shard, never on interleaving.
+    fn tallies_are_deterministic_at_any_thread_count() {
+        // The same disjoint inserts split over 1, 2 and 8 threads sharing
+        // one locked cache leave identical tallies: which entries remain
+        // depends on the interleaving, how many were evicted does not.
+        let profiles: Vec<_> = (0..64u64).map(profile).collect();
         let run = |threads: usize| {
-            let cache = Arc::new(ShardedCache::new(8, 16, 1000));
+            let cache = Mutex::new(ProfileCache::new(16));
             std::thread::scope(|scope| {
                 for t in 0..threads {
-                    let cache = Arc::clone(&cache);
+                    let (cache, profiles) = (&cache, &profiles);
                     scope.spawn(move || {
                         for key in (t as u64..64).step_by(threads) {
-                            cache.insert(key, profile(key), Some(key + 1000), 0);
-                            assert!(cache.get(key, 0).is_some());
+                            let mut cache = cache.lock().unwrap();
+                            cache.insert(
+                                key,
+                                Arc::clone(&profiles[key as usize]),
+                                Some(key + 1000),
+                            );
+                            assert!(cache.get(key).is_some());
+                            assert!(cache.get_by_fit_key(key + 1000).is_some());
                         }
                     });
                 }
             });
-            // Everything inserted at t=0 expires at once.
-            for key in 0..64u64 {
-                let _ = cache.get(key, 5000);
-            }
-            cache.stats()
+            let cache = cache.into_inner().unwrap();
+            (cache.len(), cache.evictions())
         };
         let baseline = run(1);
+        assert_eq!(baseline, (16, 48));
         assert_eq!(run(2), baseline);
         assert_eq!(run(8), baseline);
-        assert_eq!(baseline.entries, 0, "all expired or evicted");
-        assert_eq!(
-            baseline.evictions + baseline.expirations,
-            64,
-            "every inserted profile left by eviction or expiry"
-        );
-    }
-
-    /// The eviction boundary where TTL expiry and LRU eviction race on a
-    /// full shard: expiry is lazy (charged on the access that discovers
-    /// it), so a stale entry that capacity pressure claims first is
-    /// counted as an *eviction*, never double-counted as both.
-    #[test]
-    fn ttl_expiry_races_lru_eviction_at_the_shard_boundary() {
-        use crate::metrics::{Clock, ManualClock};
-        let clock = ManualClock::new();
-        // 2 shards × 2 slots; even fingerprints route to shard 0.
-        let cache = ShardedCache::new(2, 4, 1_000);
-        cache.insert(0, profile(1), None, clock.now_micros());
-        cache.insert(2, profile(2), None, clock.now_micros());
-        cache.insert(1, profile(3), None, clock.now_micros());
-        clock.advance(1_500); // every entry is now past its TTL
-
-        // Access discovers expiry: entry 0 leaves as an expiration,
-        // freeing its slot before any capacity pressure.
-        assert!(cache.get(0, clock.now_micros()).is_none());
-
-        // Refill shard 0. The first insert lands in the freed slot; the
-        // second finds the shard full and LRU-evicts the *stale* entry 2
-        // — capacity got there before any access could expire it.
-        cache.insert(4, profile(4), None, clock.now_micros());
-        cache.insert(6, profile(5), None, clock.now_micros());
-        assert!(cache.get(4, clock.now_micros()).is_some());
-        assert!(cache.get(6, clock.now_micros()).is_some());
-
-        // Per-shard tallies under the manual clock: shard 0 saw exactly
-        // one expiration and one eviction; untouched shard 1 saw
-        // neither, and still counts its stale entry as resident because
-        // nothing has looked at it yet.
-        let shard0 = cache.shards[0].lock().unwrap();
-        assert_eq!(shard0.expirations(), 1, "entry 0, charged on access");
-        assert_eq!(shard0.evictions(), 1, "entry 2, claimed by capacity");
-        assert_eq!(shard0.len(), 2);
-        drop(shard0);
-        let shard1 = cache.shards[1].lock().unwrap();
-        assert_eq!(shard1.expirations(), 0);
-        assert_eq!(shard1.evictions(), 0);
-        assert_eq!(shard1.len(), 1, "stale entry 1 is resident until read");
-        drop(shard1);
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                entries: 3,
-                evictions: 1,
-                expirations: 1
-            }
-        );
-
-        // Touching shard 1 finally charges its expiration there.
-        assert!(cache.get(1, clock.now_micros()).is_none());
-        let shard1 = cache.shards[1].lock().unwrap();
-        assert_eq!(shard1.expirations(), 1);
-        assert_eq!(shard1.len(), 0);
-    }
-
-    /// A `get` that lands exactly at the TTL bound refreshes recency
-    /// without expiring, which redirects the following capacity eviction
-    /// to the other resident — the refresh and the eviction race in
-    /// recency order, not insertion order.
-    #[test]
-    fn boundary_get_refreshes_recency_and_redirects_the_eviction() {
-        use crate::metrics::{Clock, ManualClock};
-        let clock = ManualClock::new();
-        // One shard, two slots: a pure LRU boundary.
-        let cache = ShardedCache::new(1, 2, 1_000);
-        cache.insert(10, profile(1), Some(100), clock.now_micros());
-        clock.advance(500);
-        cache.insert(20, profile(2), Some(200), clock.now_micros());
-        clock.advance(500);
-        // Entry 10 is exactly 1000 old — at the bound is alive, and the
-        // hit makes the *younger* entry 20 the LRU victim.
-        assert!(cache.get(10, clock.now_micros()).is_some());
-        cache.insert(30, profile(3), Some(300), clock.now_micros());
-        assert!(cache.get(10, clock.now_micros()).is_some());
-        assert!(cache.get(30, clock.now_micros()).is_some());
-        assert!(cache.get(20, clock.now_micros()).is_none());
-        // The evicted entry's fit-key alias dies with it (reported as a
-        // miss and dropped); the survivors' aliases still resolve.
-        assert!(cache.get_by_fit_key(200, clock.now_micros()).is_none());
-        assert!(cache.get_by_fit_key(100, clock.now_micros()).is_some());
-        assert!(cache.get_by_fit_key(300, clock.now_micros()).is_some());
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                entries: 2,
-                evictions: 1,
-                expirations: 0
-            }
-        );
     }
 
     #[test]

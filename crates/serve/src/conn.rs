@@ -368,6 +368,11 @@ impl WriteQueue {
         self.queued_bytes
     }
 
+    /// When the oldest frame still (partly) unwritten was queued.
+    pub(crate) fn oldest_enqueued_micros(&self) -> Option<u64> {
+        self.queue.front().map(|front| front.enqueued_micros)
+    }
+
     /// Writes as much as the nonblocking socket accepts. A dead socket
     /// is an outcome, not an error: the reactor drops the connection.
     pub(crate) fn write_to(

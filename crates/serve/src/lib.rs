@@ -15,9 +15,9 @@
 //! * [`protocol`] — versioned request/response messages over frames.
 //! * [`error`] — [`error::ErrorCode`] (the wire-level failure taxonomy)
 //!   and [`error::ServeError`].
-//! * [`cache`] — the content-fingerprint-keyed LRU/TTL profile cache and
-//!   its N-way sharding ([`cache::ShardedCache`]) with per-shard
-//!   admission budgets.
+//! * [`cache`] — the content-fingerprint-keyed LRU profile cache
+//!   ([`cache::ProfileCache`], one per server, with fit-key aliases) and
+//!   the per-shard admission budgets.
 //! * [`metrics`] — atomic counters and histograms with a deterministic
 //!   text rendering, timed by an injectable [`metrics::Clock`].
 //! * `conn` / `reactor` (private) — the readiness-driven event loop: one
@@ -49,7 +49,6 @@ mod reactor;
 pub mod retry;
 pub mod server;
 
-pub use cache::{CacheStats, ShardedCache};
 pub use client::{
     Client, CompactOutcome, CoupledChunk, CoupledOutcome, FitOutcome, SynthOutcome, SynthStream,
 };

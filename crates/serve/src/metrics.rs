@@ -276,8 +276,6 @@ metric_table! {
         cache_misses_total: Value,
         /// Profiles evicted by LRU capacity pressure.
         cache_evictions_total: Value,
-        /// Profiles dropped because their TTL lapsed.
-        cache_expirations_total: Value,
         /// Profiles currently resident (gauge).
         cache_entries: Value,
         /// Encoded record bytes streamed in `SynthChunk` frames.
@@ -464,7 +462,6 @@ mod tests {
             "cache_hits_total",
             "cache_misses_total",
             "cache_evictions_total",
-            "cache_expirations_total",
             "cache_entries",
             "streamed_bytes_total",
             "streamed_requests_total",

@@ -90,8 +90,11 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>) -> Result<(), Se
         for conn in &mut conns {
             progress |= sweep_conn(shared, conn, now, open_conns);
         }
+        let draining = shared.shutting_down.load(Ordering::SeqCst);
         conns.retain_mut(|conn| {
-            let drop_now = conn.dead || (conn.closing && conn.writeq.is_empty());
+            let drop_now = conn.dead
+                || (conn.closing && conn.writeq.is_empty())
+                || (draining && write_stalled(shared, conn, now));
             if drop_now {
                 // Orphaned jobs may still hold a ConnTx; their pushes
                 // must not accumulate against a gone connection.
@@ -101,7 +104,7 @@ pub(crate) fn run(listener: &TcpListener, shared: &Arc<Shared>) -> Result<(), Se
             !drop_now
         });
         sync_reactor_gauges(shared, &conns);
-        if shared.shutting_down.load(Ordering::SeqCst) && quiesced(shared, &conns) {
+        if draining && quiesced(shared, &conns) {
             for conn in &conns {
                 let _ = conn.stream.shutdown(Shutdown::Both);
             }
@@ -689,6 +692,15 @@ fn sync_reactor_gauges(shared: &Shared, conns: &[Conn]) {
         .metrics
         .reactor_write_queue_frames
         .store(frames as u64, Ordering::SeqCst);
+}
+
+/// Whether the connection's oldest queued frame has waited past the
+/// request deadline: a client that stopped reading. A draining server
+/// drops such a connection rather than wait on it forever.
+fn write_stalled(shared: &Shared, conn: &Conn, now: u64) -> bool {
+    conn.writeq
+        .oldest_enqueued_micros()
+        .is_some_and(|queued| now.saturating_sub(queued) > shared.config.deadline_micros)
 }
 
 /// Whether a draining server has nothing left to do: no job outstanding

@@ -12,10 +12,13 @@
 //! [`crate::conn::SynthState`], so thousands of concurrent streams need
 //! only as many workers as there are chunk jobs in flight.
 //!
-//! Admission is sharded: the profile cache is a [`ShardedCache`] keyed
-//! by content fingerprint, and each shard has a bounded in-flight budget
-//! ([`ServerConfig::shard_budget`]). A request for a shard at budget is
-//! shed with a typed `Busy` frame the client retries with backoff.
+//! Fitted profiles live in one [`ProfileCache`] keyed by content
+//! fingerprint, with repeat fits found through their fit-key aliases.
+//! Admission is sharded: a request routes by fingerprint (an upload by a
+//! hash of its prefix) to one of [`ServerConfig::shards`] domains, each
+//! with a bounded in-flight budget ([`ServerConfig::shard_budget`]). A
+//! request for a shard at budget is shed with a typed `Busy` frame the
+//! client retries with backoff.
 //! Every failure path still answers with a typed error frame before the
 //! connection is ever closed.
 
@@ -24,9 +27,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use mocktails_core::{
-    fit_key, HierarchyConfig, InjectionFeedback, LayerSpec, Profile, ProfileError, ProfileRecord,
-};
+use mocktails_core::{fit_key, HierarchyConfig, LayerSpec, Profile, ProfileError, ProfileRecord};
 use mocktails_dram::{DramConfig, MemorySystem};
 use mocktails_pool::bounded::{SubmitError, WorkerPool};
 use mocktails_pool::Parallelism;
@@ -34,7 +35,7 @@ use mocktails_store::{ProfileStore, StoreOptions};
 use mocktails_trace::codec::RecordEncoder;
 use mocktails_trace::{fnv1a, DecodeOptions, Fingerprinter, TraceError};
 
-use crate::cache::{ShardAdmission, ShardedCache};
+use crate::cache::{ProfileCache, ShardAdmission};
 use crate::conn::{ConnTx, Coupling, SynthState, WakeFlag};
 use crate::error::{ErrorCode, ServeError};
 use crate::metrics::{Clock, ServeMetrics};
@@ -50,7 +51,7 @@ const ADMISSION_HASH_PREFIX: usize = 4096;
 pub enum ServerConfigError {
     /// `workers` was 0; the pool needs at least one thread.
     ZeroWorkers,
-    /// `shards` was 0; the cache needs at least one shard.
+    /// `shards` was 0; admission needs at least one shard.
     ZeroShards,
     /// `max_conns` was 0; the server could accept nothing.
     ZeroMaxConns,
@@ -96,11 +97,9 @@ pub struct ServerConfig {
     /// Jobs admitted beyond the running ones; over-cap submissions get a
     /// `Busy` error frame (see [`WorkerPool`]).
     pub queue_cap: usize,
-    /// Profiles the cache retains across all shards (LRU per shard
-    /// beyond `cache_capacity / shards`).
+    /// Profiles the cache retains; the least recently used is evicted
+    /// beyond this.
     pub cache_capacity: usize,
-    /// Cache entry lifetime in microseconds (0 = never expires).
-    pub cache_ttl_micros: u64,
     /// Maximum accepted frame payload length in bytes.
     pub max_frame_len: usize,
     /// Per-request deadline in microseconds: bounds the queue wait and
@@ -113,7 +112,8 @@ pub struct ServerConfig {
     /// its write-ahead log *before* the `FitResult` ack, and a restart
     /// warms the cache from the recovered state.
     pub store_dir: Option<PathBuf>,
-    /// Cache/admission shards; requests route by content fingerprint.
+    /// Admission shards, each with its own in-flight budget; requests
+    /// route by content fingerprint.
     pub shards: usize,
     /// Connections the reactor will hold open at once; excess accepts
     /// are answered with a `Busy` frame and closed.
@@ -129,7 +129,6 @@ impl Default for ServerConfig {
             workers: 4,
             queue_cap: 16,
             cache_capacity: 64,
-            cache_ttl_micros: 0,
             max_frame_len: 64 << 20,
             deadline_micros: 30_000_000,
             decode: DecodeOptions::default(),
@@ -199,17 +198,10 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Profiles the cache retains across all shards.
+    /// Profiles the cache retains.
     #[must_use]
     pub fn cache_capacity(mut self, cache_capacity: usize) -> Self {
         self.config.cache_capacity = cache_capacity;
-        self
-    }
-
-    /// Cache entry lifetime in microseconds (0 = never expires).
-    #[must_use]
-    pub fn cache_ttl_micros(mut self, cache_ttl_micros: u64) -> Self {
-        self.config.cache_ttl_micros = cache_ttl_micros;
         self
     }
 
@@ -241,7 +233,7 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Cache/admission shards.
+    /// Admission shards.
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.config.shards = shards;
@@ -276,13 +268,13 @@ impl ServerConfigBuilder {
 /// State shared by the reactor and worker jobs.
 pub(crate) struct Shared {
     pub(crate) config: ServerConfig,
-    pub(crate) cache: ShardedCache,
+    pub(crate) cache: Mutex<ProfileCache>,
     pub(crate) metrics: Arc<ServeMetrics>,
     pub(crate) pool: WorkerPool,
     pub(crate) clock: Arc<dyn Clock>,
     /// The durable tier behind the cache, if configured. Its mutex is
-    /// never held together with a cache shard's: fit persistence
-    /// releases the cache shard, then locks the store.
+    /// never held together with the cache's: fit persistence releases
+    /// the cache, then locks the store.
     pub(crate) store: Option<Mutex<ProfileStore>>,
     pub(crate) shutting_down: AtomicBool,
     pub(crate) addr: SocketAddr,
@@ -294,15 +286,16 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Mirrors the cache's aggregate tallies into the metric registry.
-    pub(crate) fn sync_cache_metrics(&self) {
-        let stats = self.cache.stats();
+    /// Runs `op` on the locked cache and mirrors the cache's tallies
+    /// into the metric registry before releasing it.
+    pub(crate) fn with_cache<T>(&self, op: impl FnOnce(&mut ProfileCache) -> T) -> T {
+        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let out = op(&mut cache);
         let m = &self.metrics;
-        m.cache_entries.store(stats.entries, Ordering::SeqCst);
+        m.cache_entries.store(cache.len() as u64, Ordering::SeqCst);
         m.cache_evictions_total
-            .store(stats.evictions, Ordering::SeqCst);
-        m.cache_expirations_total
-            .store(stats.expirations, Ordering::SeqCst);
+            .store(cache.evictions(), Ordering::SeqCst);
+        out
     }
 
     /// Mirrors the store's size gauges into the metric registry.
@@ -313,8 +306,8 @@ impl Shared {
     }
 
     /// The shard-admission routing key for a request: which shard's
-    /// budget it consumes. Fingerprint sources route exactly like the
-    /// cache; uploads hash a bounded prefix (cheap enough for the
+    /// budget it consumes. Fingerprint sources route by the fingerprint
+    /// itself; uploads hash a bounded prefix (cheap enough for the
     /// reactor thread — the real content hash happens in a worker).
     pub(crate) fn admission_key(&self, source: &ProfileSource) -> u64 {
         match source {
@@ -392,7 +385,7 @@ fn shared_store_open(
 
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
-    /// prepares the worker pool, sharded cache and metrics registry.
+    /// prepares the worker pool, profile cache and metrics registry.
     ///
     /// # Errors
     ///
@@ -408,11 +401,7 @@ impl Server {
         listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let metrics = Arc::new(ServeMetrics::new());
-        let cache = ShardedCache::new(
-            config.shards,
-            config.cache_capacity,
-            config.cache_ttl_micros,
-        );
+        let mut cache = ProfileCache::new(config.cache_capacity);
 
         // Cold start: recover the persistent store and warm the cache
         // from it, so a restarted server answers fits it already paid for.
@@ -420,9 +409,8 @@ impl Server {
             None => None,
             Some(dir) => {
                 let opened = shared_store_open(dir, &config, clock.as_ref(), &metrics)?;
-                let now = clock.now_micros();
                 for (fingerprint, entry) in opened.iter() {
-                    cache.insert(fingerprint, Arc::clone(&entry.profile), entry.fit_key, now);
+                    cache.insert(fingerprint, Arc::clone(&entry.profile), entry.fit_key);
                 }
                 metrics
                     .store_profiles
@@ -442,7 +430,7 @@ impl Server {
         let shared = Arc::new(Shared {
             pool: WorkerPool::new(config.workers, config.queue_cap),
             admission: ShardAdmission::new(config.shards, config.shard_budget),
-            cache,
+            cache: Mutex::new(cache),
             config,
             metrics,
             clock,
@@ -466,7 +454,10 @@ impl Server {
 
     /// Serves until a `Shutdown` frame arrives, then drains: stops
     /// accepting, completes in-flight work (mid-stream clients get their
-    /// `SynthEnd`), closes connections, and returns.
+    /// `SynthEnd`), closes connections, and returns. A client that has
+    /// stopped reading is dropped once its oldest queued frame has waited
+    /// longer than [`ServerConfig::deadline_micros`], so it cannot hold
+    /// the drain open.
     ///
     /// # Errors
     ///
@@ -638,9 +629,7 @@ fn fit_job(shared: &Shared, cycles: u64, trace_bytes: &[u8]) -> Reply {
     let config =
         fit_config(cycles).map_err(|msg| (ErrorCode::Malformed, format!("cycles: {msg}")))?;
     let key = fit_key(fnv1a(trace_bytes), &config);
-    let now = shared.clock.now_micros();
-    let cached = shared.cache.get_by_fit_key(key, now);
-    shared.sync_cache_metrics();
+    let cached = shared.with_cache(|cache| cache.get_by_fit_key(key));
     // A fresh fit is encoded once: the record's bytes give the
     // fingerprint, the write-ahead log entry and the reply.
     let (fingerprint, profile, record) = match cached {
@@ -664,11 +653,9 @@ fn fit_job(shared: &Shared, cycles: u64, trace_bytes: &[u8]) -> Reply {
             ));
             let record = ProfileRecord::from_profile(&profile, Some(key))
                 .map_err(|e| (ErrorCode::Internal, e.to_string()))?;
-            let now = shared.clock.now_micros();
-            shared
-                .cache
-                .insert(record.fingerprint, Arc::clone(&profile), Some(key), now);
-            shared.sync_cache_metrics();
+            shared.with_cache(|cache| {
+                cache.insert(record.fingerprint, Arc::clone(&profile), Some(key));
+            });
             (record.fingerprint, profile, Some(record))
         }
     };
@@ -722,9 +709,7 @@ fn resolve_profile(
 ) -> Result<Arc<Profile>, (ErrorCode, String)> {
     match source {
         ProfileSource::Fingerprint(fp) => {
-            let now = shared.clock.now_micros();
-            let found = shared.cache.get(*fp, now);
-            shared.sync_cache_metrics();
+            let found = shared.with_cache(|cache| cache.get(*fp));
             match found {
                 Some(profile) => {
                     shared
@@ -750,11 +735,7 @@ fn resolve_profile(
                 .map_err(|e| profile_error_frame(&e))?;
             let profile = Arc::new(profile);
             let fingerprint = fnv1a(bytes);
-            let now = shared.clock.now_micros();
-            shared
-                .cache
-                .insert(fingerprint, Arc::clone(&profile), None, now);
-            shared.sync_cache_metrics();
+            shared.with_cache(|cache| cache.insert(fingerprint, Arc::clone(&profile), None));
             Ok(profile)
         }
     }

@@ -22,7 +22,6 @@ fn builder_forwards_every_knob_bit_identically() {
         .workers(3)
         .queue_cap(9)
         .cache_capacity(17)
-        .cache_ttl_micros(5_000)
         .max_frame_len(1 << 16)
         .deadline_micros(2_000_000)
         .decode(decode)
@@ -37,7 +36,6 @@ fn builder_forwards_every_knob_bit_identically() {
         workers: 3,
         queue_cap: 9,
         cache_capacity: 17,
-        cache_ttl_micros: 5_000,
         max_frame_len: 1 << 16,
         deadline_micros: 2_000_000,
         decode,

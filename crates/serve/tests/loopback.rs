@@ -7,8 +7,8 @@ use mocktails_core::{HierarchyConfig, LayerSpec, LeafModel, McC, Profile};
 use mocktails_pool::Parallelism;
 use mocktails_serve::frame::{read_frame, write_frame};
 use mocktails_serve::{
-    Client, ErrorCode, ManualClock, ProfileSource, Request as WireRequest, Response, ServeError,
-    Server, ServerConfig,
+    Client, ErrorCode, ManualClock, MonotonicClock, ProfileSource, Request as WireRequest,
+    Response, ServeError, Server, ServerConfig,
 };
 use mocktails_trace::codec::{write_trace, RecordDecoder, RecordEncoder};
 use mocktails_trace::{AddrRange, DecodeLimits, DecodeOptions, Fingerprinter, Request, Trace};
@@ -702,7 +702,6 @@ fn offline_coupled(trace: &Trace) -> (Vec<u8>, u64, u64) {
 /// The paced requests of the offline Option B run, plus its total stall
 /// cycles.
 fn offline_paced(trace: &Trace) -> (Vec<Request>, u64) {
-    use mocktails_core::InjectionFeedback;
     use mocktails_dram::{DramConfig, MemorySystem};
     let profile = Profile::fit_with(trace, &offline_config(), Parallelism::sequential());
     let mut synth = profile.synthesizer(SEED);
@@ -1005,19 +1004,22 @@ fn cancel_with_banked_credits_reports_what_was_sent() {
     shut_down(&addr, handle);
 }
 
-#[test]
-fn banked_credits_do_not_grow_the_write_queue_past_the_watermark() {
-    // One leaf of a million requests whose timestamps step by 2^40
-    // cycles: every record carries a 6-byte time delta, so a 512-request
-    // chunk frame is at least 3 KiB and the stream runs to ~13 MB.
-    const REQUESTS: u64 = 1_000_000;
-    const CHUNK_LEN: u32 = 512;
+/// Requests in [`huge_stream_profile`]'s one leaf.
+const HUGE_REQUESTS: u64 = 1_000_000;
+
+/// Chunk length the write-queue tests stream [`huge_stream_profile`] at.
+const HUGE_CHUNK_LEN: u32 = 512;
+
+/// One leaf of a million requests whose timestamps step by 2^40 cycles:
+/// every record carries a 6-byte time delta, so a 512-request chunk
+/// frame is at least 3 KiB and the stream runs to ~13 MB.
+fn huge_stream_profile() -> Vec<u8> {
     let range = AddrRange::new(0, 1 << 40);
     let leaf = LeafModel::try_from_parts(
         0,
         0,
         range,
-        REQUESTS,
+        HUGE_REQUESTS,
         McC::Constant(1 << 40),
         McC::Constant(0x1234_5678),
         McC::Constant(0),
@@ -1028,16 +1030,26 @@ fn banked_credits_do_not_grow_the_write_queue_past_the_watermark() {
     profile.validate().expect("valid profile");
     let mut profile_bytes = Vec::new();
     profile.write(&mut profile_bytes).expect("profile encode");
+    profile_bytes
+}
 
-    let (addr, handle) = start_server(ServerConfig::default());
-    let mut hog = RawConn::connect(&addr);
+/// A client that opens a stream of [`huge_stream_profile`], banks far
+/// more credits than the stream has chunks, and then never reads.
+fn connect_hog(addr: &str) -> RawConn {
+    let mut hog = RawConn::connect(addr);
     hog.send(&[WireRequest::Synthesize {
         seed: SEED,
-        chunk_len: CHUNK_LEN,
-        source: ProfileSource::Inline(profile_bytes),
+        chunk_len: HUGE_CHUNK_LEN,
+        source: ProfileSource::Inline(huge_stream_profile()),
     }]);
-    // Bank far more credits than the stream has chunks, then never read.
     hog.send(&vec![WireRequest::Ack; 10_000]);
+    hog
+}
+
+#[test]
+fn banked_credits_do_not_grow_the_write_queue_past_the_watermark() {
+    let (addr, handle) = start_server(ServerConfig::default());
+    let hog = connect_hog(&addr);
 
     // The server stops encoding once the hog's queued output passes the
     // 1 MiB high watermark: what is queued then is under the watermark,
@@ -1045,7 +1057,7 @@ fn banked_credits_do_not_grow_the_write_queue_past_the_watermark() {
     // `SynthStart`.
     const WRITE_HIGH_WATERMARK: u64 = 1 << 20;
     const STREAM_JOB_CHUNKS: u64 = 16;
-    let min_chunk_frame = u64::from(CHUNK_LEN) * 6;
+    let min_chunk_frame = u64::from(HUGE_CHUNK_LEN) * 6;
     let bound = WRITE_HIGH_WATERMARK / min_chunk_frame + STREAM_JOB_CHUNKS + 2;
 
     let mut observer = Client::connect(&addr).expect("observer connect");
@@ -1054,7 +1066,7 @@ fn banked_credits_do_not_grow_the_write_queue_past_the_watermark() {
     let mut still = 0;
     let started = std::time::Instant::now();
     // Watch until the stream has stood still for 300 ms or has finished.
-    while still < 30 && streamed < REQUESTS && started.elapsed().as_secs() < 120 {
+    while still < 30 && streamed < HUGE_REQUESTS && started.elapsed().as_secs() < 120 {
         std::thread::sleep(std::time::Duration::from_millis(10));
         let text = observer.metricsz().expect("metricsz");
         peak_frames = peak_frames.max(metric(&text, "reactor_write_queue_frames"));
@@ -1067,9 +1079,119 @@ fn banked_credits_do_not_grow_the_write_queue_past_the_watermark() {
         "{peak_frames} frames queued (bound {bound}) after {streamed} requests streamed"
     );
     assert!(
-        streamed < REQUESTS,
+        streamed < HUGE_REQUESTS,
         "a client that never reads got the whole stream"
     );
     drop(hog);
+    shut_down(&addr, handle);
+}
+
+#[test]
+fn shutdown_drops_a_client_that_stopped_reading() {
+    // A drain waits for every connection to flush, but a client that has
+    // stopped reading never lets its write queue empty: once draining,
+    // the server drops a connection whose oldest queued frame is older
+    // than the request deadline, so `run` still returns.
+    let config = ServerConfig {
+        deadline_micros: 300_000,
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", config, Arc::new(MonotonicClock::new()))
+        .expect("bind ephemeral port");
+    let addr = server.local_addr().to_string();
+    let handle = std::thread::spawn(move || server.run().expect("server run"));
+    let hog = connect_hog(&addr);
+
+    // Wait until the hog's stream stands still behind its unread output.
+    let mut observer = Client::connect(&addr).expect("observer connect");
+    let (mut streamed, mut still) = (0, 0);
+    let started = std::time::Instant::now();
+    while still < 10 && started.elapsed().as_secs() < 60 {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        let text = observer.metricsz().expect("metricsz");
+        let now = metric(&text, "streamed_requests_total");
+        still = if now == streamed && now > 0 {
+            still + 1
+        } else {
+            0
+        };
+        streamed = now;
+    }
+    assert!(
+        streamed > 0 && streamed < HUGE_REQUESTS,
+        "the hog's stream should be parked part-way, at {streamed} requests"
+    );
+
+    observer.shutdown().expect("shutdown handshake");
+    // Poll rather than join, so a drain that never ends fails the test
+    // instead of hanging it.
+    let asked = std::time::Instant::now();
+    while !handle.is_finished() && asked.elapsed().as_secs() < 10 {
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    assert!(
+        handle.is_finished(),
+        "the server still had not drained {:?} after shutdown",
+        asked.elapsed()
+    );
+    handle.join().expect("server thread exits cleanly");
+    drop(hog);
+}
+
+#[test]
+fn cache_capacity_holds_that_many_profiles_whatever_their_fingerprints() {
+    // Eight distinct fits into a cache of eight, at the default eight
+    // admission shards: every profile stays streamable by fingerprint,
+    // and only a ninth fit evicts, taking the least recently used.
+    let traces: Vec<Trace> = (0..9u64)
+        .map(|seed| generate_n("gobmk", seed, 2_000).expect("known benchmark name"))
+        .collect();
+    let config = ServerConfig {
+        cache_capacity: 8,
+        ..ServerConfig::default()
+    };
+    assert_eq!(config.shards, 8);
+    let (addr, handle) = start_server(config);
+    let mut client = Client::connect(&addr).expect("connect");
+    let fingerprints: Vec<u64> = traces[..8]
+        .iter()
+        .map(|trace| {
+            client
+                .fit(CYCLES, trace_bytes(trace))
+                .expect("fit")
+                .fingerprint
+        })
+        .collect();
+    // Not vacuous: a cache split eight ways by `fingerprint % 8`, one
+    // slot each, could not hold all of these at once.
+    let mut residues: Vec<u64> = fingerprints.iter().map(|fp| fp % 8).collect();
+    residues.sort_unstable();
+    residues.dedup();
+    assert!(residues.len() < 8, "fingerprints {fingerprints:x?}");
+
+    let stream =
+        |client: &mut Client, fp: u64| client.synthesize(SEED, 512, ProfileSource::Fingerprint(fp));
+    for (fp, trace) in fingerprints.iter().zip(&traces) {
+        let synth = stream(&mut client, *fp).unwrap_or_else(|e| panic!("{fp:#018x}: {e}"));
+        assert_eq!(synth.total_requests, trace.len() as u64);
+    }
+    let text = client.metricsz().expect("metricsz");
+    assert_eq!(metric(&text, "cache_entries"), 8, "{text}");
+    assert_eq!(metric(&text, "cache_evictions_total"), 0, "{text}");
+
+    let ninth = client
+        .fit(CYCLES, trace_bytes(&traces[8]))
+        .expect("ninth fit")
+        .fingerprint;
+    match stream(&mut client, fingerprints[0]) {
+        Err(ServeError::Remote { code, .. }) => assert_eq!(code, ErrorCode::NotFound),
+        other => panic!("the least recently used profile should be gone: {other:?}"),
+    }
+    for &fp in fingerprints[1..].iter().chain([&ninth]) {
+        stream(&mut client, fp).unwrap_or_else(|e| panic!("{fp:#018x}: {e}"));
+    }
+    let text = client.metricsz().expect("metricsz");
+    assert_eq!(metric(&text, "cache_entries"), 8, "{text}");
+    assert_eq!(metric(&text, "cache_evictions_total"), 1, "{text}");
     shut_down(&addr, handle);
 }

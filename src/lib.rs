@@ -54,8 +54,7 @@ pub use mocktails_trace as trace;
 pub use mocktails_workloads as workloads;
 
 pub use mocktails_core::{
-    ConfigBuilder, ConfigError, HierarchyConfig, InjectionFeedback, LayerSpec, McC, ModelOptions,
-    Profile, Synthesizer,
+    ConfigBuilder, ConfigError, HierarchyConfig, LayerSpec, McC, ModelOptions, Profile, Synthesizer,
 };
 pub use mocktails_dram::{DramConfig, MemorySystem};
 pub use mocktails_pool::Parallelism;

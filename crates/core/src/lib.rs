@@ -63,4 +63,4 @@ pub use error::{ProfileError, ValueError};
 pub use model::{LeafGenerator, LeafModel, MarkovChain, MarkovSampler, McC, McCSampler};
 pub use partition::Partition;
 pub use profile::{fit_key, Profile, ProfileRecord, ProfileSummary};
-pub use synth::Synthesizer;
+pub use synth::{SynthPlan, Synthesizer};

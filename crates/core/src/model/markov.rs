@@ -217,45 +217,71 @@ impl MarkovChain {
     /// a transition count (paper §III-C); without, the sampler draws from
     /// the stationary transition probabilities indefinitely.
     pub fn sampler(&self, strict: bool) -> MarkovSampler {
-        let row_of = |state: i64| self.states.binary_search(&state).unwrap_or(NO_ROW);
-        let edges = self
-            .edges
-            .iter()
-            .map(|&(to, count)| Edge {
-                to,
-                row: row_of(to),
-                count: [count, if strict { count } else { 0 }],
-            })
-            .collect();
-        let mut total = [0u64; 2];
-        let mut start = 0;
-        let rows = self
-            .row_ends
-            .iter()
-            .map(|&end| {
-                let row_total = self.edges[start..end]
-                    .iter()
-                    .fold(0u64, |sum, &(_, count)| sum.wrapping_add(count));
-                let row_total = [row_total, if strict { row_total } else { 0 }];
-                total = [
-                    total[OBSERVED].wrapping_add(row_total[OBSERVED]),
-                    total[REMAINING].wrapping_add(row_total[REMAINING]),
-                ];
-                let row = Row {
-                    start,
-                    end,
-                    total: row_total,
-                };
-                start = end;
-                row
-            })
-            .collect();
+        let mut rows = Vec::with_capacity(self.states.len());
+        let mut successors = Vec::with_capacity(self.edges.len());
+        let mut observed = Vec::with_capacity(self.counts_len());
+        let initial = self.resolve_into(&mut rows, &mut successors, &mut observed);
+        let remaining = if strict { observed.clone() } else { Vec::new() };
         MarkovSampler {
-            initial: (self.initial, row_of(self.initial)),
-            rows,
-            edges,
-            total,
+            initial,
+            rows: rows.into_boxed_slice(),
+            successors: successors.into_boxed_slice(),
+            observed: observed.into_boxed_slice(),
+            remaining: remaining.into_boxed_slice(),
             current: None,
+        }
+    }
+
+    /// Number of distinct `(from, to)` edges.
+    pub(crate) fn num_edges(&self) -> usize {
+        self.edges.len()
+    }
+
+    /// Length of the chain's count block (see [`ChainTable`]).
+    pub(crate) fn counts_len(&self) -> usize {
+        1 + self.states.len() + self.edges.len()
+    }
+
+    /// Appends the chain's resolved table for sampling: its rows to
+    /// `rows` and its successors to `successors` (offsets relative to the
+    /// chain's own first row and edge), and its count block of fitted
+    /// counts to `counts`. Returns the initial state and its row.
+    ///
+    /// Totals wrap rather than overflow: a validated chain never
+    /// overflows (see [`MarkovChain::validate`]), and an unvalidated one
+    /// must not panic the sampler.
+    pub(crate) fn resolve_into(
+        &self,
+        rows: &mut Vec<RowSpan>,
+        successors: &mut Vec<Successor>,
+        counts: &mut Vec<u64>,
+    ) -> Successor {
+        let row_of = |state: i64| self.states.binary_search(&state).unwrap_or(NO_ROW);
+        successors.extend(self.edges.iter().map(|&(to, _)| Successor {
+            to,
+            row: row_of(to),
+        }));
+        let total_at = counts.len();
+        counts.push(0);
+        let mut total = 0u64;
+        let mut start = 0;
+        for &end in self.row_ends.iter() {
+            let row_total = self.edges.get(start..end).map_or(0, |row| {
+                row.iter()
+                    .fold(0u64, |sum, &(_, count)| sum.wrapping_add(count))
+            });
+            total = total.wrapping_add(row_total);
+            counts.push(row_total);
+            rows.push(RowSpan { start, end });
+            start = end;
+        }
+        counts.extend(self.edges.iter().map(|&(_, count)| count));
+        if let Some(slot) = counts.get_mut(total_at) {
+            *slot = total;
+        }
+        Successor {
+            to: self.initial,
+            row: row_of(self.initial),
         }
     }
 }
@@ -331,31 +357,140 @@ impl ChainBuilder {
 /// Row index of a state with no row of out-edges (a terminal state).
 const NO_ROW: usize = usize::MAX;
 
-/// Index of the fitted counts in a `[observed, remaining]` count pair.
-const OBSERVED: usize = 0;
-/// Index of the counts strict convergence has not consumed yet (all zero
-/// for a non-strict sampler).
-const REMAINING: usize = 1;
-
-/// One source state of a [`MarkovSampler`]'s flat table (rows are in
-/// the chain's ascending state order).
-#[derive(Debug, Clone)]
-struct Row {
-    /// The row's edges are `edges[start..end]`.
+/// One source state's row in a resolved table: its edges are
+/// `start..end` of the chain's successors.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowSpan {
     start: usize,
     end: usize,
-    /// `[observed, remaining]` sums of the row's edge counts.
-    total: [u64; 2],
 }
 
-/// One transition of a [`MarkovSampler`]'s flat table.
-#[derive(Debug, Clone)]
-struct Edge {
+/// A resolved state: its value and its row, or [`NO_ROW`] when the state
+/// is terminal.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Successor {
     to: i64,
-    /// Row of `to`, or [`NO_ROW`] when `to` is terminal.
     row: usize,
-    /// `[observed, remaining]` counts.
-    count: [u64; 2],
+}
+
+/// A Markov chain's transition table resolved for sampling: rows are the
+/// source states in ascending order, and each edge stores its successor
+/// value and that value's row, so a step finds its row in O(1) and walks
+/// only that row.
+///
+/// The counts live apart from the table, in a *count block* laid out as
+/// `[total, row totals.., edge counts..]`: the fitted counts are shared,
+/// and strict convergence consumes a private copy of them. A
+/// [`MarkovSampler`] owns one table and its blocks; a
+/// [`crate::synth::SynthPlan`] holds every chain of a profile in one flat
+/// table and gives each live leaf its own copy of the remaining counts.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChainTable<'a> {
+    pub(crate) initial: Successor,
+    pub(crate) rows: &'a [RowSpan],
+    pub(crate) successors: &'a [Successor],
+}
+
+impl ChainTable<'_> {
+    /// Emits the next state after the row `current` (`None` before the
+    /// first emission, which is the initial state and draws nothing).
+    ///
+    /// Strict: the current row's `remaining` edges, else a jump via any
+    /// remaining edge so the value multiset still converges. Once every
+    /// count is spent (more values asked for than observed), and always
+    /// when `remaining` is empty (non-strict), draw from the `observed`
+    /// counts the same way. Every weighted draw uses the same total and
+    /// the same walk order as a walk over the chain's sorted transition
+    /// map, so a seed yields the same values either way.
+    pub(crate) fn next_state<R: Rng + ?Sized>(
+        &self,
+        observed: &[u64],
+        remaining: &mut [u64],
+        current: &mut Option<usize>,
+        rng: &mut R,
+    ) -> i64 {
+        let Some(row) = *current else {
+            *current = Some(self.initial.row);
+            return self.initial.to;
+        };
+        let edge = match draw(self.rows, remaining, row, rng) {
+            Some((row, edge)) => {
+                take(self.rows.len(), remaining, row, edge);
+                Some(edge)
+            }
+            None => draw(self.rows, observed, row, rng).map(|(_, edge)| edge),
+        };
+        let next = edge
+            .and_then(|edge| self.successors.get(edge))
+            .copied()
+            .unwrap_or(self.initial);
+        *current = Some(next.row);
+        next.to
+    }
+}
+
+/// Splits a count block into its total, row totals and edge counts
+/// (`None` for an empty block).
+fn split_counts(counts: &[u64], rows: usize) -> Option<(u64, &[u64], &[u64])> {
+    let (&total, rest) = counts.split_first()?;
+    let (row_totals, edge_counts) = rest.split_at_checked(rows)?;
+    Some((total, row_totals, edge_counts))
+}
+
+/// Draws a `(row, edge)` proportionally to the count block `counts`: from
+/// `row` when it has any count, else from the whole table, skipping rows
+/// by their totals. `None` when every count is zero (or the block is
+/// empty), without touching `rng`.
+fn draw<R: Rng + ?Sized>(
+    rows: &[RowSpan],
+    counts: &[u64],
+    row: usize,
+    rng: &mut R,
+) -> Option<(usize, usize)> {
+    let (total, row_totals, edge_counts) = split_counts(counts, rows.len())?;
+    let (row, mut target) = match row_totals.get(row) {
+        Some(&row_total) if row_total > 0 => (row, rng.gen_range(0..row_total)),
+        _ if total > 0 => {
+            let mut target = rng.gen_range(0..total);
+            let row = row_totals.iter().position(|&row_total| {
+                let here = target < row_total;
+                if !here {
+                    target -= row_total;
+                }
+                here
+            })?;
+            (row, target)
+        }
+        _ => return None,
+    };
+    let span = rows.get(row)?;
+    let offset = edge_counts
+        .get(span.start..span.end)?
+        .iter()
+        .position(|&count| {
+            let here = target < count;
+            if !here {
+                target -= count;
+            }
+            here
+        })?;
+    Some((row, span.start + offset))
+}
+
+/// Consumes one count of `edge`, which leaves `row`, from the count block
+/// `counts` of a table with `rows` rows.
+fn take(rows: usize, counts: &mut [u64], row: usize, edge: usize) {
+    let Some((total, rest)) = counts.split_first_mut() else {
+        return;
+    };
+    let Some((row_totals, edge_counts)) = rest.split_at_mut_checked(rows) else {
+        return;
+    };
+    if let (Some(r), Some(e)) = (row_totals.get_mut(row), edge_counts.get_mut(edge)) {
+        *r -= 1;
+        *e -= 1;
+        *total = total.wrapping_sub(1);
+    }
 }
 
 /// Streaming sampler for a [`MarkovChain`].
@@ -366,21 +501,22 @@ struct Edge {
 /// are exhausted (a dead end the decremented walk can reach), it jumps to
 /// any remaining edge so the overall value multiset is still reproduced.
 ///
-/// The chain is flattened into one table: rows are the source states in
-/// ascending order, and each edge stores its successor value and that
-/// value's row, so a step finds its row in O(1) and walks only that row.
-/// Per-row and grand totals are kept in step as counts are consumed.
-/// Every weighted draw uses the same total and the same walk order as a
-/// walk over the chain's sorted transition map, so a seed yields the same
-/// values either way.
+/// The chain is resolved once into a row table and a successor table,
+/// with its counts in a separate block whose per-row and grand totals are
+/// kept in step as counts are consumed. Synthesis draws through the same
+/// step function over a profile-wide [`crate::SynthPlan`], so a seed
+/// yields the same values either way.
 #[derive(Debug, Clone)]
 pub struct MarkovSampler {
-    /// The initial state and its row.
-    initial: (i64, usize),
-    rows: Vec<Row>,
-    edges: Vec<Edge>,
-    /// `[observed, remaining]` sums over the whole table.
-    total: [u64; 2],
+    /// The resolved table (see [`ChainTable`]).
+    initial: Successor,
+    rows: Box<[RowSpan]>,
+    successors: Box<[Successor]>,
+    /// The fitted count block.
+    observed: Box<[u64]>,
+    /// The counts strict convergence has not consumed yet (empty for a
+    /// non-strict sampler).
+    remaining: Box<[u64]>,
     /// Row of the last emitted state, `None` before the first emission.
     current: Option<usize>,
 }
@@ -388,69 +524,12 @@ pub struct MarkovSampler {
 impl MarkovSampler {
     /// Emits the next state.
     pub fn next_state<R: Rng + ?Sized>(&mut self, rng: &mut R) -> i64 {
-        let Some(row) = self.current else {
-            self.current = Some(self.initial.1);
-            return self.initial.0;
+        let table = ChainTable {
+            initial: self.initial,
+            rows: &self.rows,
+            successors: &self.successors,
         };
-        // Strict: the current row's remaining edges, else a jump via any
-        // remaining edge so the value multiset still converges. Once every
-        // count is spent (more values asked for than observed), and always
-        // when non-strict, draw from the fitted counts the same way.
-        let edge = match self.draw(REMAINING, row, rng) {
-            Some((row, edge)) => {
-                self.take(row, edge);
-                Some(edge)
-            }
-            None => self.draw(OBSERVED, row, rng).map(|(_, edge)| edge),
-        };
-        let (value, row) = edge
-            .and_then(|edge| self.edges.get(edge))
-            .map_or(self.initial, |edge| (edge.to, edge.row));
-        self.current = Some(row);
-        value
-    }
-
-    /// Draws a `(row, edge)` proportionally to counts `k`: from `row` when
-    /// it has any count, else from the whole table, skipping rows by their
-    /// totals. `None` when every count is zero.
-    ///
-    /// Totals wrap rather than overflow: a validated chain never overflows
-    /// (see [`MarkovChain::validate`]), and an unvalidated one must not
-    /// panic the sampler.
-    fn draw<R: Rng + ?Sized>(&self, k: usize, row: usize, rng: &mut R) -> Option<(usize, usize)> {
-        let (row, mut target) = match self.rows.get(row) {
-            Some(r) if r.total[k] > 0 => (row, rng.gen_range(0..r.total[k])),
-            _ if self.total[k] > 0 => {
-                let mut target = rng.gen_range(0..self.total[k]);
-                let row = self.rows.iter().position(|r| {
-                    let here = target < r.total[k];
-                    if !here {
-                        target -= r.total[k];
-                    }
-                    here
-                })?;
-                (row, target)
-            }
-            _ => return None,
-        };
-        let r = self.rows.get(row)?;
-        let offset = self.edges.get(r.start..r.end)?.iter().position(|e| {
-            let here = target < e.count[k];
-            if !here {
-                target -= e.count[k];
-            }
-            here
-        })?;
-        Some((row, r.start + offset))
-    }
-
-    /// Consumes one remaining count of `edge`, which leaves `row`.
-    fn take(&mut self, row: usize, edge: usize) {
-        if let (Some(r), Some(e)) = (self.rows.get_mut(row), self.edges.get_mut(edge)) {
-            r.total[REMAINING] -= 1;
-            e.count[REMAINING] -= 1;
-            self.total[REMAINING] = self.total[REMAINING].wrapping_sub(1);
-        }
+        table.next_state(&self.observed, &mut self.remaining, &mut self.current, rng)
     }
 }
 

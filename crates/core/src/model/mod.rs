@@ -14,6 +14,6 @@ mod markov;
 mod mcc;
 
 pub use leaf::{LeafGenerator, LeafModel};
-pub(crate) use markov::ChainBuilder;
+pub(crate) use markov::{ChainBuilder, ChainTable, RowSpan, Successor};
 pub use markov::{MarkovChain, MarkovSampler};
 pub use mcc::{McC, McCSampler};

@@ -20,7 +20,7 @@ use mocktails_trace::{DecodeOptions, Request, Trace};
 use crate::config::HierarchyConfig;
 use crate::model::{LeafModel, McC};
 use crate::partition::hierarchy::Leaves;
-use crate::synth::Synthesizer;
+use crate::synth::{SynthPlan, Synthesizer};
 use crate::ProfileError;
 
 /// A Mocktails statistical profile.
@@ -98,9 +98,21 @@ impl Profile {
 
     /// Creates a streaming synthesizer (Fig. 1, Option B: couple it to a
     /// simulator and feed backpressure through
-    /// [`Synthesizer::add_delay`]).
+    /// [`Synthesizer::add_delay`]). Compiles a private [`SynthPlan`]; to
+    /// synthesize the profile many times, compile [`Profile::synth_plan`]
+    /// once and start each synthesizer with [`Synthesizer::from_plan`].
     pub fn synthesizer(&self, seed: u64) -> Synthesizer {
-        Synthesizer::new(&self.leaves, self.config.options().strict_convergence, seed)
+        Synthesizer::new(&self.leaves, self.strict_convergence(), seed)
+    }
+
+    /// Compiles the profile's leaves for synthesis, under its
+    /// strict-convergence option.
+    pub fn synth_plan(&self) -> SynthPlan {
+        SynthPlan::new(&self.leaves, self.strict_convergence())
+    }
+
+    fn strict_convergence(&self) -> bool {
+        self.config.options().strict_convergence
     }
 
     /// Synthesizes a complete trace (Fig. 1, Option A).

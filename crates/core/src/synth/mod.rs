@@ -12,36 +12,36 @@
 //! the timestamps of all still-pending requests, letting the synthetic
 //! stream adapt to contention exactly as the paper describes.
 
+mod plan;
+
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use mocktails_trace::rng::Prng;
 use mocktails_trace::{Request, Trace};
 
-use crate::model::{LeafGenerator, LeafModel};
+use crate::model::LeafModel;
+use plan::Cursor;
+pub use plan::SynthPlan;
 
-/// Heap entry: pending request + the leaf that produced it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Pending {
-    /// Tie-breaker keeping the pop order deterministic.
-    leaf_index: usize,
-    request: Request,
-}
-
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.request.timestamp, self.leaf_index).cmp(&(other.request.timestamp, other.leaf_index))
-    }
-}
-
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// Heap key of a live leaf's pending request: `(pre-delay timestamp,
+/// leaf index, cursor slot)`. The leaf index breaks timestamp ties, so
+/// the pop order is deterministic; a live leaf owns exactly one slot, so
+/// the slot never decides.
+type Key = (u64, usize, usize);
 
 /// Merges concurrent leaf generators into a total order of requests.
+///
+/// Leaves join the merge just in time: a leaf is activated when its
+/// `(start_time, index)` is the smallest pending key, and it leaves when
+/// its requests run out. A leaf's first request draws nothing from the
+/// RNG, so the draws happen in the same order as if every leaf had been
+/// queued up front. A synthesizer's own state is one cursor per *live*
+/// leaf (its pending request, sampling states and remaining counts, in a
+/// slab whose slots are reused) and a heap of keys; everything else is
+/// read from its shared [`SynthPlan`].
 ///
 /// ```
 /// use mocktails_core::{HierarchyConfig, Profile, Synthesizer};
@@ -60,37 +60,70 @@ impl PartialOrd for Pending {
 /// ```
 #[derive(Debug)]
 pub struct Synthesizer {
-    generators: Vec<LeafGenerator>,
-    heap: BinaryHeap<Reverse<Pending>>,
+    plan: Arc<SynthPlan>,
+    /// Position in the plan's activation order of the next leaf to join.
+    next_leaf: usize,
+    heap: BinaryHeap<Reverse<Key>>,
+    /// Live leaves' cursors, indexed by slot.
+    cursors: Vec<Cursor>,
+    /// Slots whose leaf ran out, for reuse.
+    free: Vec<usize>,
     rng: Prng,
     delay: u64,
     emitted: u64,
+    remaining: u64,
     last_emitted_time: u64,
 }
 
 impl Synthesizer {
     /// Creates a synthesizer over `leaves`, sampling with the given strict
-    /// convergence setting and RNG `seed`.
+    /// convergence setting and RNG `seed`. Compiles a private
+    /// [`SynthPlan`]; to synthesize the same leaves many times, compile
+    /// the plan once and use [`Synthesizer::from_plan`].
     pub fn new(leaves: &[LeafModel], strict: bool, seed: u64) -> Self {
-        let mut rng = Prng::seed_from_u64(seed);
-        let mut generators: Vec<LeafGenerator> =
-            leaves.iter().map(|l| l.generator(strict)).collect();
-        let mut heap = BinaryHeap::with_capacity(generators.len());
-        for (i, g) in generators.iter_mut().enumerate() {
-            if let Some(request) = g.next_request(&mut rng) {
-                heap.push(Reverse(Pending {
-                    leaf_index: i,
-                    request,
-                }));
-            }
-        }
+        Self::from_plan(Arc::new(SynthPlan::new(leaves, strict)), seed)
+    }
+
+    /// Creates a synthesizer over a compiled plan with RNG `seed`, in
+    /// O(1): leaves are activated as the merge reaches them.
+    pub fn from_plan(plan: Arc<SynthPlan>, seed: u64) -> Self {
+        let remaining = plan.total_requests();
         Self {
-            generators,
-            heap,
-            rng,
+            plan,
+            next_leaf: 0,
+            heap: BinaryHeap::new(),
+            cursors: Vec::new(),
+            free: Vec::new(),
+            rng: Prng::seed_from_u64(seed),
             delay: 0,
             emitted: 0,
+            remaining,
             last_emitted_time: 0,
+        }
+    }
+
+    /// Activates the next leaf in `(start_time, index)` order if its key
+    /// is below every live leaf's, so it is the next to pop. One is
+    /// enough: every other pending leaf's key is larger still.
+    fn activate_due(&mut self) {
+        let Some((start_time, leaf)) = self.plan.activation(self.next_leaf) else {
+            return;
+        };
+        let due = self
+            .heap
+            .peek()
+            .is_none_or(|&Reverse((time, live, _))| (start_time, leaf) < (time, live));
+        if !due {
+            return;
+        }
+        self.next_leaf += 1;
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.cursors.push(Cursor::default());
+            self.cursors.len() - 1
+        });
+        if let Some(cursor) = self.cursors.get_mut(slot) {
+            self.plan.activate(leaf, cursor, &mut self.rng);
+            self.heap.push(Reverse((start_time, leaf, slot)));
         }
     }
 
@@ -105,18 +138,24 @@ impl Synthesizer {
     /// Emitted timestamps are non-decreasing and include any accumulated
     /// backpressure delay.
     pub fn next_request(&mut self) -> Option<Request> {
+        self.activate_due();
         let mut top = self.heap.peek_mut()?;
-        // Heap entries only ever carry indices minted in `new`, but the
-        // refill stays panic-free regardless: an out-of-range index would
-        // simply not refill rather than poison the whole synthesis.
-        let refill = self
-            .generators
-            .get_mut(top.0.leaf_index)
-            .and_then(|g| g.next_request(&mut self.rng));
-        let mut request = match refill {
-            Some(next) => std::mem::replace(&mut top.0.request, next),
-            None => PeekMut::pop(top).0.request,
+        let Reverse((_, _, slot)) = *top;
+        // Heap keys only ever carry slots minted in `activate_due`, but
+        // the refill stays panic-free regardless: an unknown slot is
+        // dropped rather than poisoning the whole synthesis.
+        let Some(cursor) = self.cursors.get_mut(slot) else {
+            PeekMut::pop(top);
+            return None;
         };
+        let mut request = cursor.pending;
+        if cursor.left == 0 {
+            PeekMut::pop(top);
+            self.free.push(slot);
+        } else {
+            self.plan.advance(cursor, &mut self.rng);
+            top.0 .0 = cursor.pending.timestamp;
+        }
         request.timestamp = request.timestamp.saturating_add(self.delay);
         // The heap orders by pre-delay timestamps; delay only grows, so
         // post-delay timestamps stay monotonic. Guard anyway so a consumer
@@ -124,6 +163,7 @@ impl Synthesizer {
         request.timestamp = request.timestamp.max(self.last_emitted_time);
         self.last_emitted_time = request.timestamp;
         self.emitted += 1;
+        self.remaining = self.remaining.saturating_sub(1);
         Some(request)
     }
 
@@ -134,11 +174,7 @@ impl Synthesizer {
 
     /// Requests still to come.
     pub fn remaining(&self) -> u64 {
-        self.generators
-            .iter()
-            .map(LeafGenerator::remaining)
-            .sum::<u64>()
-            + self.heap.len() as u64
+        self.remaining
     }
 
     /// Reports that injection stalled for `cycles` (e.g. a full controller
@@ -376,31 +412,29 @@ mod tests {
         assert_eq!(mk(), mk());
     }
 
-    /// Reference merge: a full pop, then a push of the refill, for every
-    /// request, with `delays[i % len]` added before pull `i`.
+    /// Reference merge: every leaf's generator queued up front, then a
+    /// full pop and a push of the refill for every request, with
+    /// `delays[i % len]` added before pull `i`.
     fn pop_then_push_merge(leaves: &[LeafModel], seed: u64, delays: &[u64]) -> Vec<Request> {
         let mut rng = Prng::seed_from_u64(seed);
-        let mut generators: Vec<LeafGenerator> = leaves.iter().map(|l| l.generator(true)).collect();
+        let mut generators: Vec<_> = leaves.iter().map(|l| l.generator(true)).collect();
+        let mut pending: Vec<Option<Request>> = Vec::new();
         let mut heap = BinaryHeap::new();
         for (leaf_index, g) in generators.iter_mut().enumerate() {
-            if let Some(request) = g.next_request(&mut rng) {
-                heap.push(Reverse(Pending {
-                    leaf_index,
-                    request,
-                }));
+            pending.push(g.next_request(&mut rng));
+            if let Some(request) = pending[leaf_index] {
+                heap.push(Reverse((request.timestamp, leaf_index)));
             }
         }
         let (mut delay, mut last) = (0u64, 0u64);
         let mut out = Vec::new();
-        while let Some(Reverse(pending)) = heap.pop() {
-            if let Some(request) = generators[pending.leaf_index].next_request(&mut rng) {
-                heap.push(Reverse(Pending {
-                    leaf_index: pending.leaf_index,
-                    request,
-                }));
+        while let Some(Reverse((_, leaf_index))) = heap.pop() {
+            let mut request = pending[leaf_index].take().unwrap();
+            pending[leaf_index] = generators[leaf_index].next_request(&mut rng);
+            if let Some(next) = pending[leaf_index] {
+                heap.push(Reverse((next.timestamp, leaf_index)));
             }
             delay += delays[out.len() % delays.len()];
-            let mut request = pending.request;
             request.timestamp = (request.timestamp + delay).max(last);
             last = request.timestamp;
             out.push(request);

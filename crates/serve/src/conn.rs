@@ -47,39 +47,56 @@ pub(crate) const WRITE_HIGH_WATERMARK: usize = 1 << 20;
 /// tens of microseconds after activity and at most one 1 ms tick when
 /// idle.
 pub(crate) struct WakeFlag {
-    state: Mutex<bool>,
+    state: Mutex<WakeState>,
     cond: Condvar,
+}
+
+/// What [`WakeFlag`]'s mutex guards.
+#[derive(Default)]
+struct WakeState {
+    /// A wake arrived since the reactor last consumed one.
+    flagged: bool,
+    /// The reactor is parked in `wait_for`.
+    parked: bool,
 }
 
 impl WakeFlag {
     pub(crate) fn new() -> Self {
         Self {
-            state: Mutex::new(false),
+            state: Mutex::new(WakeState::default()),
             cond: Condvar::new(),
         }
     }
 
-    /// Flags the reactor awake. Cheap enough to call on every push.
+    /// Flags the reactor awake. Cheap enough to call on every push: it
+    /// signals the condvar only when the reactor is parked. No wake is
+    /// lost, because the flag is set under the same lock the reactor
+    /// checks before it parks.
     pub(crate) fn wake(&self) {
-        {
-            let mut flagged = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-            *flagged = true;
+        let parked = {
+            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+            state.flagged = true;
+            state.parked
+        };
+        if parked {
+            self.cond.notify_one();
         }
-        self.cond.notify_one();
     }
 
     /// Parks until woken or `micros` elapse, consuming the flag either
     /// way. A wake that raced in before the park returns immediately.
     pub(crate) fn wait_for(&self, micros: u64) {
-        let mut flagged = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if !*flagged {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if !state.flagged {
+            state.parked = true;
             let (guard, _timed_out) = self
                 .cond
-                .wait_timeout(flagged, Duration::from_micros(micros))
+                .wait_timeout(state, Duration::from_micros(micros))
                 .unwrap_or_else(PoisonError::into_inner);
-            flagged = guard;
+            state = guard;
+            state.parked = false;
         }
-        *flagged = false;
+        state.flagged = false;
     }
 }
 
@@ -548,6 +565,46 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
+
+    /// A wake that lands while the reactor is busy (not parked) sends no
+    /// signal, but its flag makes the next park return at once.
+    #[test]
+    fn a_wake_while_not_parked_makes_the_next_wait_return_at_once() {
+        let flag = WakeFlag::new();
+        flag.wake();
+        let started = Instant::now();
+        flag.wait_for(10_000_000);
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the flagged wait parked for {:?}",
+            started.elapsed()
+        );
+        // The wait consumed the flag and left the reactor unparked.
+        let state = flag.state.lock().unwrap();
+        assert!(!state.flagged && !state.parked);
+    }
+
+    /// A wake while the reactor is parked signals the condvar.
+    #[test]
+    fn a_wake_while_parked_ends_the_park() {
+        let flag = Arc::new(WakeFlag::new());
+        let parked = {
+            let flag = Arc::clone(&flag);
+            std::thread::spawn(move || {
+                let started = Instant::now();
+                flag.wait_for(30_000_000);
+                started.elapsed()
+            })
+        };
+        // Wake only once the other thread is parked.
+        while !flag.state.lock().unwrap().parked {
+            std::thread::yield_now();
+        }
+        flag.wake();
+        let waited = parked.join().unwrap();
+        assert!(waited < Duration::from_secs(10), "parked for {waited:?}");
+    }
 
     fn frames_of(assembler: &mut FrameAssembler, chunks: &[&[u8]]) -> Vec<Vec<u8>> {
         let mut out = VecDeque::new();

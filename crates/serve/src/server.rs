@@ -14,6 +14,10 @@
 //!
 //! Fitted profiles live in one [`ProfileCache`] keyed by content
 //! fingerprint, with repeat fits found through their fit-key aliases.
+//! A profile is validated once, on its way into the cache, and a fresh
+//! fit enters it only once the store has made it durable. Each cached
+//! profile compiles its synthesis plan on its first stream; every later
+//! stream opens in O(1) from the shared plan.
 //! Admission is sharded: a request routes by fingerprint (an upload by a
 //! hash of its prefix) to one of [`ServerConfig::shards`] domains, each
 //! with a bounded in-flight budget ([`ServerConfig::shard_budget`]). A
@@ -27,7 +31,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-use mocktails_core::{fit_key, HierarchyConfig, LayerSpec, Profile, ProfileError, ProfileRecord};
+use mocktails_core::{
+    fit_key, HierarchyConfig, LayerSpec, Profile, ProfileError, ProfileRecord, Synthesizer,
+};
 use mocktails_dram::{DramConfig, MemorySystem};
 use mocktails_pool::bounded::{SubmitError, WorkerPool};
 use mocktails_pool::Parallelism;
@@ -35,7 +41,7 @@ use mocktails_store::{ProfileStore, StoreOptions};
 use mocktails_trace::codec::RecordEncoder;
 use mocktails_trace::{fnv1a, DecodeOptions, Fingerprinter, TraceError};
 
-use crate::cache::{ProfileCache, ShardAdmission};
+use crate::cache::{CachedProfile, ProfileCache, ShardAdmission};
 use crate::conn::{ConnTx, Coupling, SynthState, WakeFlag};
 use crate::error::{ErrorCode, ServeError};
 use crate::metrics::{Clock, ServeMetrics};
@@ -273,8 +279,8 @@ pub(crate) struct Shared {
     pub(crate) pool: WorkerPool,
     pub(crate) clock: Arc<dyn Clock>,
     /// The durable tier behind the cache, if configured. Its mutex is
-    /// never held together with the cache's: fit persistence releases
-    /// the cache, then locks the store.
+    /// never held together with the cache's: a fresh fit locks the store,
+    /// appends, releases it, and only then publishes to the cache.
     pub(crate) store: Option<Mutex<ProfileStore>>,
     pub(crate) shutting_down: AtomicBool,
     pub(crate) addr: SocketAddr,
@@ -405,12 +411,17 @@ impl Server {
 
         // Cold start: recover the persistent store and warm the cache
         // from it, so a restarted server answers fits it already paid for.
+        // The store's decode validated each profile unless decoding is
+        // trusted; then the check runs here, as it does for every profile
+        // entering the cache, and a profile failing it stays out.
         let store = match &config.store_dir {
             None => None,
             Some(dir) => {
                 let opened = shared_store_open(dir, &config, clock.as_ref(), &metrics)?;
                 for (fingerprint, entry) in opened.iter() {
-                    cache.insert(fingerprint, Arc::clone(&entry.profile), entry.fit_key);
+                    if config.decode.validates() || entry.profile.validate().is_ok() {
+                        cache.insert(fingerprint, Arc::clone(&entry.profile), entry.fit_key);
+                    }
                 }
                 metrics
                     .store_profiles
@@ -633,9 +644,9 @@ fn fit_job(shared: &Shared, cycles: u64, trace_bytes: &[u8]) -> Reply {
     // A fresh fit is encoded once: the record's bytes give the
     // fingerprint, the write-ahead log entry and the reply.
     let (fingerprint, profile, record) = match cached {
-        Some((fingerprint, profile)) => {
+        Some((fingerprint, cached)) => {
             metrics.cache_hits_total.fetch_add(1, Ordering::SeqCst);
-            (fingerprint, profile, None)
+            (fingerprint, Arc::clone(cached.profile()), None)
         }
         None => {
             metrics.cache_misses_total.fetch_add(1, Ordering::SeqCst);
@@ -651,11 +662,11 @@ fn fit_job(shared: &Shared, cycles: u64, trace_bytes: &[u8]) -> Reply {
                 &config,
                 Parallelism::sequential(),
             ));
+            profile
+                .validate()
+                .map_err(|e| (ErrorCode::Internal, format!("fitted profile: {e}")))?;
             let record = ProfileRecord::from_profile(&profile, Some(key))
                 .map_err(|e| (ErrorCode::Internal, e.to_string()))?;
-            shared.with_cache(|cache| {
-                cache.insert(record.fingerprint, Arc::clone(&profile), Some(key));
-            });
             (record.fingerprint, profile, Some(record))
         }
     };
@@ -665,7 +676,11 @@ fn fit_job(shared: &Shared, cycles: u64, trace_bytes: &[u8]) -> Reply {
             // Durability before acknowledgement: a freshly fitted record
             // must be in the write-ahead log (fsynced) before the
             // FitResult goes out, so a crash after the ack can always
-            // replay it.
+            // replay it. The cache is the acknowledgement too — a later
+            // upload of the same trace answers `cache_hit` from it — so
+            // the profile is published only once the append succeeded.
+            // A concurrent identical upload meanwhile fits again; fits
+            // are deterministic, and the store keeps one record.
             if let Some(store) = shared.store.as_ref() {
                 let persisted = {
                     let mut store = store.lock().unwrap_or_else(PoisonError::into_inner);
@@ -680,6 +695,7 @@ fn fit_job(shared: &Shared, cycles: u64, trace_bytes: &[u8]) -> Reply {
                     .store_wal_appends_total
                     .fetch_add(1, Ordering::SeqCst);
             }
+            shared.with_cache(|cache| cache.insert(fingerprint, Arc::clone(&profile), Some(key)));
             record.profile_bytes
         }
         None => {
@@ -706,7 +722,7 @@ fn fit_job(shared: &Shared, cycles: u64, trace_bytes: &[u8]) -> Reply {
 fn resolve_profile(
     shared: &Shared,
     source: &ProfileSource,
-) -> Result<Arc<Profile>, (ErrorCode, String)> {
+) -> Result<Arc<CachedProfile>, (ErrorCode, String)> {
     match source {
         ProfileSource::Fingerprint(fp) => {
             let found = shared.with_cache(|cache| cache.get(*fp));
@@ -731,12 +747,17 @@ fn resolve_profile(
             }
         }
         ProfileSource::Inline(bytes) => {
-            let profile = Profile::read(&mut bytes.as_slice(), &shared.config.decode)
+            let decode = &shared.config.decode;
+            let profile = Profile::read(&mut bytes.as_slice(), decode)
                 .map_err(|e| profile_error_frame(&e))?;
+            // Trusted decoding skips validation; a profile entering the
+            // cache is validated either way.
+            if !decode.validates() {
+                profile.validate().map_err(|e| profile_error_frame(&e))?;
+            }
             let profile = Arc::new(profile);
             let fingerprint = fnv1a(bytes);
-            shared.with_cache(|cache| cache.insert(fingerprint, Arc::clone(&profile), None));
-            Ok(profile)
+            Ok(shared.with_cache(|cache| cache.insert(fingerprint, profile, None)))
         }
     }
 }
@@ -817,8 +838,9 @@ fn end_stream(shared: &Shared, state: &mut SynthState) -> Response {
 }
 
 /// Worker-side opening of `Synthesize` or, when `coupled`,
-/// `CoupledSynthesize`: resolve, validate, send `SynthStart`, and return
-/// the parked stream. An error here goes out before any `SynthStart`.
+/// `CoupledSynthesize`: resolve, start a synthesizer from the profile's
+/// shared plan, send `SynthStart`, and return the parked stream. An error
+/// here goes out before any `SynthStart`.
 ///
 /// A coupled stream paces every chunk against a fresh DRAM model (the
 /// paper's Fig. 1 Option B against a live server).
@@ -845,11 +867,8 @@ fn open_stream(
     if chunk_len == 0 {
         return Err((ErrorCode::Malformed, "chunk_len must be positive".into()));
     }
-    let profile = resolve_profile(shared, source)?;
-    profile
-        .validate()
-        .map_err(|e| (ErrorCode::Malformed, e.to_string()))?;
-    let synth = profile.synthesizer(seed);
+    // The profile was validated on its way into the cache.
+    let synth = Synthesizer::from_plan(resolve_profile(shared, source)?.plan(), seed);
     tx.send(&Response::SynthStart {
         total_requests: synth.remaining(),
     });
@@ -905,7 +924,8 @@ fn stats_job(shared: &Shared, source: &ProfileSource) -> Reply {
         .metrics
         .stats_requests_total
         .fetch_add(1, Ordering::SeqCst);
-    let profile = resolve_profile(shared, source)?;
+    let cached = resolve_profile(shared, source)?;
+    let profile = cached.profile();
     let summary = profile.summary();
     let text = format!(
         "{summary}\nfingerprint {:#018x}\nmetadata_bytes {}\n",

@@ -589,6 +589,64 @@ fn decode_limits_apply_to_uploads() {
     shut_down(&addr, handle);
 }
 
+/// A profile is validated once, on its way into the cache, whatever the
+/// decode options: under trusted decoding an invalid inline profile is
+/// refused before it is cached, for a stream and for stats alike, while a
+/// valid one streams the offline bytes.
+#[test]
+fn trusted_decoding_still_validates_profiles_before_they_are_cached() {
+    let leaf = |count| {
+        LeafModel::from_parts(
+            0,
+            0,
+            AddrRange::new(0, 64),
+            count,
+            McC::Constant(1),
+            McC::Constant(0),
+            McC::Constant(0),
+            McC::Constant(64),
+        )
+    };
+    // The two request counts overflow the profile's u64 total.
+    let invalid = Profile::from_parts(offline_config(), vec![leaf(u64::MAX), leaf(2)]);
+    let mut invalid_bytes = Vec::new();
+    invalid.write(&mut invalid_bytes).expect("profile encode");
+    let (addr, handle) = start_server(ServerConfig {
+        decode: DecodeOptions::trusted(),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(&addr).expect("connect");
+    let source = || ProfileSource::Inline(invalid_bytes.clone());
+    let refused = [
+        client.synthesize(SEED, 512, source()).map(|_| ()),
+        client.stats(source()).map(|_| ()),
+    ];
+    for err in refused {
+        let err = err.expect_err("an invalid profile is refused");
+        assert!(
+            matches!(
+                &err,
+                ServeError::Remote {
+                    code: ErrorCode::Malformed,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+    }
+    let text = client.metricsz().expect("metricsz");
+    assert_eq!(metric(&text, "cache_entries"), 0, "{text}");
+
+    let (offline_profile, offline_synth) = offline_round_trip(&small_trace());
+    let served = client
+        .synthesize(SEED, 512, ProfileSource::Inline(offline_profile))
+        .expect("a valid profile streams");
+    assert_eq!(served.trace_bytes, offline_synth);
+    let text = client.metricsz().expect("metricsz");
+    assert_eq!(metric(&text, "cache_entries"), 1, "{text}");
+    shut_down(&addr, handle);
+}
+
 #[test]
 fn shutdown_with_idle_connections_completes_and_closes_their_sockets() {
     // Regression: the shutdown sweep used to hold the connection

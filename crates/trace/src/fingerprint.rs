@@ -26,6 +26,31 @@ const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// `PRIME_POWERS[k]` is `PRIME^k` (wrapping): FNV-1a over `k` zero bytes
+/// is one multiply by it, since XOR with a zero byte changes nothing.
+const PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1u64; 9];
+    let mut k = 1;
+    while k < powers.len() {
+        powers[k] = powers[k - 1].wrapping_mul(PRIME);
+        k += 1;
+    }
+    powers
+};
+
+/// FNV-1a over the 8 little-endian bytes of `value`, continuing from
+/// `hash`: the low bytes up to the highest non-zero one one at a time,
+/// then every zero high byte at once.
+fn mix_u64(mut hash: u64, value: u64) -> u64 {
+    let significant = 8 - value.leading_zeros() as usize / 8;
+    for byte in value.to_le_bytes().iter().take(significant) {
+        hash ^= u64::from(*byte);
+        hash = hash.wrapping_mul(PRIME);
+    }
+    let zeros = PRIME_POWERS.get(8 - significant).copied().unwrap_or(1);
+    hash.wrapping_mul(zeros)
+}
+
 /// FNV-1a over an arbitrary byte string.
 ///
 /// Used by the serving layer to derive cache keys from encoded trace and
@@ -80,21 +105,17 @@ impl Fingerprinter {
     }
 
     /// Mixes one request into the digest, in the pinned field order
-    /// (timestamp, address, size, op).
+    /// (timestamp, address, size, op), each field as its 8 little-endian
+    /// bytes.
     pub fn push(&mut self, request: &Request) {
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                self.hash ^= u64::from(byte);
-                self.hash = self.hash.wrapping_mul(PRIME);
-            }
-        };
-        mix(request.timestamp);
-        mix(request.address);
-        mix(u64::from(request.size));
-        mix(match request.op {
+        let op = match request.op {
             Op::Read => 0,
             Op::Write => 1,
-        });
+        };
+        let mut hash = mix_u64(self.hash, request.timestamp);
+        hash = mix_u64(hash, request.address);
+        hash = mix_u64(hash, u64::from(request.size));
+        self.hash = mix_u64(hash, op);
         self.count += 1;
     }
 
@@ -251,6 +272,79 @@ mod tests {
         }
         assert_eq!(f.count(), 3);
         assert_eq!(f.digest(), fingerprint(&Trace::from_requests(requests)));
+    }
+
+    /// The byte-at-a-time digest of one request, as the format pins it.
+    fn reference_push(hash: u64, request: &Request) -> u64 {
+        let op = match request.op {
+            Op::Read => 0u64,
+            Op::Write => 1,
+        };
+        let mut bytes = Vec::new();
+        for field in [
+            request.timestamp,
+            request.address,
+            u64::from(request.size),
+            op,
+        ] {
+            bytes.extend_from_slice(&field.to_le_bytes());
+        }
+        bytes
+            .iter()
+            .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(PRIME))
+    }
+
+    #[test]
+    fn zero_byte_fast_path_matches_byte_at_a_time_fnv() {
+        let edges = [
+            0u64,
+            1,
+            0xff,
+            0x100,
+            0x1_0000_0001,
+            0x00ff_0000_ff00_0000,
+            0x8000_0000_0000_0000,
+            u64::MAX,
+        ];
+        let mut requests = Vec::new();
+        for &a in &edges {
+            for &b in &edges {
+                let size = (b as u32).max(1);
+                requests.push(Request::read(a, b, size));
+                requests.push(Request::write(b, a, (a as u32 >> 8).max(1)));
+            }
+        }
+        let mut rng = crate::rng::Prng::seed_from_u64(26);
+        use crate::rng::Rng;
+        for _ in 0..4096 {
+            // Random widths, so every count of zero high bytes and many
+            // interior zero bytes occur.
+            let mut field = || {
+                let width = rng.gen_range(0..65u64);
+                let v = rng.next_u64();
+                let v = if width == 64 {
+                    v
+                } else {
+                    v & ((1u64 << width) - 1)
+                };
+                v & !(0xffu64 << (8 * rng.gen_range(0..8u64)))
+            };
+            let (t, a) = (field(), field());
+            let size = (field() as u32).max(1);
+            requests.push(if t & 1 == 0 {
+                Request::read(t, a, size)
+            } else {
+                Request::write(t, a, size)
+            });
+        }
+        let mut f = Fingerprinter::new();
+        let mut want = OFFSET;
+        for request in &requests {
+            f.push(request);
+            want = reference_push(want, request);
+            assert_eq!(f.digest(), want, "{request:?}");
+        }
+        assert_eq!(f.count(), requests.len() as u64);
     }
 
     #[test]

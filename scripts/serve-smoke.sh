@@ -7,7 +7,10 @@
 # through the server's DRAM model — must then reassemble to the same
 # bytes at three chunk sizes, and a plain stream at chunk length 1 (the
 # most chunks, so the most acks in flight in the client's credit window)
-# must match the 512-request stream. Honours MOCKTAILS_THREADS like every other
+# must match the 512-request stream. Two concurrent streams of the cached
+# profile by fingerprint, and a third after them, must each match the
+# offline synthesis: the first stream of a profile compiles its synthesis
+# plan, and every later one shares it. Honours MOCKTAILS_THREADS like every other
 # gate, so running it at 1 and 4 threads proves the serving layer
 # preserves the workspace's determinism invariant.
 # Run from the repository root:  ./scripts/serve-smoke.sh
@@ -50,7 +53,20 @@ done
 ADDR="$(cat "$WORK/port")"
 
 "$BIN" client fit "$WORK/ref.mtrace" --addr "$ADDR" \
-  -o "$WORK/srv.mprofile" --cycles "$CYCLES"
+  -o "$WORK/srv.mprofile" --cycles "$CYCLES" | tee "$WORK/fit.txt"
+FINGERPRINT="$(sed -n 's/.*fingerprint \(0x[0-9a-f]*\).*/\1/p' "$WORK/fit.txt")"
+[[ -n "$FINGERPRINT" ]] || { echo "client fit printed no fingerprint" >&2; exit 1; }
+synth_by_fingerprint() {
+  "$BIN" client synth --fingerprint "$FINGERPRINT" --addr "$ADDR" \
+    -o "$WORK/$1.mtrace" --seed "$SEED"
+}
+synth_by_fingerprint shared-a &
+SHARED_A=$!
+synth_by_fingerprint shared-b &
+SHARED_B=$!
+wait "$SHARED_A"
+wait "$SHARED_B"
+synth_by_fingerprint shared-c
 "$BIN" client synth "$WORK/srv.mprofile" --addr "$ADDR" \
   -o "$WORK/srv-synth.mtrace" --seed "$SEED"
 for chunk in 512 1; do
@@ -69,6 +85,9 @@ SERVER_PID=""
 echo "--- byte comparison (server vs offline)"
 cmp "$WORK/ref.mprofile" "$WORK/srv.mprofile"
 cmp "$WORK/ref-synth.mtrace" "$WORK/srv-synth.mtrace"
+for stream in shared-a shared-b shared-c; do
+  cmp "$WORK/ref-synth.mtrace" "$WORK/$stream.mtrace"
+done
 cmp "$WORK/synth-512.mtrace" "$WORK/synth-1.mtrace"
 cmp "$WORK/ref-synth.mtrace" "$WORK/synth-512.mtrace"
 cmp "$WORK/coupled-512.mtrace" "$WORK/coupled-64.mtrace"
@@ -81,4 +100,4 @@ grep -q '^coupled_requests_total 3' "$WORK/metrics.txt" || {
   echo "metricsz missing coupled_requests_total=3" >&2
   exit 1
 }
-echo "serve loopback smoke passed: profile, synthesized and coupled traces byte-identical"
+echo "serve loopback smoke passed: profile, synthesized, shared-plan and coupled traces byte-identical"

@@ -3,6 +3,10 @@
 # restart from its crash-recoverable store and serve the same bytes the
 # offline pipeline produces. The sequence:
 #
+#   0. a server whose store cannot append (a file-size limit on the server
+#      process alone) must answer a fit with its store error, and answer
+#      the same upload again with the error too: a fit that never reached
+#      the log must not be acknowledged later as a cache hit,
 #   1. fit a profile through a store-backed server (durable before ack),
 #   2. kill -9 the server — no drain, no checkpoint,
 #   3. corrupt the write-ahead log's tail with garbage bytes, modelling a
@@ -38,10 +42,26 @@ CYCLES=200000
 SEED=7
 STORE="$WORK/store"
 
+# start_server [STORE_DIR [FILE_SIZE_LIMIT_BLOCKS]]: the limit, when
+# given, applies to the server process only, with SIGXFSZ ignored so an
+# oversized write fails with EFBIG instead of killing the server. It
+# applies to every file the server writes, so a limited server logs to a
+# fresh file of its own rather than to a redirected stdout that may
+# already be past the limit.
 start_server() {
+  local store="${1:-$STORE}" limit="${2:-}"
   rm -f "$WORK/port"
-  "$BIN" serve --addr 127.0.0.1:0 --workers 2 --store "$STORE" \
-    --port-file "$WORK/port" &
+  if [[ -z "$limit" ]]; then
+    "$BIN" serve --addr 127.0.0.1:0 --workers 2 --store "$store" \
+      --port-file "$WORK/port" &
+  else
+    (
+      trap '' XFSZ
+      ulimit -f "$limit"
+      exec "$BIN" serve --addr 127.0.0.1:0 --workers 2 --store "$store" \
+        --port-file "$WORK/port" >"$WORK/limited-server.log" 2>&1
+    ) &
+  fi
   SERVER_PID=$!
   for _ in $(seq 1 100); do
     [[ -s "$WORK/port" ]] && break
@@ -55,6 +75,26 @@ echo "--- offline reference pipeline ($WORKLOAD)"
 "$BIN" trace "$WORKLOAD" -o "$WORK/ref.mtrace"
 "$BIN" profile "$WORK/ref.mtrace" -o "$WORK/ref.mprofile" --cycles "$CYCLES"
 "$BIN" synth "$WORK/ref.mprofile" -o "$WORK/ref-synth.mtrace" --seed "$SEED"
+
+echo "--- life 0: a store that cannot append acknowledges nothing"
+start_server "$WORK/full-store" 1
+for attempt in 1 2; do
+  if "$BIN" client fit "$WORK/ref.mtrace" --addr "$ADDR" \
+    -o "$WORK/full.mprofile" --cycles "$CYCLES" >"$WORK/full-$attempt.txt" 2>&1; then
+    echo "fit $attempt was acknowledged although the store could not append it:" >&2
+    cat "$WORK/full-$attempt.txt" >&2
+    exit 1
+  fi
+  grep -q 'profile store' "$WORK/full-$attempt.txt" || {
+    echo "fit $attempt failed without the store error:" >&2
+    cat "$WORK/full-$attempt.txt" "$WORK/limited-server.log" >&2
+    exit 1
+  }
+  sed 's/^/  /' "$WORK/full-$attempt.txt"
+done
+"$BIN" client shutdown --addr "$ADDR"
+wait "$SERVER_PID"
+SERVER_PID=""
 
 echo "--- life 1: fit through a store-backed server, then kill -9"
 start_server

@@ -86,8 +86,6 @@ fn measure_workers(workers: usize, upload: &[u8], expected: &[u8]) -> ScalePoint
         .workers(workers)
         .queue_cap(256)
         .cache_capacity(64)
-        .shards(8)
-        .shard_budget(512)
         .max_conns(1024)
         .deadline_micros(120_000_000)
         .build()

@@ -132,8 +132,7 @@ const USAGE_HEAD: &str = "usage:
 
 const USAGE_TAIL: &str = "                       [--quick]
   mocktails serve [--addr HOST:PORT] [--workers N] [--queue-cap N]
-                  [--cache-cap N] [--port-file FILE]
-                  [--shards N] [--max-conns N] [--shard-budget N]
+                  [--cache-cap N] [--port-file FILE] [--max-conns N]
                   [--store DIR]   (crash-recoverable profile store)
   mocktails client fit <FILE.mtrace> --addr HOST:PORT -o <FILE.mprofile>
                    [--cycles N]
@@ -504,15 +503,13 @@ fn cmd_experiment(args: &[&String]) -> Result<(), CliError> {
 }
 
 /// Every flag `serve` accepts; each takes a value.
-const SERVE_FLAGS: [&str; 10] = [
+const SERVE_FLAGS: [&str; 8] = [
     "--addr",
     "--workers",
     "--queue-cap",
     "--cache-cap",
     "--port-file",
-    "--shards",
     "--max-conns",
-    "--shard-budget",
     "--store",
     "--threads",
 ];
@@ -534,9 +531,7 @@ fn cmd_serve(args: &[&String]) -> Result<(), CliError> {
         .workers(parse_u64(args, "--workers", 4)? as usize)
         .queue_cap(parse_u64(args, "--queue-cap", 16)? as usize)
         .cache_capacity(parse_u64(args, "--cache-cap", 64)? as usize)
-        .shards(parse_u64(args, "--shards", defaults.shards as u64)? as usize)
-        .max_conns(parse_u64(args, "--max-conns", defaults.max_conns as u64)? as usize)
-        .shard_budget(parse_u64(args, "--shard-budget", defaults.shard_budget as u64)? as usize);
+        .max_conns(parse_u64(args, "--max-conns", defaults.max_conns as u64)? as usize);
     if let Some(dir) = flag_value(args, "--store") {
         builder = builder.store_dir(dir);
     }
@@ -786,12 +781,12 @@ mod tests {
     fn busy_responses_map_to_their_own_exit_code() {
         let shed = ServeError::Remote {
             code: ErrorCode::Busy,
-            message: "shard 3 at budget (32 in flight); retry later".into(),
+            message: "connection limit reached (max_conns 1024); retry later".into(),
         };
         let err = classify_serve_error("synth", shed);
         assert_eq!(err.exit_code(), 6);
         assert!(err.message().contains("back off and retry"));
-        assert!(err.message().contains("shard 3 at budget"));
+        assert!(err.message().contains("connection limit reached"));
     }
 
     #[test]

@@ -225,6 +225,8 @@ fn serve_rejects_unknown_arguments_with_exit_2() {
             &["serve", "--cache-ttl-micros", "5"][..],
             "--cache-ttl-micros",
         ),
+        (&["serve", "--shards", "8"], "--shards"),
+        (&["serve", "--shard-budget", "32"], "--shard-budget"),
         (
             &["serve", "--addr", "127.0.0.1:0", "--wrokers", "2"],
             "--wrokers",
@@ -249,15 +251,8 @@ fn serve_accepts_every_documented_flag() {
     let _ = std::fs::remove_dir_all(&store);
     let mut server = Command::new(env!("CARGO_BIN_EXE_mocktails"))
         .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
-        .args(["--queue-cap", "16", "--cache-cap", "64", "--shards", "8"])
-        .args([
-            "--max-conns",
-            "64",
-            "--shard-budget",
-            "32",
-            "--threads",
-            "1",
-        ])
+        .args(["--queue-cap", "16", "--cache-cap", "64"])
+        .args(["--max-conns", "64", "--threads", "1"])
         .arg("--store")
         .arg(&store)
         .arg("--port-file")

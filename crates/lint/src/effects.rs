@@ -31,8 +31,9 @@
 //!   loop, by the same search. Allowlisted by construction: the
 //!   `WakeFlag` idle park and the nonblocking-socket accept/read/write
 //!   helpers. Plain `.lock()` acquisitions are scanned but not reported
-//!   here — sharded uncontended mutex hops are the serve design's
-//!   foundation, and blocking *while holding* one is already L013's job.
+//!   here — brief mutex hops (a cache lookup, an outbox push) are part
+//!   of the serve design, and blocking *while holding* one is already
+//!   L013's job.
 //! * **L018** — allocation effects (direct, or through a resolved call
 //!   whose callee transitively allocates per
 //!   [`crate::graph::propagate`]) inside a CFG loop back-edge scope on
@@ -590,8 +591,8 @@ fn l017_reactor_blocking(
                 .filter(|s| s.kind == EffectKind::Blocking)
             {
                 // Plain lock acquisitions are scanned but not
-                // reported: bounded single-shard hops are the design,
-                // and holding one while blocking is L013's finding.
+                // reported: brief bounded hops are the design, and
+                // holding one while blocking is L013's finding.
                 if site.what.ends_with("acquisition") {
                     continue;
                 }

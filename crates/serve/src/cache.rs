@@ -1,5 +1,4 @@
-//! The server's profile cache: one content-fingerprint-keyed LRU, plus
-//! the per-shard admission budgets requests are shed against.
+//! The server's profile cache: one content-fingerprint-keyed LRU.
 //!
 //! Two lookups hit the same cache:
 //!
@@ -23,7 +22,6 @@
 //! around it.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use mocktails_core::{Profile, SynthPlan};
@@ -200,73 +198,6 @@ impl ProfileCache {
     fn next_tick(&mut self) -> u64 {
         self.tick += 1;
         self.tick
-    }
-}
-
-/// Per-shard admission budget: a fixed number of in-flight requests per
-/// shard, acquired lock-free. Holding a [`ShardSlot`] is holding the
-/// budget; dropping it releases the slot.
-#[derive(Debug)]
-pub(crate) struct ShardAdmission {
-    counters: Arc<Vec<AtomicU64>>,
-    budget: u64,
-}
-
-impl ShardAdmission {
-    pub(crate) fn new(shards: usize, budget: usize) -> Self {
-        let shards = shards.max(1);
-        Self {
-            counters: Arc::new((0..shards).map(|_| AtomicU64::new(0)).collect()),
-            budget: budget as u64,
-        }
-    }
-
-    /// The shard an admission key routes to: the key modulo the shard
-    /// count (which `new` clamps to at least one).
-    pub(crate) fn shard_of(&self, key: u64) -> usize {
-        key.checked_rem(self.counters.len() as u64).unwrap_or(0) as usize
-    }
-
-    /// Tries to take one slot on `key`'s shard; `None` means the shard
-    /// is at budget and the request must be shed with `Busy`.
-    pub(crate) fn try_acquire(&self, key: u64) -> Option<ShardSlot> {
-        let shard = self.shard_of(key);
-        // lint: allow(L016, shard_of reduces the key modulo counters.len, so the index is always in range)
-        let counter = &self.counters[shard];
-        let mut current = counter.load(Ordering::SeqCst);
-        loop {
-            if current >= self.budget {
-                return None;
-            }
-            match counter.compare_exchange(current, current + 1, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => {
-                    return Some(ShardSlot {
-                        counters: Arc::clone(&self.counters),
-                        shard,
-                    })
-                }
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
-    /// Requests currently admitted across all shards.
-    pub(crate) fn total_inflight(&self) -> u64 {
-        self.counters.iter().map(|c| c.load(Ordering::SeqCst)).sum()
-    }
-}
-
-/// One admitted request's slot in its shard budget; releases on drop.
-#[derive(Debug)]
-pub(crate) struct ShardSlot {
-    counters: Arc<Vec<AtomicU64>>,
-    shard: usize,
-}
-
-impl Drop for ShardSlot {
-    fn drop(&mut self) {
-        self.counters[self.shard].fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -454,16 +385,5 @@ mod tests {
         assert_eq!(baseline, (16, 48));
         assert_eq!(run(2), baseline);
         assert_eq!(run(8), baseline);
-    }
-
-    #[test]
-    fn admission_budget_is_per_shard_and_released_on_drop() {
-        let admission = ShardAdmission::new(2, 1);
-        let slot = admission.try_acquire(0).unwrap();
-        assert!(admission.try_acquire(2).is_none(), "same shard: at budget");
-        assert!(admission.try_acquire(1).is_some(), "other shard: admitted");
-        assert_eq!(admission.total_inflight(), 1, "shard 1 slot was dropped");
-        drop(slot);
-        assert!(admission.try_acquire(0).is_some(), "released on drop");
     }
 }

@@ -27,7 +27,6 @@ use mocktails_dram::MemorySystem;
 use mocktails_trace::codec::RecordEncoder;
 use mocktails_trace::Fingerprinter;
 
-use crate::cache::ShardSlot;
 use crate::error::ErrorCode;
 use crate::metrics::ServeMetrics;
 use crate::protocol::{Request, Response};
@@ -481,9 +480,6 @@ pub(crate) struct Conn {
     pub(crate) frame_error: Option<String>,
     /// A typed error to send after the in-flight stream winds down.
     pub(crate) close_error: Option<(ErrorCode, String)>,
-    /// The admission slot held while a request or stream is in flight;
-    /// dropping it releases the shard budget.
-    pub(crate) shard_slot: Option<ShardSlot>,
 }
 
 impl Conn {
@@ -501,7 +497,6 @@ impl Conn {
             read_eof: false,
             frame_error: None,
             close_error: None,
-            shard_slot: None,
         }
     }
 

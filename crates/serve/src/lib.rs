@@ -16,8 +16,7 @@
 //! * [`error`] — [`error::ErrorCode`] (the wire-level failure taxonomy)
 //!   and [`error::ServeError`].
 //! * [`cache`] — the content-fingerprint-keyed LRU profile cache
-//!   ([`cache::ProfileCache`], one per server, with fit-key aliases) and
-//!   the per-shard admission budgets.
+//!   ([`cache::ProfileCache`], one per server, with fit-key aliases).
 //! * [`metrics`] — atomic counters and histograms with a deterministic
 //!   text rendering, timed by an injectable [`metrics::Clock`].
 //! * `conn` / `reactor` (private) — the readiness-driven event loop: one

@@ -10,11 +10,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// A monotonic microsecond clock the server reads for latency and TTL
-/// bookkeeping.
+/// A monotonic microsecond clock the server reads for latency and
+/// deadline bookkeeping.
 ///
 /// Injecting the clock keeps every time-dependent observable — histogram
-/// buckets, uptime, cache expiry — deterministic under test.
+/// buckets, uptime, checkpoint age — deterministic under test.
 pub trait Clock: Send + Sync + std::fmt::Debug {
     /// Microseconds since an arbitrary (per-clock) epoch.
     fn now_micros(&self) -> u64;
@@ -319,10 +319,6 @@ metric_table! {
         reactor_wakeups_total: Value,
         /// Response frames queued on sockets, not yet fully written (gauge).
         reactor_write_queue_frames: Value,
-        /// Requests currently holding a shard admission slot (gauge).
-        shard_inflight: Value,
-        /// Requests shed with `Busy` because their shard was at budget.
-        shard_shed_total: Value,
         /// Jobs waiting in the worker pool's queue (gauge).
         pool_queue_depth: Value,
         /// Submit-to-job-start wait.
@@ -481,8 +477,6 @@ mod tests {
             "reactor_conns_rejected_total",
             "reactor_wakeups_total",
             "reactor_write_queue_frames",
-            "shard_inflight",
-            "shard_shed_total",
             "pool_queue_depth",
             "uptime_micros",
         ];

@@ -16,8 +16,8 @@
 //! state transitions), queued frames written as the socket accepts them,
 //! bounded reads assembled into frames (unless paused by backpressure or
 //! phase), and completed frames dispatched. Compute never happens here —
-//! requests are admitted against their shard's budget and submitted to
-//! the pool. A stream banks its client's acks as credits and hands every
+//! requests are submitted to the pool, whose queue cap sheds the excess.
+//! A stream banks its client's acks as credits and hands every
 //! banked credit (up to [`STREAM_JOB_CHUNKS`]) to one chunk job; while
 //! the connection's output sits above
 //! [`crate::conn::WRITE_HIGH_WATERMARK`] it starts no chunk job, so
@@ -31,7 +31,6 @@ use std::sync::Arc;
 
 use mocktails_pool::bounded::SubmitError;
 
-use crate::cache::ShardSlot;
 use crate::conn::{Conn, Outgoing, Phase, StreamCtl, WriteOutcome, WRITE_HIGH_WATERMARK};
 use crate::error::{ErrorCode, ServeError};
 use crate::protocol::{Request, Response, PROTOCOL_VERSION};
@@ -222,7 +221,6 @@ fn handle_event(
         }
         Outgoing::Done => {
             conn.phase = Phase::Idle;
-            conn.shard_slot = None;
             settle_idle(shared, conn, now, open_conns);
         }
         Outgoing::StreamStarted(state) => {
@@ -244,7 +242,6 @@ fn handle_event(
             }
             if ended {
                 conn.phase = Phase::Idle;
-                conn.shard_slot = None;
                 settle_idle(shared, conn, now, open_conns);
             } else {
                 drive_stream(shared, conn);
@@ -298,7 +295,7 @@ fn drive_stream(shared: &Arc<Shared>, conn: &mut Conn) {
 }
 
 /// A stream whose client vanished (EOF) or lost frame sync winds down
-/// through a finalize job, releasing its shard budget cleanly.
+/// through a finalize job, which ends the stream cleanly.
 fn wind_down_broken_stream(shared: &Arc<Shared>, conn: &mut Conn) {
     if !conn.read_eof && conn.frame_error.is_none() {
         return;
@@ -339,7 +336,6 @@ fn check_ack_deadline(shared: &Arc<Shared>, conn: &mut Conn, now: u64) {
             now,
         );
         conn.phase = Phase::Idle;
-        conn.shard_slot = None;
     }
 }
 
@@ -517,9 +513,9 @@ fn route_request(
 ) {
     let metrics = &shared.metrics;
     metrics.requests_total.fetch_add(1, Ordering::SeqCst);
-    // Control requests answer on the spot; compute requests pick the
-    // shard budget they consume and the job a worker runs for them.
-    let (key, job) = match request {
+    // Control requests answer on the spot; compute requests pick the job
+    // a worker runs for them.
+    let job = match request {
         Request::Hello { .. } => {
             let message = "duplicate hello".into();
             return queue_error(shared, conn, ErrorCode::Malformed, message, now);
@@ -537,9 +533,6 @@ fn route_request(
             metrics
                 .pool_queue_depth
                 .store(shared.pool.queued() as u64, Ordering::SeqCst);
-            metrics
-                .shard_inflight
-                .store(shared.admission.total_inflight(), Ordering::SeqCst);
             let text = metrics.render(shared.clock.now_micros());
             return queue_response(conn, &Response::MetricsText { text }, now);
         }
@@ -548,47 +541,36 @@ fn route_request(
             return queue_response(conn, &Response::ShutdownOk, now);
         }
         Request::Ack | Request::Cancel => unreachable!("handled by process_inbound"), // lint: allow(L001, L016, stream-control frames are routed before route_request)
-        // Compaction is store-wide, not keyed to a shard: it takes no
-        // admission slot, but still runs off the event thread (a
-        // checkpoint fsyncs).
-        Request::Compact => (None, Job::Compact),
+        // Compaction runs off the event thread too: a checkpoint fsyncs.
+        Request::Compact => Job::Compact,
         Request::FitProfile {
             cycles,
             trace_bytes,
-        } => (
-            Some(Shared::upload_admission_key(&trace_bytes)),
-            Job::Fit {
-                cycles,
-                trace_bytes,
-            },
-        ),
+        } => Job::Fit {
+            cycles,
+            trace_bytes,
+        },
         Request::Synthesize {
             seed,
             chunk_len,
             source,
-        } => (
-            Some(shared.admission_key(&source)),
-            Job::OpenStream {
-                seed,
-                chunk_len,
-                source,
-                coupled: false,
-            },
-        ),
+        } => Job::OpenStream {
+            seed,
+            chunk_len,
+            source,
+            coupled: false,
+        },
         Request::CoupledSynthesize {
             seed,
             chunk_len,
             source,
-        } => (
-            Some(shared.admission_key(&source)),
-            Job::OpenStream {
-                seed,
-                chunk_len,
-                source,
-                coupled: true,
-            },
-        ),
-        Request::Stats { source } => (Some(shared.admission_key(&source)), Job::Stats { source }),
+        } => Job::OpenStream {
+            seed,
+            chunk_len,
+            source,
+            coupled: true,
+        },
+        Request::Stats { source } => Job::Stats { source },
     };
     // During drain, every new compute request is answered `ShuttingDown`.
     if shared.shutting_down.load(Ordering::SeqCst) {
@@ -596,57 +578,15 @@ fn route_request(
         queue_error(shared, conn, ErrorCode::ShuttingDown, message, now);
         return;
     }
-    let slot = match key {
-        Some(key) => match try_admit(shared, conn, key, now) {
-            None => return,
-            slot => slot,
-        },
-        None => None,
-    };
-    submit_one_shot(shared, conn, now, slot, job);
-}
-
-/// Takes a slot from the request's shard budget, or sheds with `Busy`.
-fn try_admit(shared: &Arc<Shared>, conn: &mut Conn, key: u64, now: u64) -> Option<ShardSlot> {
-    match shared.admission.try_acquire(key) {
-        Some(slot) => Some(slot),
-        None => {
-            shared
-                .metrics
-                .shard_shed_total
-                .fetch_add(1, Ordering::SeqCst);
-            let shard = shared.admission.shard_of(key);
-            queue_error(
-                shared,
-                conn,
-                ErrorCode::Busy,
-                format!(
-                    "shard {shard} at budget ({} in flight); retry later",
-                    shared.config.shard_budget
-                ),
-                now,
-            );
-            None
-        }
-    }
+    submit_one_shot(shared, conn, now, job);
 }
 
 /// Submits a one-shot request job; on success the connection enters
-/// `Job` (holding `slot` until `Done`), on refusal the slot releases by
-/// drop and the client gets the typed refusal.
-fn submit_one_shot(
-    shared: &Arc<Shared>,
-    conn: &mut Conn,
-    now: u64,
-    slot: Option<ShardSlot>,
-    job: Job,
-) {
+/// `Job` until `Done`, on refusal the client gets the typed refusal.
+fn submit_one_shot(shared: &Arc<Shared>, conn: &mut Conn, now: u64, job: Job) {
     let tx = conn.tx();
     match server::submit_request_job(shared, tx, job) {
-        Ok(()) => {
-            conn.phase = Phase::Job;
-            conn.shard_slot = slot;
-        }
+        Ok(()) => conn.phase = Phase::Job,
         Err(SubmitError::QueueFull { cap }) => {
             queue_error(
                 shared,

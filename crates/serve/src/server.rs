@@ -18,11 +18,11 @@
 //! fit enters it only once the store has made it durable. Each cached
 //! profile compiles its synthesis plan on its first stream; every later
 //! stream opens in O(1) from the shared plan.
-//! Admission is sharded: a request routes by fingerprint (an upload by a
-//! hash of its prefix) to one of [`ServerConfig::shards`] domains, each
-//! with a bounded in-flight budget ([`ServerConfig::shard_budget`]). A
-//! request for a shard at budget is shed with a typed `Busy` frame the
-//! client retries with backoff.
+//! Load is shed at two gates, each with a typed `Busy` frame: a connect
+//! beyond [`ServerConfig::max_conns`], and a job the worker pool's
+//! [`ServerConfig::queue_cap`] has no room for. A connection carries at
+//! most one request or stream at a time, so `max_conns` also bounds the
+//! work in flight.
 //! Every failure path still answers with a typed error frame before the
 //! connection is ever closed.
 
@@ -41,28 +41,19 @@ use mocktails_store::{ProfileStore, StoreOptions};
 use mocktails_trace::codec::RecordEncoder;
 use mocktails_trace::{fnv1a, DecodeOptions, Fingerprinter, TraceError};
 
-use crate::cache::{CachedProfile, ProfileCache, ShardAdmission};
+use crate::cache::{CachedProfile, ProfileCache};
 use crate::conn::{ConnTx, Coupling, SynthState, WakeFlag};
 use crate::error::{ErrorCode, ServeError};
 use crate::metrics::{Clock, ServeMetrics};
 use crate::protocol::{ProfileSource, Response};
-
-/// Bytes of an upload hashed for *admission routing* (which shard's
-/// budget a fit consumes). The true fit key still hashes the whole
-/// trace — in a worker, never on the reactor thread.
-const ADMISSION_HASH_PREFIX: usize = 4096;
 
 /// Why a [`ServerConfig`] failed validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerConfigError {
     /// `workers` was 0; the pool needs at least one thread.
     ZeroWorkers,
-    /// `shards` was 0; admission needs at least one shard.
-    ZeroShards,
     /// `max_conns` was 0; the server could accept nothing.
     ZeroMaxConns,
-    /// `shard_budget` was 0; every request would be shed.
-    ZeroShardBudget,
     /// `deadline_micros` was 0; every queued request would miss it.
     ZeroDeadline,
     /// `max_frame_len` is below the smallest useful frame.
@@ -76,9 +67,7 @@ impl std::fmt::Display for ServerConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::ZeroWorkers => write!(f, "workers must be at least 1"),
-            Self::ZeroShards => write!(f, "shards must be at least 1"),
             Self::ZeroMaxConns => write!(f, "max_conns must be at least 1"),
-            Self::ZeroShardBudget => write!(f, "shard_budget must be at least 1"),
             Self::ZeroDeadline => write!(f, "deadline_micros must be positive"),
             Self::FrameLimitTooSmall { min } => {
                 write!(f, "max_frame_len must be at least {min} bytes")
@@ -118,15 +107,11 @@ pub struct ServerConfig {
     /// its write-ahead log *before* the `FitResult` ack, and a restart
     /// warms the cache from the recovered state.
     pub store_dir: Option<PathBuf>,
-    /// Admission shards, each with its own in-flight budget; requests
-    /// route by content fingerprint.
-    pub shards: usize,
     /// Connections the reactor will hold open at once; excess accepts
-    /// are answered with a `Busy` frame and closed.
+    /// are answered with a `Busy` frame and closed. Each connection
+    /// carries at most one request or stream, so this also bounds the
+    /// work in flight.
     pub max_conns: usize,
-    /// In-flight requests (including open streams) one shard admits
-    /// before shedding with `Busy`.
-    pub shard_budget: usize,
 }
 
 impl Default for ServerConfig {
@@ -139,9 +124,7 @@ impl Default for ServerConfig {
             deadline_micros: 30_000_000,
             decode: DecodeOptions::default(),
             store_dir: None,
-            shards: 8,
             max_conns: 1024,
-            shard_budget: 32,
         }
     }
 }
@@ -164,14 +147,8 @@ impl ServerConfig {
         if self.workers == 0 {
             return Err(ServerConfigError::ZeroWorkers);
         }
-        if self.shards == 0 {
-            return Err(ServerConfigError::ZeroShards);
-        }
         if self.max_conns == 0 {
             return Err(ServerConfigError::ZeroMaxConns);
-        }
-        if self.shard_budget == 0 {
-            return Err(ServerConfigError::ZeroShardBudget);
         }
         if self.deadline_micros == 0 {
             return Err(ServerConfigError::ZeroDeadline);
@@ -239,24 +216,10 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Admission shards.
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
     /// Connections the reactor will hold open at once.
     #[must_use]
     pub fn max_conns(mut self, max_conns: usize) -> Self {
         self.config.max_conns = max_conns;
-        self
-    }
-
-    /// In-flight requests one shard admits before shedding.
-    #[must_use]
-    pub fn shard_budget(mut self, shard_budget: usize) -> Self {
-        self.config.shard_budget = shard_budget;
         self
     }
 
@@ -287,8 +250,6 @@ pub(crate) struct Shared {
     /// The reactor's park/wake condvar; worker jobs wake it through
     /// their outbox pushes and once more when they finish.
     pub(crate) wake: Arc<WakeFlag>,
-    /// Per-shard in-flight budgets.
-    pub(crate) admission: ShardAdmission,
 }
 
 impl Shared {
@@ -310,22 +271,6 @@ impl Shared {
         m.store_profiles.store(store.len() as u64, Ordering::SeqCst);
         m.store_wal_bytes.store(store.wal_bytes(), Ordering::SeqCst);
     }
-
-    /// The shard-admission routing key for a request: which shard's
-    /// budget it consumes. Fingerprint sources route by the fingerprint
-    /// itself; uploads hash a bounded prefix (cheap enough for the
-    /// reactor thread — the real content hash happens in a worker).
-    pub(crate) fn admission_key(&self, source: &ProfileSource) -> u64 {
-        match source {
-            ProfileSource::Fingerprint(fp) => *fp,
-            ProfileSource::Inline(bytes) => Self::upload_admission_key(bytes),
-        }
-    }
-
-    /// Admission key for raw uploaded bytes (trace or profile).
-    pub(crate) fn upload_admission_key(bytes: &[u8]) -> u64 {
-        fnv1a(&bytes[..bytes.len().min(ADMISSION_HASH_PREFIX)])
-    }
 }
 
 /// The server: a bound listener plus everything requests share.
@@ -344,7 +289,6 @@ impl std::fmt::Debug for Server {
         f.debug_struct("Server")
             .field("addr", &self.shared.addr)
             .field("workers", &self.shared.config.workers)
-            .field("shards", &self.shared.config.shards)
             .finish()
     }
 }
@@ -440,7 +384,6 @@ impl Server {
             .store(clock.now_micros(), Ordering::SeqCst);
         let shared = Arc::new(Shared {
             pool: WorkerPool::new(config.workers, config.queue_cap),
-            admission: ShardAdmission::new(config.shards, config.shard_budget),
             cache: Mutex::new(cache),
             config,
             metrics,
@@ -989,9 +932,7 @@ mod tests {
         assert!(config.workers >= 1);
         assert!(config.max_frame_len >= 1 << 20);
         assert!(config.deadline_micros > 0);
-        assert!(config.shards >= 1);
         assert!(config.max_conns >= 1);
-        assert!(config.shard_budget >= 1);
         assert!(config.validate().is_ok());
     }
 
@@ -1000,11 +941,9 @@ mod tests {
 
     #[test]
     fn validate_rejects_each_zero_knob() {
-        let cases: [KnobCase; 6] = [
+        let cases: [KnobCase; 4] = [
             (|c| c.workers = 0, ServerConfigError::ZeroWorkers),
-            (|c| c.shards = 0, ServerConfigError::ZeroShards),
             (|c| c.max_conns = 0, ServerConfigError::ZeroMaxConns),
-            (|c| c.shard_budget = 0, ServerConfigError::ZeroShardBudget),
             (|c| c.deadline_micros = 0, ServerConfigError::ZeroDeadline),
             (
                 |c| c.max_frame_len = 512,

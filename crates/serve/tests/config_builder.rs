@@ -26,9 +26,7 @@ fn builder_forwards_every_knob_bit_identically() {
         .deadline_micros(2_000_000)
         .decode(decode)
         .store_dir("/tmp/mocktails-builder-test")
-        .shards(4)
         .max_conns(99)
-        .shard_budget(7)
         .build()
         .expect("valid config");
     // The deprecated plain-struct path, field for field.
@@ -40,9 +38,7 @@ fn builder_forwards_every_knob_bit_identically() {
         deadline_micros: 2_000_000,
         decode,
         store_dir: Some("/tmp/mocktails-builder-test".into()),
-        shards: 4,
         max_conns: 99,
-        shard_budget: 7,
     };
     assert_eq!(built, plain, "builder and struct literal diverged");
 }
@@ -54,16 +50,8 @@ fn builder_rejects_invalid_knobs_with_typed_errors() {
         Err(ServerConfigError::ZeroWorkers)
     );
     assert_eq!(
-        ServerConfig::builder().shards(0).build(),
-        Err(ServerConfigError::ZeroShards)
-    );
-    assert_eq!(
         ServerConfig::builder().max_conns(0).build(),
         Err(ServerConfigError::ZeroMaxConns)
-    );
-    assert_eq!(
-        ServerConfig::builder().shard_budget(0).build(),
-        Err(ServerConfigError::ZeroShardBudget)
     );
     assert_eq!(
         ServerConfig::builder().deadline_micros(0).build(),
@@ -96,11 +84,7 @@ fn bind_validates_plain_struct_configs_too() {
 
 #[test]
 fn a_builder_built_server_serves() {
-    let config = ServerConfig::builder()
-        .workers(1)
-        .shards(2)
-        .build()
-        .expect("valid");
+    let config = ServerConfig::builder().workers(1).build().expect("valid");
     let server = Server::bind("127.0.0.1:0", config, Arc::new(ManualClock::new())).expect("bind");
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run().expect("run"));

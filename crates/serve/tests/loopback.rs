@@ -360,62 +360,45 @@ fn mid_stream_client_survives_shutdown_with_clean_end_of_stream() {
 }
 
 #[test]
-fn over_cap_requests_get_deterministic_busy() {
-    let trace = small_trace();
-    let upload = trace_bytes(&trace);
-    // One shard with an in-flight budget of one: while any request or
-    // open stream holds the slot, the next request must be shed with a
-    // deterministic Busy — no timing window involved.
+fn connects_over_max_conns_get_a_deterministic_busy() {
+    // One connection slot: while the holder is connected, every further
+    // connect is answered with a typed Busy frame before it is closed —
+    // no timing window involved, since the holder's handshake completed.
     let (addr, handle) = start_server(ServerConfig {
-        workers: 1,
-        shards: 1,
-        shard_budget: 1,
+        max_conns: 1,
         ..ServerConfig::default()
     });
     let mut holder = Client::connect(&addr).expect("holder connect");
-    let fit = holder.fit(CYCLES, upload).expect("fit");
 
-    // Hold the only admission slot: an open stream keeps it until its
-    // SynthEnd, even while it sits parked awaiting an ack (streams hold
-    // no worker — the budget is what bounds them now).
-    let mut stream = holder
-        .begin_synthesize(SEED, 1, ProfileSource::Fingerprint(fit.fingerprint))
-        .expect("begin stream");
-    assert!(stream.next_chunk().expect("first chunk").is_some());
-
-    let mut contender = Client::connect(&addr).expect("contender connect");
-    let err = contender
-        .stats(ProfileSource::Fingerprint(fit.fingerprint))
-        .expect_err("shard at budget, must shed");
+    let err = Client::connect(&addr).expect_err("over max_conns, must shed");
     match &err {
         ServeError::Remote {
             code: ErrorCode::Busy,
             message,
-        } => assert!(message.contains("at budget"), "{message}"),
+        } => assert!(message.contains("connection limit reached"), "{message}"),
         other => panic!("expected Busy, got {other}"),
     }
-    // The shed was counted and left the contender's connection usable.
-    let text = contender.metricsz().expect("metricsz after shed");
-    assert!(text.contains("shard_shed_total 1"), "{text}");
+    // The shed was counted, and the holder's connection stayed usable.
+    let text = holder.metricsz().expect("metricsz after shed");
+    assert_eq!(metric(&text, "reactor_conns_rejected_total"), 1, "{text}");
+    assert_eq!(metric(&text, "busy_rejections_total"), 1, "{text}");
 
-    // Release the slot by draining the stream; the contender can then be
-    // admitted.
-    stream.ack().expect("release ack");
-    while stream.next_chunk().expect("chunk").is_some() {
-        stream.ack().expect("ack");
-    }
-    let text = loop {
-        match contender.stats(ProfileSource::Fingerprint(fit.fingerprint)) {
-            Ok(text) => break text,
+    // Free the slot. The reactor may still be retiring the holder when
+    // the next connect lands, so a Busy is retried until it is admitted.
+    drop(holder);
+    let mut fresh = loop {
+        match Client::connect(&addr) {
+            Ok(client) => break client,
             Err(ServeError::Remote {
                 code: ErrorCode::Busy,
                 ..
-            }) => std::thread::yield_now(),
-            Err(e) => panic!("served after release: {e}"),
+            }) => std::thread::sleep(std::time::Duration::from_millis(1)),
+            Err(e) => panic!("connect after release: {e}"),
         }
     };
-    assert!(text.contains("fingerprint"));
-    shut_down(&addr, handle);
+    // The fresh client holds the only slot, so it asks for the shutdown.
+    fresh.shutdown().expect("shutdown handshake");
+    handle.join().expect("server thread exits cleanly");
 }
 
 #[test]
@@ -1198,9 +1181,9 @@ fn shutdown_drops_a_client_that_stopped_reading() {
 
 #[test]
 fn cache_capacity_holds_that_many_profiles_whatever_their_fingerprints() {
-    // Eight distinct fits into a cache of eight, at the default eight
-    // admission shards: every profile stays streamable by fingerprint,
-    // and only a ninth fit evicts, taking the least recently used.
+    // Eight distinct fits into a cache of eight: every profile stays
+    // streamable by fingerprint, and only a ninth fit evicts, taking the
+    // least recently used.
     let traces: Vec<Trace> = (0..9u64)
         .map(|seed| generate_n("gobmk", seed, 2_000).expect("known benchmark name"))
         .collect();
@@ -1208,7 +1191,6 @@ fn cache_capacity_holds_that_many_profiles_whatever_their_fingerprints() {
         cache_capacity: 8,
         ..ServerConfig::default()
     };
-    assert_eq!(config.shards, 8);
     let (addr, handle) = start_server(config);
     let mut client = Client::connect(&addr).expect("connect");
     let fingerprints: Vec<u64> = traces[..8]

@@ -58,7 +58,7 @@ fn soak_policy(seed: u64) -> RetryPolicy {
 #[test]
 fn soak_thousand_streaming_clients_byte_identical_with_bounded_tail() {
     let clients = soak_clients();
-    // Distinct workloads spread across cache shards; each client streams
+    // Distinct workloads in one shared cache; each client streams
     // one of them and byte-compares against this offline reference.
     let mut uploads = Vec::new();
     let mut expected = Vec::new();
@@ -76,8 +76,6 @@ fn soak_thousand_streaming_clients_byte_identical_with_bounded_tail() {
         .workers(8)
         .queue_cap(256)
         .cache_capacity(64)
-        .shards(8)
-        .shard_budget(512)
         .max_conns(clients + 64)
         .deadline_micros(120_000_000)
         .build()

@@ -1,39 +1,10 @@
-//! Trace transformations: retiming, cropping and filtering.
+//! Trace transformations: address rebasing.
 //!
 //! Utilities for preparing traces before modeling — the kind of
 //! preprocessing the paper mentions its industry partner applied
 //! ("VPU traces had their inputs down-scaled", §IV-A).
 
-use crate::{AddrRange, Op, Request, Trace};
-
-/// Scales every timestamp by `num / den` (e.g. `1, 2` halves the
-/// duration; `2, 1` doubles it). Order is preserved.
-///
-/// # Panics
-///
-/// Panics if `den` is zero.
-pub fn time_scale(trace: &Trace, num: u64, den: u64) -> Trace {
-    assert!(den > 0, "scale denominator must be non-zero");
-    Trace::from_sorted_requests(
-        trace
-            .iter()
-            .map(|r| Request::new(r.timestamp * num / den, r.address, r.op, r.size))
-            .collect(),
-    )
-}
-
-/// Shifts every timestamp so the trace starts at `start`.
-pub fn rebase_time(trace: &Trace, start: u64) -> Trace {
-    let Some(first) = trace.start_time() else {
-        return Trace::new();
-    };
-    Trace::from_sorted_requests(
-        trace
-            .iter()
-            .map(|r| Request::new(r.timestamp - first + start, r.address, r.op, r.size))
-            .collect(),
-    )
-}
+use crate::{Request, Trace};
 
 /// Shifts every address by a signed byte delta (wrapping).
 pub fn rebase_address(trace: &Trace, delta: i64) -> Trace {
@@ -52,54 +23,6 @@ pub fn rebase_address(trace: &Trace, delta: i64) -> Trace {
     )
 }
 
-/// Keeps only the requests inside the cycle window `[from, to)`.
-pub fn crop_time(trace: &Trace, from: u64, to: u64) -> Trace {
-    Trace::from_sorted_requests(
-        trace
-            .iter()
-            .filter(|r| r.timestamp >= from && r.timestamp < to)
-            .copied()
-            .collect(),
-    )
-}
-
-/// Keeps only the requests whose byte range intersects `range`.
-pub fn crop_address(trace: &Trace, range: &AddrRange) -> Trace {
-    Trace::from_sorted_requests(
-        trace
-            .iter()
-            .filter(|r| r.range().overlaps(range))
-            .copied()
-            .collect(),
-    )
-}
-
-/// Keeps only requests of the given operation.
-pub fn filter_op(trace: &Trace, op: Op) -> Trace {
-    Trace::from_sorted_requests(trace.iter().filter(|r| r.op == op).copied().collect())
-}
-
-/// Merges traces into one timestamp-ordered trace — how multiple IP
-/// blocks' streams combine at a shared interconnect.
-pub fn merge(traces: &[Trace]) -> Trace {
-    let mut all: Vec<Request> = traces
-        .iter()
-        .flat_map(|t| t.requests().iter().copied())
-        .collect();
-    all.sort_by_key(|r| r.timestamp);
-    Trace::from_sorted_requests(all)
-}
-
-/// Keeps every `n`-th request (systematic sampling), preserving order.
-///
-/// # Panics
-///
-/// Panics if `n` is zero.
-pub fn sample(trace: &Trace, n: usize) -> Trace {
-    assert!(n > 0, "sampling stride must be non-zero");
-    Trace::from_sorted_requests(trace.iter().step_by(n).copied().collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,83 +37,11 @@ mod tests {
     }
 
     #[test]
-    fn time_scale_halves_and_doubles() {
-        let t = sample_trace();
-        let halved = time_scale(&t, 1, 2);
-        assert_eq!(halved.start_time(), Some(50));
-        assert_eq!(halved.duration(), 150);
-        let doubled = time_scale(&t, 2, 1);
-        assert_eq!(doubled.duration(), 600);
-        // Addresses untouched.
-        assert_eq!(halved.footprint_range(), t.footprint_range());
-    }
-
-    #[test]
-    fn rebase_time_anchors_start() {
-        let t = rebase_time(&sample_trace(), 0);
-        assert_eq!(t.start_time(), Some(0));
-        assert_eq!(t.duration(), 300);
-        assert!(rebase_time(&Trace::new(), 5).is_empty());
-    }
-
-    #[test]
     fn rebase_address_shifts_both_ways() {
         let t = sample_trace();
         let up = rebase_address(&t, 0x100);
         assert_eq!(up.requests()[0].address, 0x1100);
         let down = rebase_address(&up, -0x100);
         assert_eq!(down, t);
-    }
-
-    #[test]
-    fn crop_time_is_half_open() {
-        let t = crop_time(&sample_trace(), 200, 400);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.start_time(), Some(200));
-        assert_eq!(t.end_time(), Some(300));
-    }
-
-    #[test]
-    fn crop_address_keeps_intersections() {
-        let t = crop_address(&sample_trace(), &AddrRange::new(0x2020, 0x3010));
-        assert_eq!(t.len(), 2); // 0x2000+64 overlaps, 0x3000 overlaps
-    }
-
-    #[test]
-    fn filter_op_splits_cleanly() {
-        let t = sample_trace();
-        let reads = filter_op(&t, Op::Read);
-        let writes = filter_op(&t, Op::Write);
-        assert_eq!(reads.len() + writes.len(), t.len());
-        assert!(reads.iter().all(|r| r.op.is_read()));
-    }
-
-    #[test]
-    fn merge_interleaves_by_time() {
-        let a = Trace::from_requests(vec![Request::read(0, 0, 4), Request::read(20, 4, 4)]);
-        let b = Trace::from_requests(vec![Request::write(10, 8, 4)]);
-        let m = merge(&[a, b]);
-        let times: Vec<u64> = m.iter().map(|r| r.timestamp).collect();
-        assert_eq!(times, vec![0, 10, 20]);
-    }
-
-    #[test]
-    fn sampling_keeps_every_nth() {
-        let t = sample(&sample_trace(), 2);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.requests()[0].timestamp, 100);
-        assert_eq!(t.requests()[1].timestamp, 300);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_sample_stride_panics() {
-        let _ = sample(&sample_trace(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_denominator_panics() {
-        let _ = time_scale(&sample_trace(), 1, 0);
     }
 }

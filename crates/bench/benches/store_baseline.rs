@@ -61,12 +61,7 @@ fn main() {
         .collect();
     let record_bytes: usize = profiles
         .iter()
-        .map(|p| {
-            ProfileRecord::from_profile(p, None)
-                .expect("encodable profile")
-                .encode()
-                .len()
-        })
+        .map(|p| ProfileRecord::from_profile(p, None).encode().len())
         .sum();
     let mb = record_bytes as f64 / (1024.0 * 1024.0);
 

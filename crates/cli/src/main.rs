@@ -13,9 +13,10 @@
 //! ```
 
 use std::fs::File;
-use std::io::{BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::process::ExitCode;
 
+use mocktails_core::profile::write_profile;
 use mocktails_core::{HierarchyConfig, LayerSpec, Profile, ProfileError};
 use mocktails_pool::Parallelism;
 use mocktails_sim::experiments::meta;
@@ -267,17 +268,11 @@ fn positional<'a>(args: &'a [&String], index: usize) -> Result<&'a str, CliError
     Err(usage(format!("missing positional argument {index}")))
 }
 
-/// Writes `emit`'s output to `out` atomically: the destination appears only
-/// after a fully flushed, fsynced temporary is renamed over it.
-fn write_atomically<F>(out: &str, emit: F) -> Result<(), CliError>
-where
-    F: FnOnce(&mut BufWriter<AtomicFileWriter>) -> Result<(), CliError>,
-{
-    let writer = AtomicFileWriter::create(out).map_err(|e| io_error(out, e))?;
-    let mut w = BufWriter::new(writer);
-    emit(&mut w)?;
-    w.flush().map_err(|e| io_error(out, e))?;
-    let writer = w.into_inner().map_err(|e| io_error(out, e.into_error()))?;
+/// Writes `bytes` to `out` atomically: the destination appears only after
+/// a fully written, fsynced temporary is renamed over it.
+fn write_atomically(out: &str, bytes: &[u8]) -> Result<(), CliError> {
+    let mut writer = AtomicFileWriter::create(out).map_err(|e| io_error(out, e))?;
+    writer.write_all(bytes).map_err(|e| io_error(out, e))?;
     writer.commit().map_err(|e| io_error(out, e))
 }
 
@@ -286,14 +281,14 @@ fn cmd_trace(args: &[&String]) -> Result<(), CliError> {
     let out = flag_value(args, "-o").ok_or_else(|| usage("missing -o <FILE>"))?;
     let spec = catalog::by_name(name).ok_or_else(|| usage(format!("unknown trace {name:?}")))?;
     let trace = spec.generate();
-    write_atomically(&out, |w| {
-        if out.ends_with(".csv") {
-            codec::write_csv(w, &trace)
-        } else {
-            codec::write_trace(w, &trace)
-        }
-        .map_err(|e| classify_trace_error(&out, e))
-    })?;
+    let mut bytes = Vec::new();
+    if out.ends_with(".csv") {
+        codec::write_csv(&mut bytes, &trace)
+    } else {
+        codec::write_trace(&mut bytes, &trace)
+    }
+    .map_err(|e| classify_trace_error(&out, e))?;
+    write_atomically(&out, &bytes)?;
     println!("wrote {} requests to {out}", trace.len());
     Ok(())
 }
@@ -327,15 +322,13 @@ fn cmd_profile(args: &[&String]) -> Result<(), CliError> {
     let config = phase_config(cycles)?;
     let trace = load_trace(input)?;
     let profile = Profile::fit(&trace, &config);
-    write_atomically(&out, |w| {
-        profile
-            .write(w)
-            .map_err(|e| classify_profile_error(&out, e))
-    })?;
+    let mut bytes = Vec::new();
+    write_profile(&mut bytes, &profile);
+    write_atomically(&out, &bytes)?;
     println!(
         "fitted {}; profile is {} bytes ({} trace bytes)",
         profile.summary(),
-        profile.metadata_size(),
+        bytes.len(),
         codec::trace_encoded_size(&trace),
     );
     Ok(())
@@ -351,9 +344,9 @@ fn cmd_synth(args: &[&String]) -> Result<(), CliError> {
     let trace = profile
         .try_synthesize(seed)
         .map_err(|e| classify_profile_error(input, e))?;
-    write_atomically(&out, |w| {
-        codec::write_trace(w, &trace).map_err(|e| classify_trace_error(&out, e))
-    })?;
+    let mut bytes = Vec::new();
+    codec::write_trace(&mut bytes, &trace).map_err(|e| classify_trace_error(&out, e))?;
+    write_atomically(&out, &bytes)?;
     println!("synthesized {} requests to {out}", trace.len());
     Ok(())
 }
@@ -543,9 +536,7 @@ fn cmd_serve(args: &[&String]) -> Result<(), CliError> {
     if let Some(port_file) = flag_value(args, "--port-file") {
         // Scripts poll this file for the resolved ephemeral port; write it
         // atomically so they never read a half-written address.
-        write_atomically(&port_file, |w| {
-            writeln!(w, "{local}").map_err(|e| io_error(&port_file, e))
-        })?;
+        write_atomically(&port_file, format!("{local}\n").as_bytes())?;
     }
     println!("listening on {local}");
     std::io::stdout()
@@ -600,10 +591,7 @@ fn cmd_client(args: &[&String]) -> Result<(), CliError> {
             let fit = client
                 .fit(cycles, trace_bytes)
                 .map_err(|e| classify_serve_error(input, e))?;
-            write_atomically(&out, |w| {
-                w.write_all(&fit.profile_bytes)
-                    .map_err(|e| io_error(&out, e))
-            })?;
+            write_atomically(&out, &fit.profile_bytes)?;
             println!(
                 "fitted via server: fingerprint {:#018x}, cache {}, {} bytes to {out}",
                 fit.fingerprint,
@@ -625,10 +613,7 @@ fn cmd_client(args: &[&String]) -> Result<(), CliError> {
             let synth = client
                 .synthesize(seed, chunk, source)
                 .map_err(|e| classify_serve_error("synth", e))?;
-            write_atomically(&out, |w| {
-                w.write_all(&synth.trace_bytes)
-                    .map_err(|e| io_error(&out, e))
-            })?;
+            write_atomically(&out, &synth.trace_bytes)?;
             println!(
                 "synthesized {} requests to {out} (stream fingerprint {:#018x} verified)",
                 synth.total_requests, synth.fingerprint,
@@ -648,10 +633,7 @@ fn cmd_client(args: &[&String]) -> Result<(), CliError> {
             let outcome = client
                 .couple(seed, chunk, source)
                 .map_err(|e| classify_serve_error("couple", e))?;
-            write_atomically(&out, |w| {
-                w.write_all(&outcome.trace_bytes)
-                    .map_err(|e| io_error(&out, e))
-            })?;
+            write_atomically(&out, &outcome.trace_bytes)?;
             println!(
                 "coupled synthesis: {} requests to {out}, {} simulated cycles, \
                  {} stall cycles fed back (fingerprint {:#018x} verified)",

@@ -3,6 +3,12 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use mocktails_core::profile::write_profile;
+use mocktails_core::{HierarchyConfig, Profile};
+use mocktails_trace::codec::write_trace;
+use mocktails_trace::Trace;
+use mocktails_workloads::catalog;
+
 fn mocktails(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_mocktails"))
         .args(args)
@@ -84,6 +90,53 @@ fn trace_profile_synth_pipeline() {
     let trace_bytes = std::fs::metadata(&trace_path).unwrap().len();
     let profile_bytes = std::fs::metadata(&profile_path).unwrap().len();
     assert!(profile_bytes < trace_bytes);
+
+    for p in [&trace_path, &profile_path, &synth_path] {
+        std::fs::remove_file(p).ok();
+    }
+}
+
+#[test]
+fn written_files_hold_exactly_the_library_encodings() {
+    let trace_path = temp("bytes.mtrace");
+    let profile_path = temp("bytes.mprofile");
+    let synth_path = temp("bytes-synth.mtrace");
+    let encode = |trace: &Trace| {
+        let mut bytes = Vec::new();
+        write_trace(&mut bytes, trace).unwrap();
+        bytes
+    };
+
+    let out = mocktails(&["trace", "Crypto1", "-o", trace_path.to_str().unwrap()]);
+    assert!(out.status.success());
+    let trace = catalog::by_name("Crypto1").unwrap().generate();
+    assert_eq!(std::fs::read(&trace_path).unwrap(), encode(&trace));
+
+    let out = mocktails(&[
+        "profile",
+        trace_path.to_str().unwrap(),
+        "-o",
+        profile_path.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let profile = Profile::fit(&trace, &HierarchyConfig::two_level_ts(500_000));
+    let mut profile_bytes = Vec::new();
+    write_profile(&mut profile_bytes, &profile);
+    assert_eq!(std::fs::read(&profile_path).unwrap(), profile_bytes);
+
+    let out = mocktails(&[
+        "synth",
+        profile_path.to_str().unwrap(),
+        "-o",
+        synth_path.to_str().unwrap(),
+        "--seed",
+        "3",
+    ]);
+    assert!(out.status.success());
+    assert_eq!(
+        std::fs::read(&synth_path).unwrap(),
+        encode(&profile.synthesize(3))
+    );
 
     for p in [&trace_path, &profile_path, &synth_path] {
         std::fs::remove_file(p).ok();

@@ -17,8 +17,6 @@
 //!             zigzag from | edge count | per edge (zigzag to, count varint)
 //! ```
 
-use std::io::Write;
-
 use mocktails_trace::codec::{write_i64, write_u64, ByteCursor};
 use mocktails_trace::{checked_usize, AddrRange, DecodeLimits, DecodeOptions};
 
@@ -33,44 +31,36 @@ pub const PROFILE_MAGIC: [u8; 4] = *b"MPRO";
 /// Current profile codec version.
 pub const PROFILE_VERSION: u8 = 1;
 
-/// Encodes `profile` to `w`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_profile<W: Write>(w: &mut W, profile: &Profile) -> Result<(), ProfileError> {
-    w.write_all(&PROFILE_MAGIC)?;
-    w.write_all(&[PROFILE_VERSION])?;
-    write_config(w, profile.config())?;
-    write_u64(w, profile.leaves().len() as u64)?;
+/// Appends the encoding of `profile` to `w`.
+pub fn write_profile(w: &mut Vec<u8>, profile: &Profile) {
+    w.extend_from_slice(&PROFILE_MAGIC);
+    w.push(PROFILE_VERSION);
+    write_config(w, profile.config());
+    write_u64(w, profile.leaves().len() as u64);
     for leaf in profile.leaves() {
-        write_u64(w, leaf.start_time())?;
-        write_u64(w, leaf.start_address())?;
-        write_u64(w, leaf.range().start())?;
-        write_u64(w, leaf.range().len())?;
-        write_u64(w, leaf.count())?;
+        write_u64(w, leaf.start_time());
+        write_u64(w, leaf.start_address());
+        write_u64(w, leaf.range().start());
+        write_u64(w, leaf.range().len());
+        write_u64(w, leaf.count());
         for model in [
             leaf.delta_time_model(),
             leaf.stride_model(),
             leaf.op_model(),
             leaf.size_model(),
         ] {
-            write_mcc(w, model)?;
+            write_mcc(w, model);
         }
     }
-    Ok(())
 }
 
-/// Encodes a hierarchy configuration — the layer list and options byte —
+/// Appends a hierarchy configuration — the layer list and options byte —
 /// exactly as it appears inside a profile encoding. Shared between
 /// [`write_profile`] and the serving layer's fit cache key, which hashes
 /// this encoding so two fits with different configs never collide.
-pub(crate) fn write_config<W: Write>(
-    w: &mut W,
-    config: &HierarchyConfig,
-) -> Result<(), ProfileError> {
+pub(crate) fn write_config(w: &mut Vec<u8>, config: &HierarchyConfig) {
     let layers = config.layers();
-    write_u64(w, layers.len() as u64)?;
+    write_u64(w, layers.len() as u64);
     for layer in layers {
         let (tag, param) = match *layer {
             LayerSpec::TemporalRequestCount(n) => (0u8, n as u64),
@@ -79,38 +69,36 @@ pub(crate) fn write_config<W: Write>(
             LayerSpec::SpatialDynamic => (3, 0),
             LayerSpec::SpatialFixed(b) => (4, b),
         };
-        w.write_all(&[tag])?;
-        write_u64(w, param)?;
+        w.push(tag);
+        write_u64(w, param);
     }
     let options = config.options();
     let options_byte = u8::from(options.strict_convergence)
         | (u8::from(options.merge_lonely) << 1)
         | (u8::from(options.merge_similar) << 2);
-    w.write_all(&[options_byte])?;
-    Ok(())
+    w.push(options_byte);
 }
 
-fn write_mcc<W: Write>(w: &mut W, model: &McC) -> Result<(), ProfileError> {
+fn write_mcc(w: &mut Vec<u8>, model: &McC) {
     match model {
         McC::Constant(v) => {
-            w.write_all(&[0])?;
-            write_i64(w, *v)?;
+            w.push(0);
+            write_i64(w, *v);
         }
         McC::Markov(chain) => {
-            w.write_all(&[1])?;
-            write_i64(w, chain.initial())?;
-            write_u64(w, chain.num_states() as u64)?;
+            w.push(1);
+            write_i64(w, chain.initial());
+            write_u64(w, chain.num_states() as u64);
             for (from, edges) in chain.rows() {
-                write_i64(w, from)?;
-                write_u64(w, edges.len() as u64)?;
+                write_i64(w, from);
+                write_u64(w, edges.len() as u64);
                 for &(to, count) in edges {
-                    write_i64(w, to)?;
-                    write_u64(w, count)?;
+                    write_i64(w, to);
+                    write_u64(w, count);
                 }
             }
         }
     }
-    Ok(())
 }
 
 /// Decodes a profile written by [`write_profile`] from the front of `r`
@@ -311,7 +299,7 @@ mod tests {
     fn round_trip_preserves_profile() {
         let profile = profile_with_variety();
         let mut buf = Vec::new();
-        write_profile(&mut buf, &profile).unwrap();
+        write_profile(&mut buf, &profile);
         let back = read_profile(&mut buf.as_slice()).unwrap();
         assert_eq!(back, profile);
     }
@@ -327,7 +315,7 @@ mod tests {
             });
         let profile = Profile::fit(&trace, &config);
         let mut buf = Vec::new();
-        write_profile(&mut buf, &profile).unwrap();
+        write_profile(&mut buf, &profile);
         let back = read_profile(&mut buf.as_slice()).unwrap();
         assert_eq!(back.config(), profile.config());
     }
@@ -336,7 +324,7 @@ mod tests {
     fn synthesized_output_identical_after_round_trip() {
         let profile = profile_with_variety();
         let mut buf = Vec::new();
-        write_profile(&mut buf, &profile).unwrap();
+        write_profile(&mut buf, &profile);
         let back = read_profile(&mut buf.as_slice()).unwrap();
         assert_eq!(back.synthesize(42), profile.synthesize(42));
     }
@@ -353,7 +341,7 @@ mod tests {
     #[test]
     fn bad_version_rejected() {
         let mut buf = Vec::new();
-        write_profile(&mut buf, &profile_with_variety()).unwrap();
+        write_profile(&mut buf, &profile_with_variety());
         buf[4] = 200;
         assert!(matches!(
             read_profile(&mut buf.as_slice()),
@@ -364,7 +352,7 @@ mod tests {
     #[test]
     fn truncation_detected() {
         let mut buf = Vec::new();
-        write_profile(&mut buf, &profile_with_variety()).unwrap();
+        write_profile(&mut buf, &profile_with_variety());
         buf.truncate(buf.len() / 2);
         assert!(read_profile(&mut buf.as_slice()).is_err());
     }
@@ -377,11 +365,11 @@ mod tests {
         // attempt a 2^60-element allocation.
         let mut buf = Vec::new();
         buf.extend_from_slice(b"MPRO\x01");
-        write_u64(&mut buf, 1).unwrap(); // layer count
+        write_u64(&mut buf, 1); // layer count
         buf.push(3); // SpatialDynamic
-        write_u64(&mut buf, 0).unwrap(); // its (ignored) parameter
+        write_u64(&mut buf, 0); // its (ignored) parameter
         buf.push(0b01); // options
-        write_u64(&mut buf, 1 << 60).unwrap(); // hostile leaf count
+        write_u64(&mut buf, 1 << 60); // hostile leaf count
         let err = read_profile(&mut buf.as_slice()).unwrap_err();
         match err {
             ProfileError::Codec(TraceError::LimitExceeded { what, declared, .. }) => {
@@ -397,18 +385,18 @@ mod tests {
         use mocktails_trace::TraceError;
         let mut buf = Vec::new();
         buf.extend_from_slice(b"MPRO\x01");
-        write_u64(&mut buf, 1).unwrap();
+        write_u64(&mut buf, 1);
         buf.push(3);
-        write_u64(&mut buf, 0).unwrap();
+        write_u64(&mut buf, 0);
         buf.push(0b01);
-        write_u64(&mut buf, 1).unwrap(); // one leaf
-                                         // Leaf metadata: start_time, start_addr, range_start, range_len, count.
+        write_u64(&mut buf, 1); // one leaf
+                                // Leaf metadata: start_time, start_addr, range_start, range_len, count.
         for v in [0u64, 0, 0, 64, 10] {
-            write_u64(&mut buf, v).unwrap();
+            write_u64(&mut buf, v);
         }
         buf.push(1); // delta-time model: markov
-        write_i64(&mut buf, 0).unwrap(); // initial state
-        write_u64(&mut buf, 1 << 60).unwrap(); // hostile state count
+        write_i64(&mut buf, 0); // initial state
+        write_u64(&mut buf, 1 << 60); // hostile state count
         let err = read_profile(&mut buf.as_slice()).unwrap_err();
         assert!(
             matches!(
@@ -427,7 +415,7 @@ mod tests {
         use mocktails_trace::TraceError;
         let profile = profile_with_variety();
         let mut buf = Vec::new();
-        write_profile(&mut buf, &profile).unwrap();
+        write_profile(&mut buf, &profile);
         let tight = DecodeLimits {
             max_leaves: 1,
             ..DecodeLimits::default()
@@ -453,22 +441,22 @@ mod tests {
     fn duplicate_markov_state_rejected() {
         let mut buf = Vec::new();
         buf.extend_from_slice(b"MPRO\x01");
-        write_u64(&mut buf, 1).unwrap();
+        write_u64(&mut buf, 1);
         buf.push(3);
-        write_u64(&mut buf, 0).unwrap();
+        write_u64(&mut buf, 0);
         buf.push(0b01);
-        write_u64(&mut buf, 1).unwrap();
+        write_u64(&mut buf, 1);
         for v in [0u64, 0, 0, 64, 10] {
-            write_u64(&mut buf, v).unwrap();
+            write_u64(&mut buf, v);
         }
         buf.push(1); // markov delta-time model
-        write_i64(&mut buf, 0).unwrap();
-        write_u64(&mut buf, 2).unwrap(); // two states...
+        write_i64(&mut buf, 0);
+        write_u64(&mut buf, 2); // two states...
         for _ in 0..2 {
-            write_i64(&mut buf, 7).unwrap(); // ...with the same id
-            write_u64(&mut buf, 1).unwrap();
-            write_i64(&mut buf, 7).unwrap();
-            write_u64(&mut buf, 3).unwrap();
+            write_i64(&mut buf, 7); // ...with the same id
+            write_u64(&mut buf, 1);
+            write_i64(&mut buf, 7);
+            write_u64(&mut buf, 3);
         }
         let err = read_profile(&mut buf.as_slice()).unwrap_err();
         assert!(
@@ -483,28 +471,28 @@ mod tests {
     fn markov_rows(initial: i64, rows: &[(i64, &[(i64, u64)])]) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.extend_from_slice(b"MPRO\x01");
-        write_u64(&mut buf, 1).unwrap();
+        write_u64(&mut buf, 1);
         buf.push(3);
-        write_u64(&mut buf, 0).unwrap();
+        write_u64(&mut buf, 0);
         buf.push(0b01);
-        write_u64(&mut buf, 1).unwrap();
+        write_u64(&mut buf, 1);
         for v in [0u64, 0, 0, 64, 10] {
-            write_u64(&mut buf, v).unwrap();
+            write_u64(&mut buf, v);
         }
         buf.push(1);
-        write_i64(&mut buf, initial).unwrap();
-        write_u64(&mut buf, rows.len() as u64).unwrap();
+        write_i64(&mut buf, initial);
+        write_u64(&mut buf, rows.len() as u64);
         for &(from, edges) in rows {
-            write_i64(&mut buf, from).unwrap();
-            write_u64(&mut buf, edges.len() as u64).unwrap();
+            write_i64(&mut buf, from);
+            write_u64(&mut buf, edges.len() as u64);
             for &(to, count) in edges {
-                write_i64(&mut buf, to).unwrap();
-                write_u64(&mut buf, count).unwrap();
+                write_i64(&mut buf, to);
+                write_u64(&mut buf, count);
             }
         }
         for _ in 0..3 {
             buf.push(0);
-            write_i64(&mut buf, 64).unwrap();
+            write_i64(&mut buf, 64);
         }
         buf
     }
@@ -524,7 +512,7 @@ mod tests {
         assert_eq!(states, vec![-2, 5, 9]);
         // Re-encoding writes the rows sorted.
         let mut encoded = Vec::new();
-        write_profile(&mut encoded, &shuffled).unwrap();
+        write_profile(&mut encoded, &shuffled);
         assert_eq!(read_profile(&mut encoded.as_slice()).unwrap(), shuffled);
     }
 

@@ -15,7 +15,7 @@ pub use record::{ProfileRecord, RECORD_TAG_PROFILE};
 pub use summary::ProfileSummary;
 
 use mocktails_pool::Parallelism;
-use mocktails_trace::{DecodeOptions, Request, Trace};
+use mocktails_trace::{fnv1a, DecodeOptions, Request, Trace};
 
 use crate::config::HierarchyConfig;
 use crate::model::{LeafModel, McC};
@@ -160,13 +160,23 @@ impl Profile {
         Ok(self.synthesize(seed))
     }
 
-    /// Serializes the profile to `w` in the compact binary format.
+    /// Serializes the profile to `w` in the compact binary format: encodes
+    /// it with [`write_profile`], then hands `w` the bytes in one
+    /// `write_all`.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the writer.
     pub fn write<W: std::io::Write>(&self, w: &mut W) -> Result<(), ProfileError> {
-        codec::write_profile(w, self)
+        w.write_all(&self.encode())?;
+        Ok(())
+    }
+
+    /// The profile's canonical encoding.
+    fn encode(&self) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        codec::write_profile(&mut bytes, self);
+        bytes
     }
 
     /// Deserializes a profile written by [`Profile::write`] from the front
@@ -193,19 +203,15 @@ impl Profile {
     /// Because encoding is deterministic, equal profiles always hash
     /// equal; the serving layer uses this digest as the cache key under
     /// which a profile is stored and later addressed by `Synthesize`
-    /// requests, without a second pass over the encoded bytes.
+    /// requests.
     pub fn content_fingerprint(&self) -> u64 {
-        let mut w = mocktails_trace::FnvWriter::hashing();
-        self.write(&mut w).expect("hashing sink never fails"); // lint: allow(L001, FnvWriter over io::sink never errors)
-        w.digest()
+        fnv1a(&self.encode())
     }
 
     /// Size of the serialized profile in bytes — the metadata overhead of
-    /// Fig. 17 — computed without materializing the encoding.
+    /// Fig. 17.
     pub fn metadata_size(&self) -> u64 {
-        let mut counter = mocktails_trace::codec::ByteCounter::new();
-        codec::write_profile(&mut counter, self).expect("ByteCounter never fails"); // lint: allow(L001, ByteCounter's Write impl never errors)
-        counter.bytes()
+        self.encode().len() as u64
     }
 }
 
@@ -266,14 +272,9 @@ fn check_leaf(leaf: &LeafModel, total: &mut u64) -> Result<(), LeafFault> {
 /// cache under this key is indistinguishable from a fresh fit. The serving
 /// layer uses it to skip refitting entirely on repeat uploads.
 pub fn fit_key(trace_bytes_fingerprint: u64, config: &HierarchyConfig) -> u64 {
-    let mut w = mocktails_trace::FnvWriter::hashing();
-    {
-        use std::io::Write;
-        w.write_all(&trace_bytes_fingerprint.to_le_bytes())
-            .expect("hashing sink never fails"); // lint: allow(L001, FnvWriter over io::sink never errors)
-    }
-    codec::write_config(&mut w, config).expect("hashing sink never fails"); // lint: allow(L001, FnvWriter over io::sink never errors)
-    w.digest()
+    let mut bytes = trace_bytes_fingerprint.to_le_bytes().to_vec();
+    codec::write_config(&mut bytes, config);
+    fnv1a(&bytes)
 }
 
 #[cfg(test)]
@@ -402,6 +403,24 @@ mod tests {
         assert_eq!(fit_key(1, &a), fit_key(1, &a));
         assert_ne!(fit_key(1, &a), fit_key(2, &a));
         assert_ne!(fit_key(1, &a), fit_key(1, &b));
+    }
+
+    #[test]
+    fn fit_key_values_are_pinned() {
+        // Fit keys are persisted in the store's log and checkpoints, and a
+        // restarted server finds repeat uploads by them: a change to the
+        // digest or to the config encoding orphans every stored alias.
+        let config =
+            HierarchyConfig::two_level_requests_fixed(1024, 4096).with_options(ModelOptions {
+                strict_convergence: false,
+                merge_lonely: true,
+                merge_similar: true,
+            });
+        assert_eq!(
+            fit_key(1, &HierarchyConfig::two_level_ts(500_000)),
+            0xa3ae_d782_c5eb_5e9d
+        );
+        assert_eq!(fit_key(0xfeed_beef, &config), 0xdbc1_0f95_2291_53e3);
     }
 
     #[test]

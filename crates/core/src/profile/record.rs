@@ -45,19 +45,14 @@ pub struct ProfileRecord {
 impl ProfileRecord {
     /// Builds a record from a fitted profile: encodes it canonically and
     /// fingerprints the encoding.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the (in-memory, thus effectively infallible) encoding
-    /// failure from [`Profile::write`].
-    pub fn from_profile(profile: &Profile, fit_key: Option<u64>) -> Result<Self, ProfileError> {
+    pub fn from_profile(profile: &Profile, fit_key: Option<u64>) -> Self {
         let mut profile_bytes = Vec::new();
-        profile.write(&mut profile_bytes)?;
-        Ok(Self {
+        super::write_profile(&mut profile_bytes, profile);
+        Self {
             fingerprint: fnv1a(&profile_bytes),
             fit_key,
             profile_bytes,
-        })
+        }
     }
 
     /// Encodes the record into the framing documented on the module.
@@ -147,7 +142,7 @@ mod tests {
     fn record_round_trips_with_and_without_fit_key() {
         let profile = sample_profile(0);
         for fit_key in [None, Some(0xfeed_beefu64)] {
-            let record = ProfileRecord::from_profile(&profile, fit_key).unwrap();
+            let record = ProfileRecord::from_profile(&profile, fit_key);
             assert_eq!(record.fingerprint, profile.content_fingerprint());
             let back = ProfileRecord::decode(&record.encode()).unwrap();
             assert_eq!(back, record);
@@ -160,7 +155,7 @@ mod tests {
 
     #[test]
     fn mismatched_fingerprint_is_rejected() {
-        let record = ProfileRecord::from_profile(&sample_profile(1), None).unwrap();
+        let record = ProfileRecord::from_profile(&sample_profile(1), None);
         let mut bytes = record.encode();
         // Flip a profile byte: the stored fingerprint no longer matches.
         let last = bytes.len() - 1;
@@ -174,7 +169,7 @@ mod tests {
         assert!(ProfileRecord::decode(&[]).is_err(), "empty");
         assert!(ProfileRecord::decode(&[9]).is_err(), "unknown tag");
         assert!(ProfileRecord::decode(&[1, 1, 2, 3]).is_err(), "short body");
-        let record = ProfileRecord::from_profile(&sample_profile(2), Some(7)).unwrap();
+        let record = ProfileRecord::from_profile(&sample_profile(2), Some(7));
         let bytes = record.encode();
         // Cut inside the fit key.
         assert!(ProfileRecord::decode(&bytes[..12]).is_err());

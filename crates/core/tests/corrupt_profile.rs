@@ -21,7 +21,7 @@ fn encoded_sample() -> Vec<u8> {
         .collect();
     let profile = Profile::fit(&trace, &HierarchyConfig::two_level_ts(200));
     let mut buf = Vec::new();
-    write_profile(&mut buf, &profile).unwrap();
+    write_profile(&mut buf, &profile);
     buf
 }
 
@@ -30,9 +30,9 @@ fn encoded_sample() -> Vec<u8> {
 fn header() -> Vec<u8> {
     let mut buf = Vec::new();
     buf.extend_from_slice(b"MPRO\x01");
-    write_u64(&mut buf, 1).unwrap();
+    write_u64(&mut buf, 1);
     buf.push(3);
-    write_u64(&mut buf, 0).unwrap();
+    write_u64(&mut buf, 0);
     buf.push(0b01);
     buf
 }
@@ -41,7 +41,7 @@ fn header() -> Vec<u8> {
 /// count) to a hand-built body.
 fn push_leaf_meta(buf: &mut Vec<u8>, meta: [u64; 5]) {
     for v in meta {
-        write_u64(buf, v).unwrap();
+        write_u64(buf, v);
     }
 }
 
@@ -96,7 +96,7 @@ fn declared_count_beyond_payload_is_eof() {
     // A modest leaf count with no leaf bytes behind it: decode must stop at
     // EOF, not fabricate leaves.
     let mut bytes = header();
-    write_u64(&mut bytes, 5).unwrap();
+    write_u64(&mut bytes, 5);
     let err = decode(&bytes).unwrap_err();
     assert!(
         matches!(&err, ProfileError::Codec(TraceError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof),
@@ -107,7 +107,7 @@ fn declared_count_beyond_payload_is_eof() {
 #[test]
 fn zero_layer_count_is_corrupt() {
     let mut bytes = b"MPRO\x01".to_vec();
-    write_u64(&mut bytes, 0).unwrap();
+    write_u64(&mut bytes, 0);
     let err = decode(&bytes).unwrap_err();
     assert!(
         matches!(&err, ProfileError::Corrupt(m) if m.contains("zero layer count")),
@@ -118,11 +118,11 @@ fn zero_layer_count_is_corrupt() {
 #[test]
 fn zero_leaf_request_count_is_corrupt() {
     let mut bytes = header();
-    write_u64(&mut bytes, 1).unwrap();
+    write_u64(&mut bytes, 1);
     push_leaf_meta(&mut bytes, [0, 0, 0, 64, 0]); // count = 0
     for _ in 0..4 {
         bytes.push(0); // constant models
-        write_i64(&mut bytes, 0).unwrap();
+        write_i64(&mut bytes, 0);
     }
     let err = decode(&bytes).unwrap_err();
     assert!(
@@ -134,11 +134,11 @@ fn zero_leaf_request_count_is_corrupt() {
 #[test]
 fn leaf_start_outside_range_is_corrupt() {
     let mut bytes = header();
-    write_u64(&mut bytes, 1).unwrap();
+    write_u64(&mut bytes, 1);
     push_leaf_meta(&mut bytes, [0, 0x9999, 0, 64, 3]); // start addr ∉ [0, 64)
     for _ in 0..4 {
         bytes.push(0);
-        write_i64(&mut bytes, 0).unwrap();
+        write_i64(&mut bytes, 0);
     }
     let err = decode(&bytes).unwrap_err();
     assert!(
@@ -152,15 +152,15 @@ fn zero_markov_transition_count_is_corrupt() {
     // The counts analog of a non-positive probability: a declared edge that
     // was never observed.
     let mut bytes = header();
-    write_u64(&mut bytes, 1).unwrap();
+    write_u64(&mut bytes, 1);
     push_leaf_meta(&mut bytes, [0, 0, 0, 64, 3]);
     bytes.push(1); // markov delta-time
-    write_i64(&mut bytes, 0).unwrap();
-    write_u64(&mut bytes, 1).unwrap(); // one state
-    write_i64(&mut bytes, 0).unwrap();
-    write_u64(&mut bytes, 1).unwrap(); // one edge
-    write_i64(&mut bytes, 4).unwrap();
-    write_u64(&mut bytes, 0).unwrap(); // count 0
+    write_i64(&mut bytes, 0);
+    write_u64(&mut bytes, 1); // one state
+    write_i64(&mut bytes, 0);
+    write_u64(&mut bytes, 1); // one edge
+    write_i64(&mut bytes, 4);
+    write_u64(&mut bytes, 0); // count 0
     let err = decode(&bytes).unwrap_err();
     assert!(
         matches!(&err, ProfileError::Corrupt(m) if m.contains("zero transition count")),
@@ -173,16 +173,16 @@ fn overflowing_markov_row_is_rejected() {
     // Two edges of 2^63 each: the row total (and hence the normalized
     // probability mass) overflows u64 — the counts analog of a NaN row.
     let mut bytes = header();
-    write_u64(&mut bytes, 1).unwrap();
+    write_u64(&mut bytes, 1);
     push_leaf_meta(&mut bytes, [0, 0, 0, 64, 3]);
     bytes.push(1); // markov delta-time
-    write_i64(&mut bytes, 0).unwrap();
-    write_u64(&mut bytes, 1).unwrap(); // one state
-    write_i64(&mut bytes, 0).unwrap();
-    write_u64(&mut bytes, 2).unwrap(); // two edges
+    write_i64(&mut bytes, 0);
+    write_u64(&mut bytes, 1); // one state
+    write_i64(&mut bytes, 0);
+    write_u64(&mut bytes, 2); // two edges
     for to in [1i64, 2] {
-        write_i64(&mut bytes, to).unwrap();
-        write_u64(&mut bytes, 1u64 << 63).unwrap();
+        write_i64(&mut bytes, to);
+        write_u64(&mut bytes, 1u64 << 63);
     }
     let err = decode(&bytes).unwrap_err();
     assert!(
@@ -194,7 +194,7 @@ fn overflowing_markov_row_is_rejected() {
 #[test]
 fn unknown_mcc_tag_is_corrupt() {
     let mut bytes = header();
-    write_u64(&mut bytes, 1).unwrap();
+    write_u64(&mut bytes, 1);
     push_leaf_meta(&mut bytes, [0, 0, 0, 64, 3]);
     bytes.push(9); // no such model tag
     let err = decode(&bytes).unwrap_err();
@@ -213,9 +213,9 @@ fn unknown_mcc_tag_is_corrupt() {
 #[test]
 fn unknown_layer_tag_is_corrupt() {
     let mut bytes = b"MPRO\x01".to_vec();
-    write_u64(&mut bytes, 1).unwrap();
+    write_u64(&mut bytes, 1);
     bytes.push(200);
-    write_u64(&mut bytes, 1).unwrap();
+    write_u64(&mut bytes, 1);
     let err = decode(&bytes).unwrap_err();
     assert!(
         matches!(
@@ -259,7 +259,7 @@ fn golden_corrupt_fixture_pins_bytes_and_error() {
 #[test]
 fn hostile_declaration_fails_fast() {
     let mut bytes = header();
-    write_u64(&mut bytes, 1 << 60).unwrap();
+    write_u64(&mut bytes, 1 << 60);
     let start = std::time::Instant::now();
     assert!(decode(&bytes).is_err());
     assert!(

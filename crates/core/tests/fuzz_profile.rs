@@ -61,7 +61,7 @@ fn corpus() -> Vec<Vec<u8>> {
         .iter()
         .map(|p| {
             let mut buf = Vec::new();
-            write_profile(&mut buf, p).unwrap();
+            write_profile(&mut buf, p);
             buf
         })
         .collect()
@@ -82,7 +82,7 @@ fn mutated_profiles_decode_cleanly_or_fail_typed() {
                 profile.validate().expect("decoded profile must validate");
                 // ...and canonical round-trip stability.
                 let mut re = Vec::new();
-                write_profile(&mut re, &profile).unwrap();
+                write_profile(&mut re, &profile);
                 let again = read_profile(&mut re.as_slice()).unwrap();
                 assert_eq!(again, profile, "canonical round-trip diverged");
                 // ...and bounded synthesis must succeed, not panic or loop.

@@ -240,14 +240,14 @@ fn assert_same_values(chain: &MarkovChain, table: &Table, seed: u64, seen: &mut 
 /// and `(zigzag to, count)` edges.
 fn reference_encoding(initial: i64, table: &Table) -> Vec<u8> {
     let mut buf = vec![1];
-    write_i64(&mut buf, initial).unwrap();
-    write_u64(&mut buf, table.len() as u64).unwrap();
+    write_i64(&mut buf, initial);
+    write_u64(&mut buf, table.len() as u64);
     for (&from, edges) in table {
-        write_i64(&mut buf, from).unwrap();
-        write_u64(&mut buf, edges.len() as u64).unwrap();
+        write_i64(&mut buf, from);
+        write_u64(&mut buf, edges.len() as u64);
         for &(to, count) in edges {
-            write_i64(&mut buf, to).unwrap();
-            write_u64(&mut buf, count).unwrap();
+            write_i64(&mut buf, to);
+            write_u64(&mut buf, count);
         }
     }
     buf

@@ -540,7 +540,7 @@ fn verify_and_assemble(
     let mut trace_bytes = Vec::with_capacity(records.len() + 16);
     trace_bytes.extend_from_slice(&TRACE_MAGIC);
     trace_bytes.push(CODEC_VERSION);
-    write_u64(&mut trace_bytes, total_requests)?;
+    write_u64(&mut trace_bytes, total_requests);
     trace_bytes.extend_from_slice(&records);
     Ok(trace_bytes)
 }

@@ -31,6 +31,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
+use mocktails_core::profile::write_profile;
 use mocktails_core::{
     fit_key, HierarchyConfig, LayerSpec, Profile, ProfileError, ProfileRecord, Synthesizer,
 };
@@ -608,44 +609,41 @@ fn fit_job(shared: &Shared, cycles: u64, trace_bytes: &[u8]) -> Reply {
             profile
                 .validate()
                 .map_err(|e| (ErrorCode::Internal, format!("fitted profile: {e}")))?;
-            let record = ProfileRecord::from_profile(&profile, Some(key))
-                .map_err(|e| (ErrorCode::Internal, e.to_string()))?;
+            let record = ProfileRecord::from_profile(&profile, Some(key));
             (record.fingerprint, profile, Some(record))
         }
     };
     let cache_hit = record.is_none();
-    let profile_bytes = match record {
-        Some(record) => {
-            // Durability before acknowledgement: a freshly fitted record
-            // must be in the write-ahead log (fsynced) before the
-            // FitResult goes out, so a crash after the ack can always
-            // replay it. The cache is the acknowledgement too — a later
-            // upload of the same trace answers `cache_hit` from it — so
-            // the profile is published only once the append succeeded.
-            // A concurrent identical upload meanwhile fits again; fits
-            // are deterministic, and the store keeps one record.
-            if let Some(store) = shared.store.as_ref() {
-                let persisted = {
-                    let mut store = store.lock().unwrap_or_else(PoisonError::into_inner);
-                    let result = store.put_record(&profile, &record); // lint: allow(L013, the WAL append must serialize under the store lock — durability-before-ack is the point)
-                    if result.is_ok() {
-                        shared.sync_store_metrics(&store);
-                    }
-                    result
-                };
-                persisted.map_err(|e| (ErrorCode::Internal, format!("profile store: {e}")))?;
-                metrics
-                    .store_wal_appends_total
-                    .fetch_add(1, Ordering::SeqCst);
-            }
-            shared.with_cache(|cache| cache.insert(fingerprint, Arc::clone(&profile), Some(key)));
-            record.profile_bytes
+    if let Some(record) = &record {
+        // Durability before acknowledgement: a freshly fitted record
+        // must be in the write-ahead log (fsynced) before the
+        // FitResult goes out, so a crash after the ack can always
+        // replay it. The cache is the acknowledgement too — a later
+        // upload of the same trace answers `cache_hit` from it — so
+        // the profile is published only once the append succeeded.
+        // A concurrent identical upload meanwhile fits again; fits
+        // are deterministic, and the store keeps one record.
+        if let Some(store) = shared.store.as_ref() {
+            let persisted = {
+                let mut store = store.lock().unwrap_or_else(PoisonError::into_inner);
+                let result = store.put_record(&profile, record); // lint: allow(L013, the WAL append must serialize under the store lock — durability-before-ack is the point)
+                if result.is_ok() {
+                    shared.sync_store_metrics(&store);
+                }
+                result
+            };
+            persisted.map_err(|e| (ErrorCode::Internal, format!("profile store: {e}")))?;
+            metrics
+                .store_wal_appends_total
+                .fetch_add(1, Ordering::SeqCst);
         }
+        shared.with_cache(|cache| cache.insert(fingerprint, Arc::clone(&profile), Some(key)));
+    }
+    let profile_bytes = match record {
+        Some(record) => record.profile_bytes,
         None => {
             let mut profile_bytes = Vec::new();
-            profile
-                .write(&mut profile_bytes)
-                .map_err(|e| (ErrorCode::Internal, e.to_string()))?;
+            write_profile(&mut profile_bytes, &profile);
             profile_bytes
         }
     };

@@ -3,7 +3,7 @@
 use mocktails_core::partition::{spatial, temporal};
 use mocktails_core::{HierarchyConfig, Profile};
 use mocktails_dram::DramConfig;
-use mocktails_trace::{codec, BinnedCounts, Request, Trace};
+use mocktails_trace::{codec, BinnedCounts, Request};
 use mocktails_workloads::{catalog, spec, vpu};
 
 use crate::harness::CacheEvalOptions;
@@ -11,7 +11,7 @@ use crate::table::TextTable;
 
 /// The twelve requests of the paper's Table I (dynamic partition F of
 /// Fig. 2): two six-request passes over the same memory region.
-pub fn partition_f_requests() -> Vec<Request> {
+fn partition_f_requests() -> Vec<Request> {
     let addrs: [(u64, u32); 6] = [
         (0x8100_2eb8, 128),
         (0x8100_2ec0, 64),
@@ -31,7 +31,7 @@ pub fn partition_f_requests() -> Vec<Request> {
 
 /// Renders Table I: the stride/size sequences of partition F under one vs.
 /// two temporal partitions, showing why the hierarchy matters.
-pub fn table1_report() -> String {
+pub(crate) fn table1_report() -> String {
     let reqs = partition_f_requests();
     let one = temporal::by_interval_count(&reqs, 1);
     let two = temporal::by_interval_count(&reqs, 2);
@@ -82,7 +82,7 @@ pub fn table2_report() -> String {
 }
 
 /// Renders Table III: the memory configuration.
-pub fn table3_report() -> String {
+pub(crate) fn table3_report() -> String {
     format!(
         "Table III: Memory configuration\n{}",
         DramConfig::default().table3()
@@ -92,7 +92,7 @@ pub fn table3_report() -> String {
 /// Fig. 2 data: the dynamic spatial partitions found in the HEVC1 trace's
 /// busiest 4 KiB block among its first `prefix` requests. Returns, per
 /// partition, the `(order index, byte offset, size)` of each request.
-pub fn fig02(prefix: usize) -> Vec<Vec<(usize, u64, u32)>> {
+fn fig02(prefix: usize) -> Vec<Vec<(usize, u64, u32)>> {
     let trace = vpu::hevc(401, &vpu::HevcParams::default());
     let prefix: Vec<Request> = trace.iter().take(prefix).copied().collect();
     // Find the 4 KiB block with the most requests that still shows spread.
@@ -126,7 +126,7 @@ pub fn fig02(prefix: usize) -> Vec<Vec<(usize, u64, u32)>> {
 }
 
 /// Renders Fig. 2.
-pub fn fig02_report() -> String {
+pub(crate) fn fig02_report() -> String {
     let partitions = fig02(100_000);
     let mut out = String::from(
         "Fig. 2: Requests in the busiest 4 KiB region of HEVC1, by dynamic partition\n",
@@ -148,13 +148,13 @@ pub fn fig02_report() -> String {
 /// bins at 50 M cycles over a 750 M-cycle trace; our frames are 10× closer
 /// together, so the bin scales with them to show the same burst/idle
 /// pulse).
-pub fn fig03() -> BinnedCounts {
+fn fig03() -> BinnedCounts {
     let trace = vpu::hevc(401, &vpu::HevcParams::default());
     BinnedCounts::from_trace(&trace, 5_000_000)
 }
 
 /// Renders Fig. 3.
-pub fn fig03_report() -> String {
+pub(crate) fn fig03_report() -> String {
     let bins = fig03();
     let mut t = TextTable::new(vec!["Bin (5M cycles)", "Requests"]);
     for (i, &c) in bins.counts().iter().enumerate() {
@@ -170,7 +170,7 @@ pub fn fig03_report() -> String {
 
 /// One row of Fig. 17: serialized sizes in bytes.
 #[derive(Debug, Clone)]
-pub struct SizeRow {
+struct SizeRow {
     /// Benchmark name.
     pub name: &'static str,
     /// Encoded trace size in bytes.
@@ -183,7 +183,7 @@ pub struct SizeRow {
 
 /// Fig. 17: encoded trace size vs. profile metadata size for the
 /// SPEC-like suite.
-pub fn fig17(names: &[&'static str], options: &CacheEvalOptions) -> Vec<SizeRow> {
+fn fig17(names: &[&'static str], options: &CacheEvalOptions) -> Vec<SizeRow> {
     names
         .iter()
         .map(|name| {
@@ -205,7 +205,7 @@ pub fn fig17(names: &[&'static str], options: &CacheEvalOptions) -> Vec<SizeRow>
 
 /// Renders Fig. 17 with the paper's headline aggregate (profile size as a
 /// fraction of the trace size).
-pub fn fig17_report(options: &CacheEvalOptions) -> String {
+pub(crate) fn fig17_report(options: &CacheEvalOptions) -> String {
     let rows = fig17(&spec::NAMES, options);
     let mut t = TextTable::new(vec!["Benchmark", "Trace (B)", "Dynamic (B)", "4KB (B)"]);
     let mut trace_total = 0u64;
@@ -230,7 +230,7 @@ pub fn fig17_report(options: &CacheEvalOptions) -> String {
 /// distributionally close the synthetic stream is (total-variation per
 /// feature) next to how little of the original sequence it leaks
 /// (n-grams, LCS) — quantifying §III-B's obfuscation claim.
-pub fn obfuscation_report(options: &crate::harness::EvalOptions) -> String {
+pub(crate) fn obfuscation_report(options: &crate::harness::EvalOptions) -> String {
     use crate::privacy::PrivacyReport;
     use crate::similarity::FeatureDistances;
 
@@ -272,16 +272,6 @@ pub fn obfuscation_report(options: &crate::harness::EvalOptions) -> String {
         ]);
     }
     format!("Obfuscation study (§III-B): distributional fidelity vs sequence leakage\n{t}")
-}
-
-/// A synthetic trace alongside its source for eyeballing (used by the CLI
-/// and quickstart example; also exercises the full Option A pipeline).
-pub fn option_a_demo(name: &str, cycles_per_phase: u64, seed: u64) -> (Trace, Trace) {
-    let spec = catalog::by_name(name).expect("known trace name"); // lint: allow(L001, quickstart names are validated against the catalog by callers)
-    let trace = spec.generate();
-    let profile = Profile::fit(&trace, &HierarchyConfig::two_level_ts(cycles_per_phase));
-    let synthetic = profile.synthesize(seed);
-    (trace, synthetic)
 }
 
 #[cfg(test)]
@@ -345,12 +335,5 @@ mod tests {
                 row.trace_bytes
             );
         }
-    }
-
-    #[test]
-    fn option_a_demo_round_trip() {
-        let (base, synth) = option_a_demo("OpenCL1", 500_000, 3);
-        assert_eq!(base.len(), synth.len());
-        assert_eq!(base.reads(), synth.reads());
     }
 }

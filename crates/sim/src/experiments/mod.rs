@@ -6,10 +6,10 @@
 //! options: quick mode trades trace length for runtime (smoke runs),
 //! full-size runs are what EXPERIMENTS.md records.
 
-pub mod ablation;
-pub mod cache;
-pub mod dram;
+pub(crate) mod ablation;
+pub(crate) mod cache;
+pub(crate) mod dram;
 pub mod meta;
-pub mod policy;
+pub(crate) mod policy;
 pub mod registry;
-pub mod soc;
+pub(crate) mod soc;

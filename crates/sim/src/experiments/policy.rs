@@ -11,7 +11,7 @@
 use mocktails_core::{HierarchyConfig, Profile};
 use mocktails_dram::{DramConfig, MemorySystem, PagePolicy, SchedulingPolicy};
 use mocktails_trace::Trace;
-use mocktails_workloads::{catalog, Device};
+use mocktails_workloads::catalog;
 
 use crate::harness::EvalOptions;
 use crate::table::TextTable;
@@ -19,8 +19,6 @@ use crate::table::TextTable;
 /// One measurement of the policy sweep.
 #[derive(Debug, Clone)]
 pub struct PolicyPoint {
-    /// Device under test.
-    pub device: Device,
     /// Trace name.
     pub trace: &'static str,
     /// Page policy.
@@ -84,7 +82,6 @@ pub fn study(options: &EvalOptions) -> Vec<PolicyPoint> {
             let (base_lat, base_hits) = run(&trace, page, scheduling);
             let (synth_lat, synth_hits) = run(&synthetic, page, scheduling);
             points.push(PolicyPoint {
-                device: spec.device(),
                 trace: name,
                 page,
                 scheduling,

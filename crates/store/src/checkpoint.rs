@@ -7,8 +7,9 @@
 //! fnv1a digest u64 LE of every preceding byte
 //! ```
 //!
-//! A checkpoint is written through [`AtomicFileWriter`] (temp file, fsync,
-//! rename, parent-directory fsync), so a crash mid-write leaves the
+//! A checkpoint is built in one buffer and written through
+//! [`AtomicFileWriter`] in one `write_all` (temp file, fsync, rename,
+//! parent-directory fsync), so a crash mid-write leaves the
 //! previous checkpoint — or none — fully intact; a *torn* checkpoint is
 //! not a reachable state. The trailing digest therefore guards against
 //! bit rot and foreign files, not crashes, and a mismatch is a hard
@@ -20,7 +21,7 @@ use std::path::Path;
 
 use mocktails_trace::codec::ByteCursor;
 use mocktails_trace::fault::AtomicFileWriter;
-use mocktails_trace::{fnv1a, FnvWriter};
+use mocktails_trace::fnv1a;
 
 use crate::StoreError;
 
@@ -58,11 +59,11 @@ pub fn write_checkpoint(
     generation: u64,
     payloads: &[Vec<u8>],
 ) -> Result<u64, StoreError> {
-    let mut sink = FnvWriter::new(AtomicFileWriter::create(path)?);
-    sink.write_all(&CHECKPOINT_MAGIC)?;
-    sink.write_all(&[CHECKPOINT_VERSION])?;
-    sink.write_all(&generation.to_le_bytes())?;
-    sink.write_all(&(payloads.len() as u64).to_le_bytes())?;
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(&CHECKPOINT_MAGIC);
+    bytes.push(CHECKPOINT_VERSION);
+    bytes.extend_from_slice(&generation.to_le_bytes());
+    bytes.extend_from_slice(&(payloads.len() as u64).to_le_bytes());
     for payload in payloads {
         let len = u32::try_from(payload.len()).map_err(|_| {
             StoreError::Corrupt(format!(
@@ -70,15 +71,15 @@ pub fn write_checkpoint(
                 payload.len()
             ))
         })?;
-        sink.write_all(&len.to_le_bytes())?;
-        sink.write_all(payload)?;
+        bytes.extend_from_slice(&len.to_le_bytes());
+        bytes.extend_from_slice(payload);
     }
-    let digest = sink.digest();
-    let bytes = sink.bytes() + 8;
-    let mut file = sink.into_inner();
-    file.write_all(&digest.to_le_bytes())?;
+    let digest = fnv1a(&bytes);
+    bytes.extend_from_slice(&digest.to_le_bytes());
+    let mut file = AtomicFileWriter::create(path)?;
+    file.write_all(&bytes)?;
     file.commit()?;
-    Ok(bytes)
+    Ok(bytes.len() as u64)
 }
 
 /// Reads and verifies the checkpoint at `path`; `Ok(None)` if the file

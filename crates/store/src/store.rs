@@ -272,7 +272,7 @@ impl ProfileStore {
         profile: &Arc<Profile>,
         fit_key: Option<u64>,
     ) -> Result<u64, StoreError> {
-        let record = ProfileRecord::from_profile(profile, fit_key)?;
+        let record = ProfileRecord::from_profile(profile, fit_key);
         self.put_record(profile, &record)
     }
 
@@ -319,11 +319,8 @@ impl ProfileStore {
         let payloads = self
             .entries
             .values()
-            .map(|entry| {
-                ProfileRecord::from_profile(&entry.profile, entry.fit_key)
-                    .map(|record| record.encode())
-            })
-            .collect::<Result<Vec<_>, ProfileError>>()?;
+            .map(|entry| ProfileRecord::from_profile(&entry.profile, entry.fit_key).encode())
+            .collect::<Vec<_>>();
         let checkpoint_bytes = write_checkpoint(&self.dir.join(CHECKPOINT_FILE), next, &payloads)?;
         let dropped = self.appender.bytes().saturating_sub(wal::WAL_HEADER_LEN);
         self.appender = reset_wal(&self.dir, next)?;

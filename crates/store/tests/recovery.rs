@@ -40,7 +40,7 @@ fn small_profile(salt: u64) -> Arc<Profile> {
 /// The acknowledged operations, in append order, as their durable records.
 fn golden_records() -> Vec<ProfileRecord> {
     (0..3u64)
-        .map(|salt| ProfileRecord::from_profile(&small_profile(salt), Some(0x1000 + salt)).unwrap())
+        .map(|salt| ProfileRecord::from_profile(&small_profile(salt), Some(0x1000 + salt)))
         .collect()
 }
 
@@ -82,7 +82,7 @@ fn assert_state(store: &ProfileStore, expected: &[&ProfileRecord], context: &str
             .get(record.fingerprint)
             .unwrap_or_else(|| panic!("{context}: fingerprint {:#x} missing", record.fingerprint));
         assert_eq!(entry.fit_key, record.fit_key, "{context}");
-        let roundtrip = ProfileRecord::from_profile(&entry.profile, entry.fit_key).unwrap();
+        let roundtrip = ProfileRecord::from_profile(&entry.profile, entry.fit_key);
         assert_eq!(
             roundtrip.profile_bytes, record.profile_bytes,
             "{context}: recovered profile re-encodes differently"
@@ -159,9 +159,7 @@ fn recovery_after_a_kill_still_accepts_new_appends() {
     assert!(store.get(fingerprint).is_some());
     let survivor = store.get(records[0].fingerprint).unwrap();
     assert_eq!(
-        ProfileRecord::from_profile(&survivor.profile, survivor.fit_key)
-            .unwrap()
-            .profile_bytes,
+        ProfileRecord::from_profile(&survivor.profile, survivor.fit_key).profile_bytes,
         records[0].profile_bytes,
         "post-resume prefix re-encodes differently"
     );

@@ -35,20 +35,17 @@ pub const TRACE_MAGIC: [u8; 4] = *b"MTRC";
 /// Current codec version.
 pub const CODEC_VERSION: u8 = 1;
 
-/// Writes `value` as an LEB128 varint.
-///
-/// # Errors
-///
-/// Propagates errors from the underlying writer.
-pub fn write_u64<W: Write>(w: &mut W, mut value: u64) -> std::io::Result<()> {
-    loop {
-        let byte = (value & 0x7f) as u8;
+// The writers are `#[inline]`, like the readers of `ByteCursor`: the
+// profile codec calls them per field from another crate.
+
+/// Appends `value` to `w` as an LEB128 varint.
+#[inline]
+pub fn write_u64(w: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        w.push((value & 0x7f) as u8 | 0x80);
         value >>= 7;
-        if value == 0 {
-            return w.write_all(&[byte]);
-        }
-        w.write_all(&[byte | 0x80])?;
     }
+    w.push(value as u8);
 }
 
 /// Zigzag-encodes a signed value so small magnitudes become small varints.
@@ -61,19 +58,18 @@ pub fn unzigzag(value: u64) -> i64 {
     ((value >> 1) as i64) ^ -((value & 1) as i64)
 }
 
-/// Writes a signed value as a zigzag varint.
-///
-/// # Errors
-///
-/// Propagates errors from the underlying writer.
-pub fn write_i64<W: Write>(w: &mut W, value: i64) -> std::io::Result<()> {
-    write_u64(w, zigzag(value))
+/// Appends a signed value to `w` as a zigzag varint.
+#[inline]
+pub fn write_i64(w: &mut Vec<u8>, value: i64) {
+    write_u64(w, zigzag(value));
 }
 
 /// The one byte reader of the workspace: a zero-copy cursor over an
 /// in-memory encoding that every decoder — traces, profiles, store
 /// records, checkpoints, the write-ahead log and the serving protocol —
-/// reads through.
+/// reads through. Its mirror on the encode side is a plain `Vec<u8>`:
+/// [`write_u64`], [`write_i64`] and every encoder built on them append
+/// to one.
 ///
 /// The cursor borrows the caller's slice and advances it past every byte
 /// it consumes, so a decoder that takes `&mut &[u8]` leaves the slice at
@@ -86,7 +82,7 @@ pub fn write_i64<W: Write>(w: &mut W, value: i64) -> std::io::Result<()> {
 /// use mocktails_trace::codec::{write_u64, ByteCursor};
 ///
 /// let mut buf = vec![7u8, 0x01, 0x00];
-/// write_u64(&mut buf, 300)?;
+/// write_u64(&mut buf, 300);
 /// let mut input = buf.as_slice();
 /// let mut cursor = ByteCursor::new(&mut input);
 /// assert_eq!(cursor.u8()?, 7);
@@ -234,36 +230,6 @@ impl<'c, 'a> ByteCursor<'c, 'a> {
     }
 }
 
-/// A writer that discards bytes while counting them — used to measure
-/// encoded sizes (Fig. 17) without buffering the encoding.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ByteCounter {
-    bytes: u64,
-}
-
-impl ByteCounter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bytes written so far.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
-impl Write for ByteCounter {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.bytes += buf.len() as u64;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 /// Incremental, header-free encoder for the per-request record layout of
 /// [`write_trace`]: time delta varint, zigzag address delta, op bit folded
 /// into the size varint.
@@ -312,23 +278,24 @@ impl RecordEncoder {
     /// # Errors
     ///
     /// Returns [`TraceError::Corrupt`] if `request` precedes the previous
-    /// record's timestamp (records must be encoded in stream order), or an
-    /// I/O error from the writer.
-    pub fn encode<W: Write>(&mut self, w: &mut W, request: &Request) -> Result<(), TraceError> {
+    /// record's timestamp (records must be encoded in stream order); `w`
+    /// is then unchanged.
+    #[inline]
+    pub fn encode(&mut self, w: &mut Vec<u8>, request: &Request) -> Result<(), TraceError> {
         let dt = request
             .timestamp
             .checked_sub(self.last_time)
             .ok_or_else(|| {
                 TraceError::Corrupt("records must be encoded in timestamp order".into())
             })?;
-        write_u64(w, dt)?;
+        write_u64(w, dt);
         // Wrapping, like the decoder: a jump across 2^63 encodes as the
         // delta that wraps back to the target address.
-        write_i64(w, (request.address as i64).wrapping_sub(self.last_addr))?;
+        write_i64(w, (request.address as i64).wrapping_sub(self.last_addr));
         write_u64(
             w,
             (u64::from(request.size) << 1) | u64::from(request.op.as_bit()),
-        )?;
+        );
         self.last_time = request.timestamp;
         self.last_addr = request.address as i64;
         Ok(())
@@ -401,7 +368,7 @@ fn check_range(address: u64, size: u32) -> Result<(), TraceError> {
     }
 }
 
-/// Encodes a trace to `w`.
+/// Appends the encoding of `trace` to `w`.
 ///
 /// Layout: magic, version, request count, then four delta/varint-encoded
 /// columns interleaved per request (time delta, zigzag address delta, op
@@ -409,11 +376,13 @@ fn check_range(address: u64, size: u32) -> Result<(), TraceError> {
 ///
 /// # Errors
 ///
-/// Propagates errors from the underlying writer.
-pub fn write_trace<W: Write>(w: &mut W, trace: &Trace) -> Result<(), TraceError> {
-    w.write_all(&TRACE_MAGIC)?;
-    w.write_all(&[CODEC_VERSION])?;
-    write_u64(w, trace.len() as u64)?;
+/// Returns [`TraceError::Corrupt`] if the requests are not in timestamp
+/// order (see [`RecordEncoder::encode`]); a [`Trace`] built by its
+/// constructors always is.
+pub fn write_trace(w: &mut Vec<u8>, trace: &Trace) -> Result<(), TraceError> {
+    w.extend_from_slice(&TRACE_MAGIC);
+    w.push(CODEC_VERSION);
+    write_u64(w, trace.len() as u64);
     let mut encoder = RecordEncoder::new();
     for r in trace.iter() {
         encoder.encode(w, r)?;
@@ -547,11 +516,11 @@ pub fn read_csv(r: &mut &[u8]) -> Result<Trace, TraceError> {
     Ok(Trace::from_requests(requests))
 }
 
-/// Encoded size of `trace` in bytes, without materializing the encoding.
+/// Encoded size of `trace` in bytes: the length of its encoding.
 pub fn trace_encoded_size(trace: &Trace) -> u64 {
-    let mut counter = ByteCounter::new();
-    write_trace(&mut counter, trace).expect("ByteCounter never fails"); // lint: allow(L001, ByteCounter's Write impl never errors)
-    counter.bytes()
+    let mut bytes = Vec::new();
+    write_trace(&mut bytes, trace).expect("a Trace keeps its requests sorted by timestamp"); // lint: allow(L001, every Trace constructor keeps its requests sorted, so the order check cannot fail)
+    bytes.len() as u64
 }
 
 #[cfg(test)]
@@ -563,7 +532,7 @@ mod tests {
     fn varint_round_trip_edges() {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
             let mut buf = Vec::new();
-            write_u64(&mut buf, v).unwrap();
+            write_u64(&mut buf, v);
             let mut input = buf.as_slice();
             assert_eq!(ByteCursor::new(&mut input).varint().unwrap(), v);
             assert!(input.is_empty());
@@ -574,7 +543,7 @@ mod tests {
     fn varint_small_values_are_one_byte() {
         for v in 0..128u64 {
             let mut buf = Vec::new();
-            write_u64(&mut buf, v).unwrap();
+            write_u64(&mut buf, v);
             assert_eq!(buf.len(), 1);
         }
     }
@@ -708,7 +677,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&TRACE_MAGIC);
         buf.push(CODEC_VERSION);
-        write_u64(&mut buf, 1 << 60).unwrap();
+        write_u64(&mut buf, 1 << 60);
         assert!(matches!(
             read_trace(&mut buf.as_slice()),
             Err(TraceError::LimitExceeded {
@@ -725,10 +694,10 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&TRACE_MAGIC);
         buf.push(CODEC_VERSION);
-        write_u64(&mut buf, 1000).unwrap();
-        write_u64(&mut buf, 0).unwrap(); // dt
-        write_i64(&mut buf, 0x40).unwrap(); // da
-        write_u64(&mut buf, 64 << 1).unwrap(); // size varint, read op
+        write_u64(&mut buf, 1000);
+        write_u64(&mut buf, 0); // dt
+        write_i64(&mut buf, 0x40); // da
+        write_u64(&mut buf, 64 << 1); // size varint, read op
         assert!(matches!(
             read_trace(&mut buf.as_slice()),
             Err(TraceError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof
@@ -837,7 +806,7 @@ mod tests {
         let mut header = Vec::new();
         header.extend_from_slice(&TRACE_MAGIC);
         header.push(CODEC_VERSION);
-        write_u64(&mut header, trace.len() as u64).unwrap();
+        write_u64(&mut header, trace.len() as u64);
         header.extend_from_slice(&concat);
         assert_eq!(header, whole);
     }
@@ -908,18 +877,18 @@ mod tests {
     #[test]
     fn record_decoder_rejects_zero_size_and_overflow() {
         let mut bad_size = Vec::new();
-        write_u64(&mut bad_size, 0).unwrap(); // dt
-        write_i64(&mut bad_size, 0).unwrap(); // da
-        write_u64(&mut bad_size, 0).unwrap(); // size 0, read op
+        write_u64(&mut bad_size, 0); // dt
+        write_i64(&mut bad_size, 0); // da
+        write_u64(&mut bad_size, 0); // size 0, read op
         assert!(matches!(
             RecordDecoder::new().decode(&mut bad_size.as_slice()),
             Err(TraceError::Corrupt(_))
         ));
 
         let mut huge_size = Vec::new();
-        write_u64(&mut huge_size, 0).unwrap();
-        write_i64(&mut huge_size, 0).unwrap();
-        write_u64(&mut huge_size, (u64::from(u32::MAX) + 1) << 1).unwrap();
+        write_u64(&mut huge_size, 0);
+        write_i64(&mut huge_size, 0);
+        write_u64(&mut huge_size, (u64::from(u32::MAX) + 1) << 1);
         assert!(matches!(
             RecordDecoder::new().decode(&mut huge_size.as_slice()),
             Err(TraceError::Corrupt(_))
@@ -954,13 +923,5 @@ mod tests {
         let mut buf = Vec::new();
         write_trace(&mut buf, &top).unwrap();
         assert_eq!(read_trace(&mut buf.as_slice()).unwrap(), top);
-    }
-
-    #[test]
-    fn byte_counter_counts() {
-        let mut c = ByteCounter::new();
-        c.write_all(&[0u8; 37]).unwrap();
-        c.flush().unwrap();
-        assert_eq!(c.bytes(), 37);
     }
 }

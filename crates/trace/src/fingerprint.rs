@@ -10,14 +10,11 @@
 //! The serving layer reuses the same primitives in incremental form:
 //! [`Fingerprinter`] digests a request stream one record at a time (so a
 //! server can fingerprint what it streams without buffering the trace),
-//! [`fnv1a`] hashes raw encoded bytes for cache keys, and [`FnvWriter`]
-//! hashes an encoding as it is written.
+//! and [`fnv1a`] hashes raw encoded bytes for cache keys.
 //!
 //! The algorithm (including the field mix order) is pinned by the golden
 //! regression tests in `crates/workloads/tests/golden.rs`; changing it
 //! invalidates every recorded fingerprint in the repository.
-
-use std::io::Write;
 
 use crate::{Op, Request, Trace};
 
@@ -127,75 +124,6 @@ impl Fingerprinter {
     /// Number of requests pushed so far.
     pub fn count(&self) -> u64 {
         self.count
-    }
-}
-
-/// An `io::Write` adapter that FNV-1a-hashes every byte it forwards (or
-/// discards, when constructed over [`sink`](std::io::sink)-like usage via
-/// [`FnvWriter::hashing`]), so an encoding can be fingerprinted as it is
-/// produced without a second pass over the bytes.
-///
-/// ```
-/// use std::io::Write;
-/// use mocktails_trace::{fnv1a, FnvWriter};
-///
-/// let mut w = FnvWriter::hashing();
-/// w.write_all(b"mocktails").unwrap();
-/// assert_eq!(w.digest(), fnv1a(b"mocktails"));
-/// ```
-#[derive(Debug)]
-pub struct FnvWriter<W> {
-    inner: W,
-    hash: u64,
-    bytes: u64,
-}
-
-impl FnvWriter<std::io::Sink> {
-    /// A hashing writer that discards the bytes, keeping only the digest.
-    pub fn hashing() -> Self {
-        Self::new(std::io::sink())
-    }
-}
-
-impl<W: Write> FnvWriter<W> {
-    /// Wraps `inner`, hashing every byte written through it.
-    pub fn new(inner: W) -> Self {
-        Self {
-            inner,
-            hash: OFFSET,
-            bytes: 0,
-        }
-    }
-
-    /// FNV-1a digest of every byte written so far.
-    pub fn digest(&self) -> u64 {
-        self.hash
-    }
-
-    /// Number of bytes written so far.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Unwraps the inner writer.
-    pub fn into_inner(self) -> W {
-        self.inner
-    }
-}
-
-impl<W: Write> Write for FnvWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        for &b in &buf[..n] {
-            self.hash ^= u64::from(b);
-            self.hash = self.hash.wrapping_mul(PRIME);
-        }
-        self.bytes += n as u64;
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
     }
 }
 
@@ -352,15 +280,5 @@ mod tests {
         assert_eq!(fnv1a(&[]), OFFSET);
         assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
         assert_ne!(fnv1a(b"ab"), fnv1a(b"ba"));
-    }
-
-    #[test]
-    fn fnv_writer_matches_fnv1a_over_split_writes() {
-        let mut w = FnvWriter::new(Vec::new());
-        w.write_all(b"mock").unwrap();
-        w.write_all(b"tails").unwrap();
-        assert_eq!(w.digest(), fnv1a(b"mocktails"));
-        assert_eq!(w.bytes(), 9);
-        assert_eq!(w.into_inner(), b"mocktails");
     }
 }

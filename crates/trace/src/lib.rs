@@ -60,7 +60,7 @@ mod trace;
 pub mod transform;
 
 pub use error::TraceError;
-pub use fingerprint::{fingerprint, fnv1a, Fingerprinter, FnvWriter};
+pub use fingerprint::{fingerprint, fnv1a, Fingerprinter};
 pub use limits::{checked_usize, DecodeLimits, DecodeOptions};
 pub use range::AddrRange;
 pub use request::{Op, Request};

@@ -170,11 +170,11 @@ impl Trace {
     /// [`crate::codec::read_trace_with`].
     ///
     /// ```
-    /// use mocktails_trace::{DecodeOptions, Request, Trace};
+    /// use mocktails_trace::{codec, DecodeOptions, Request, Trace};
     ///
     /// let trace = Trace::from_requests(vec![Request::read(0, 0x1000, 64)]);
     /// let mut buf = Vec::new();
-    /// trace.write(&mut buf)?;
+    /// codec::write_trace(&mut buf, &trace)?;
     /// let back = Trace::read(&mut buf.as_slice(), &DecodeOptions::default())?;
     /// assert_eq!(back, trace);
     /// # Ok::<(), mocktails_trace::TraceError>(())
@@ -185,16 +185,6 @@ impl Trace {
     /// See [`crate::codec::read_trace`].
     pub fn read(r: &mut &[u8], options: &DecodeOptions) -> Result<Self, crate::TraceError> {
         crate::codec::read_trace_with(r, options)
-    }
-
-    /// Encodes the trace to `w` in the workspace binary format — the
-    /// method form of [`crate::codec::write_trace`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error from the writer.
-    pub fn write<W: std::io::Write>(&self, w: &mut W) -> Result<(), crate::TraceError> {
-        crate::codec::write_trace(w, self)
     }
 }
 

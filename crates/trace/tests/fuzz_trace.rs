@@ -126,7 +126,7 @@ fn hostile_count_under_faults_stays_bounded() {
     // 2^60 declared requests + fault injection: still a fast typed error.
     let mut hostile = Vec::new();
     hostile.extend_from_slice(b"MTRC\x01");
-    mocktails_trace::codec::write_u64(&mut hostile, 1 << 60).unwrap();
+    mocktails_trace::codec::write_u64(&mut hostile, 1 << 60);
     for seed in 0..50u64 {
         let r = FaultyReader::new(hostile.as_slice(), FaultPlan::flaky(), seed);
         assert!(matches!(

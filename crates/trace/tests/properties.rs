@@ -36,7 +36,7 @@ fn varint_u64_round_trips() {
     for case in 0..CASES {
         let v = rng.next_u64() >> rng.gen_range(0..64u32);
         let mut buf = Vec::new();
-        write_u64(&mut buf, v).unwrap();
+        write_u64(&mut buf, v);
         assert!(
             buf.len() <= 10,
             "case {case}: {v} encoded to {} bytes",
@@ -58,7 +58,7 @@ fn varint_i64_round_trips() {
             v.wrapping_neg()
         };
         let mut buf = Vec::new();
-        write_i64(&mut buf, v).unwrap();
+        write_i64(&mut buf, v);
         let v_back = ByteCursor::new(&mut buf.as_slice()).zigzag().unwrap();
         assert_eq!(v_back, v, "case {case}");
     }
@@ -82,7 +82,7 @@ fn zigzag_orders_by_magnitude() {
     let mut rng = Prng::seed_from_u64(0x7ACE_0004);
     let len = |v: i64| {
         let mut buf = Vec::new();
-        write_i64(&mut buf, v).unwrap();
+        write_i64(&mut buf, v);
         buf.len()
     };
     for case in 0..CASES {

@@ -8,7 +8,6 @@
 //! Run with: `cargo run --release --example profile_exchange`
 
 use std::fs::File;
-use std::io::BufWriter;
 
 use mocktails::trace::codec;
 use mocktails::workloads::catalog;
@@ -22,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Industry side -------------------------------------------------
     let trace = catalog::by_name("Crypto1").expect("catalog").generate();
     let profile = Profile::fit(&trace, &HierarchyConfig::two_level_ts(500_000));
-    profile.write(&mut BufWriter::new(File::create(&profile_path)?))?;
+    profile.write(&mut File::create(&profile_path)?)?;
     println!(
         "industry: shared {} ({} bytes; the {}-byte trace stays private)",
         profile_path.display(),

@@ -37,11 +37,16 @@ echo "==> serve loopback smoke (server vs offline + coupled stream, byte-compare
 MOCKTAILS_THREADS=1 ./scripts/serve-smoke.sh
 MOCKTAILS_THREADS=4 ./scripts/serve-smoke.sh
 
-echo "==> serve_scale bench (BENCH_3.json regression check)"
-# Re-pins the serving-layer baseline; the bench itself fails on
-# structural regressions (missing worker counts, a serial connection
-# rate at or below two per 1 ms reactor park tick, a streaming tail
-# over ten seconds, a non-positive scaling ratio).
+echo "==> serve_scale bench (structural regression check)"
+# The bench fails on structural regressions (missing worker counts, a
+# serial connection rate at or below two per 1 ms reactor park tick, a
+# streaming tail over ten seconds, a non-positive scaling ratio). It also
+# rewrites BENCH_3.json with this machine's figures, which are too noisy
+# to pin, so the committed file is saved first and put back when this
+# script exits, pass or fail.
+bench3=$(mktemp)
+cp BENCH_3.json "$bench3"
+trap 'cp "$bench3" BENCH_3.json && rm -f "$bench3"' EXIT
 cargo bench -q --offline -p mocktails-bench --bench serve_scale >/dev/null
 
 echo "==> store recovery smoke (kill -9 + torn log tail, byte-compared)"

@@ -2,7 +2,6 @@
 //! profiles written to real files and read back.
 
 use std::fs::File;
-use std::io::BufWriter;
 
 use mocktails::trace::codec;
 use mocktails::workloads::catalog;
@@ -21,7 +20,9 @@ fn trace_file_round_trip() {
         .generate()
         .truncate_to(5_000);
     let path = temp_path("trace.mtrace");
-    codec::write_trace(&mut BufWriter::new(File::create(&path).unwrap()), &trace).unwrap();
+    let mut bytes = Vec::new();
+    codec::write_trace(&mut bytes, &trace).unwrap();
+    std::fs::write(&path, &bytes).unwrap();
     let bytes = std::fs::read(&path).unwrap();
     let back = codec::read_trace(&mut bytes.as_slice()).unwrap();
     assert_eq!(back, trace);
@@ -36,9 +37,7 @@ fn profile_file_round_trip_and_synthesis_equivalence() {
         .truncate_to(5_000);
     let profile = Profile::fit(&trace, &HierarchyConfig::two_level_ts(500_000));
     let path = temp_path("profile.mprofile");
-    profile
-        .write(&mut BufWriter::new(File::create(&path).unwrap()))
-        .unwrap();
+    profile.write(&mut File::create(&path).unwrap()).unwrap();
     let back = Profile::read(
         &mut std::fs::read(&path).unwrap().as_slice(),
         &DecodeOptions::default(),
@@ -56,13 +55,11 @@ fn profile_file_is_smaller_than_trace_file() {
     let profile = Profile::fit(&trace, &HierarchyConfig::two_level_ts(500_000));
     let trace_path = temp_path("size.mtrace");
     let profile_path = temp_path("size.mprofile");
-    codec::write_trace(
-        &mut BufWriter::new(File::create(&trace_path).unwrap()),
-        &trace,
-    )
-    .unwrap();
+    let mut encoded = Vec::new();
+    codec::write_trace(&mut encoded, &trace).unwrap();
+    std::fs::write(&trace_path, &encoded).unwrap();
     profile
-        .write(&mut BufWriter::new(File::create(&profile_path).unwrap()))
+        .write(&mut File::create(&profile_path).unwrap())
         .unwrap();
     let trace_bytes = std::fs::metadata(&trace_path).unwrap().len();
     let profile_bytes = std::fs::metadata(&profile_path).unwrap().len();
@@ -82,9 +79,7 @@ fn corrupted_profile_file_is_rejected() {
         .truncate_to(2_000);
     let profile = Profile::fit(&trace, &HierarchyConfig::two_level_ts(500_000));
     let path = temp_path("corrupt.mprofile");
-    profile
-        .write(&mut BufWriter::new(File::create(&path).unwrap()))
-        .unwrap();
+    profile.write(&mut File::create(&path).unwrap()).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
     let mid = bytes.len() / 2;
     bytes.truncate(mid);

@@ -3,6 +3,8 @@
 //! artifacts at every thread count — parallelism may only change how
 //! fast an answer arrives, never which answer arrives.
 
+use mocktails::core::profile::write_profile;
+use mocktails::trace::codec::write_trace;
 use mocktails::trace::fingerprint;
 use mocktails::workloads::catalog;
 use mocktails::{DecodeOptions, HierarchyConfig, Parallelism, Profile, Trace};
@@ -23,17 +25,13 @@ fn largest_trace() -> Trace {
 
 fn encode_profile(profile: &Profile) -> Vec<u8> {
     let mut buf = Vec::new();
-    profile
-        .write(&mut buf)
-        .expect("encoding cannot fail in memory");
+    write_profile(&mut buf, profile);
     buf
 }
 
 fn encode_trace(trace: &Trace) -> Vec<u8> {
     let mut buf = Vec::new();
-    trace
-        .write(&mut buf)
-        .expect("encoding cannot fail in memory");
+    write_trace(&mut buf, trace).expect("a Trace is sorted by timestamp");
     buf
 }
 

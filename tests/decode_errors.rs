@@ -102,8 +102,12 @@ fn trace_outcome(bytes: &[u8]) -> String {
 }
 
 fn profile_outcome(bytes: &[u8]) -> String {
+    profile_outcome_with(bytes, &DecodeOptions::default())
+}
+
+fn profile_outcome_with(bytes: &[u8], options: &DecodeOptions) -> String {
     let mut input = bytes;
-    match Profile::read(&mut input, &DecodeOptions::default()) {
+    match Profile::read(&mut input, options) {
         Ok(p) => format!("ok {:016x} {}", p.content_fingerprint(), input.len()),
         Err(e) => format!("{} {e}", profile_variant(&e)),
     }
@@ -161,6 +165,22 @@ fn profile_decode_errors_are_pinned() {
         "profile",
         campaign(&bytes, profile_outcome),
         0x2a38_8502_0551_ff0b,
+    );
+}
+
+/// The server's trusted decodes and store warm-up read profiles with
+/// [`DecodeOptions::trusted`]: no limits and no post-decode validation,
+/// but the same structural and per-chain checks.
+#[test]
+fn trusted_profile_decode_errors_are_pinned() {
+    let mut bytes = Vec::new();
+    sample_profile().write(&mut bytes).unwrap();
+    check(
+        "trusted profile",
+        campaign(&bytes, |b| {
+            profile_outcome_with(b, &DecodeOptions::trusted())
+        }),
+        0xa996_bf03_1fa0_2944,
     );
 }
 

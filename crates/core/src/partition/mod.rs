@@ -122,11 +122,6 @@ impl Partition {
     pub fn iter(&self) -> std::slice::Iter<'_, Request> {
         self.requests.iter()
     }
-
-    /// Consumes the partition, returning its requests.
-    pub fn into_requests(self) -> Vec<Request> {
-        self.requests
-    }
 }
 
 /// Copies the runs of `requests` that end at `ends` into partitions.

@@ -236,7 +236,7 @@ mod reference {
             });
             if mergeable {
                 let prev = out.pop().expect("checked non-empty");
-                let mut requests = prev.into_requests();
+                let mut requests = prev.requests().to_vec();
                 requests.extend(part.requests().iter().copied());
                 out.push(Partition::new(requests));
             } else {

@@ -6,10 +6,10 @@
 //! change in decode behaviour (accepting garbage, or reporting a different
 //! failure) shows up as a test diff.
 
-use mocktails_core::profile::{read_profile, write_profile};
+use mocktails_core::profile::{read_profile, read_profile_with, write_profile};
 use mocktails_core::{HierarchyConfig, Profile, ProfileError};
 use mocktails_trace::codec::{write_i64, write_u64};
-use mocktails_trace::{Request, Trace, TraceError};
+use mocktails_trace::{DecodeOptions, Request, Trace, TraceError};
 
 fn decode(bytes: &[u8]) -> Result<Profile, ProfileError> {
     read_profile(&mut &bytes[..])
@@ -187,6 +187,62 @@ fn overflowing_markov_row_is_rejected() {
     let err = decode(&bytes).unwrap_err();
     assert!(
         matches!(&err, ProfileError::Corrupt(m) if m.contains("overflow")),
+        "{err:?}"
+    );
+}
+
+#[test]
+fn a_row_fault_waits_for_the_rest_of_its_chain() {
+    // The first of two declared rows overflows, and the input ends before
+    // the second: the short input is reported, because a chain's fault is
+    // reported only once all of the chain's bytes are read.
+    let mut bytes = header();
+    write_u64(&mut bytes, 1);
+    push_leaf_meta(&mut bytes, [0, 0, 0, 64, 3]);
+    bytes.push(1); // markov delta-time
+    write_i64(&mut bytes, 0);
+    write_u64(&mut bytes, 2); // two states, only the first present
+    write_i64(&mut bytes, 0);
+    write_u64(&mut bytes, 2);
+    for to in [1i64, 2] {
+        write_i64(&mut bytes, to);
+        write_u64(&mut bytes, 1u64 << 63);
+    }
+    let err = decode(&bytes).unwrap_err();
+    assert!(
+        matches!(&err, ProfileError::Codec(TraceError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof),
+        "{err:?}"
+    );
+}
+
+#[test]
+fn overflowing_request_total_is_invalid_only_when_validating() {
+    // Two well-formed leaves of 2^63 requests each: every leaf and chain
+    // is fine, only their total overflows u64.
+    let mut bytes = header();
+    write_u64(&mut bytes, 2);
+    for _ in 0..2 {
+        push_leaf_meta(&mut bytes, [0, 0, 0, 64, 1 << 63]);
+        for _ in 0..4 {
+            bytes.push(0);
+            write_i64(&mut bytes, 0);
+        }
+    }
+    let err = decode(&bytes).unwrap_err();
+    assert!(
+        matches!(&err, ProfileError::Invalid(m) if m == "total request count overflows u64"),
+        "{err:?}"
+    );
+    let trusted = read_profile_with(&mut &bytes[..], &DecodeOptions::trusted()).unwrap();
+    assert_eq!(trusted.leaves().len(), 2);
+    assert!(matches!(
+        trusted.validate(),
+        Err(ProfileError::Invalid(m)) if m == "total request count overflows u64"
+    ));
+    // Cut inside the second leaf, the short input is reported instead.
+    let err = decode(&bytes[..bytes.len() - 1]).unwrap_err();
+    assert!(
+        matches!(err, ProfileError::Codec(TraceError::Io(_))),
         "{err:?}"
     );
 }

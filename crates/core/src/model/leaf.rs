@@ -4,6 +4,7 @@ use mocktails_trace::rng::Rng;
 use mocktails_trace::{AddrRange, Op, Request};
 
 use crate::partition::Partition;
+use crate::synth::SynthPlan;
 
 use super::{McC, McCSampler};
 
@@ -50,39 +51,18 @@ impl LeafModel {
         Self::fit_requests(partition.requests())
     }
 
-    /// Fits a leaf model to one leaf's requests, in arrival order. The
-    /// four features share one scratch buffer of value pairs.
+    /// Fits a leaf model to one leaf's requests, in arrival order, as
+    /// [`crate::Profile::fit`] fits each of its leaves.
     ///
     /// # Panics
     ///
     /// Panics if `requests` is empty.
     pub fn fit_requests(requests: &[Request]) -> Self {
         assert!(!requests.is_empty(), "leaf must contain requests");
-        let first = requests[0];
-        let range = requests
-            .iter()
-            .fold(first.range(), |acc, r| acc.union(&r.range()));
-        let mut pairs = Vec::with_capacity(requests.len() - 1);
-        let windows = || requests.windows(2);
-        let delta_times = windows().map(|w| (w[1].timestamp - w[0].timestamp) as i64);
-        let delta_time = McC::fit_values(delta_times, &mut pairs);
-        let strides = windows().map(|w| w[1].address.wrapping_sub(w[0].address) as i64);
-        let stride = McC::fit_values(strides, &mut pairs);
-        let ops = requests.iter().map(|r| i64::from(r.op.as_bit()));
-        let op = McC::fit_values(ops, &mut pairs);
-        let sizes = requests.iter().map(|r| i64::from(r.size));
-        let size = McC::fit_values(sizes, &mut pairs);
-        let or_zero = |model: Option<McC>| model.unwrap_or(McC::Constant(0));
-        Self {
-            start_time: first.timestamp,
-            start_address: first.address,
-            range,
-            count: requests.len() as u64,
-            delta_time: or_zero(delta_time),
-            stride: or_zero(stride),
-            op: or_zero(op),
-            size: or_zero(size),
-        }
+        let mut plan = SynthPlan::default();
+        plan.push_fitted(requests, &mut Vec::new());
+        let leaf = plan.leaf_models().next();
+        leaf.expect("a non-empty leaf fits to one model") // lint: allow(L001, push_fitted appends exactly one leaf for a non-empty request run)
     }
 
     /// Builds a leaf model from explicit parts, rejecting inconsistent
@@ -105,14 +85,7 @@ impl LeafModel {
         op: McC,
         size: McC,
     ) -> Result<Self, String> {
-        if count == 0 {
-            return Err("leaf declares zero requests".to_string());
-        }
-        if !range.contains(start_address) {
-            return Err(format!(
-                "leaf start address {start_address:#x} outside its range {range}"
-            ));
-        }
+        check_parts(start_address, range, count)?;
         Ok(Self {
             start_time,
             start_address,
@@ -211,6 +184,21 @@ impl LeafModel {
             size: self.size.sampler(strict),
         }
     }
+}
+
+/// Checks a leaf's metadata for [`LeafModel::try_from_parts`] and the
+/// profile decoder: a non-zero request count and a start address inside
+/// the leaf's range.
+pub(crate) fn check_parts(start_address: u64, range: AddrRange, count: u64) -> Result<(), String> {
+    if count == 0 {
+        return Err("leaf declares zero requests".to_string());
+    }
+    if !range.contains(start_address) {
+        return Err(format!(
+            "leaf start address {start_address:#x} outside its range {range}"
+        ));
+    }
+    Ok(())
 }
 
 /// Streaming generator of one leaf's requests (paper §III-C, *Generating a

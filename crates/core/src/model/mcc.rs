@@ -50,23 +50,6 @@ impl McC {
         }
     }
 
-    /// Fits a model to `values`, or returns `None` when there are none.
-    /// `pairs` is scratch space for the consecutive value pairs; its
-    /// contents are replaced.
-    pub(crate) fn fit_values(
-        mut values: impl Iterator<Item = i64> + Clone,
-        pairs: &mut Vec<(i64, i64)>,
-    ) -> Option<Self> {
-        let first = values.next()?;
-        if values.clone().all(|value| value == first) {
-            return Some(McC::Constant(first));
-        }
-        pairs.clear();
-        let mut prev = first;
-        pairs.extend(values.map(|value| (std::mem::replace(&mut prev, value), value)));
-        Some(McC::Markov(MarkovChain::fit_pairs(first, pairs)))
-    }
-
     /// Returns `true` for the constant variant.
     pub fn is_constant(&self) -> bool {
         matches!(self, McC::Constant(_))

@@ -13,7 +13,8 @@ mod leaf;
 mod markov;
 mod mcc;
 
+pub(crate) use leaf::check_parts;
 pub use leaf::{LeafGenerator, LeafModel};
-pub(crate) use markov::{ChainBuilder, ChainTable, RowSpan, Successor};
+pub(crate) use markov::{ChainAt, ChainRef, Chains, RowChecks, Span};
 pub use markov::{MarkovChain, MarkovSampler};
 pub use mcc::{McC, McCSampler};

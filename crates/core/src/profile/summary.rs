@@ -6,7 +6,7 @@
 //! leaf node models" (§V). [`ProfileSummary`] reports exactly that
 //! breakdown.
 
-use crate::model::{LeafModel, McC};
+use crate::synth::FeatureRef;
 
 use super::Profile;
 
@@ -34,7 +34,7 @@ impl ProfileSummary {
     /// Computes the summary of `profile`.
     pub fn of(profile: &Profile) -> Self {
         let mut summary = Self {
-            leaves: profile.leaves().len(),
+            leaves: profile.plan.leaves().len(),
             requests: profile.total_requests(),
             constant_features: 0,
             markov_features: 0,
@@ -42,18 +42,18 @@ impl ProfileSummary {
             markov_edges: 0,
             fully_constant_leaves: 0,
         };
-        for leaf in profile.leaves() {
+        for (_, features) in profile.plan.leaves() {
             let mut constants_here = 0;
-            for model in features_of(leaf) {
-                match model {
-                    McC::Constant(_) => {
+            for feature in features {
+                match feature {
+                    FeatureRef::Constant(_) => {
                         summary.constant_features += 1;
                         constants_here += 1;
                     }
-                    McC::Markov(chain) => {
+                    FeatureRef::Markov(chain) => {
                         summary.markov_features += 1;
-                        summary.markov_states += chain.num_states() as u64;
-                        summary.markov_edges += chain.edges().count() as u64;
+                        summary.markov_states += chain.rows().len() as u64;
+                        summary.markov_edges += chain.num_edges() as u64;
                     }
                 }
             }
@@ -83,15 +83,6 @@ impl ProfileSummary {
             self.requests as f64 / self.leaves as f64
         }
     }
-}
-
-fn features_of(leaf: &LeafModel) -> [&McC; 4] {
-    [
-        leaf.delta_time_model(),
-        leaf.stride_model(),
-        leaf.op_model(),
-        leaf.size_model(),
-    ]
 }
 
 impl std::fmt::Display for ProfileSummary {

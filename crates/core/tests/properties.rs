@@ -183,7 +183,7 @@ fn profile_total_requests_consistent() {
         let trace = Trace::from_requests(rand_requests(&mut rng, 1, 120));
         let profile = Profile::fit(&trace, &HierarchyConfig::two_level_requests_dynamic(25));
         assert_eq!(profile.total_requests(), trace.len() as u64, "case {case}");
-        let leaf_sum: u64 = profile.leaves().iter().map(LeafModel::count).sum();
+        let leaf_sum: u64 = profile.leaves().map(|leaf| leaf.count()).sum();
         assert_eq!(leaf_sum, trace.len() as u64, "case {case}");
     }
 }

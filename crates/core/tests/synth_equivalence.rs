@@ -244,7 +244,7 @@ fn fitted_profiles_match_the_eager_merge() {
                 },
             );
             let profile = Profile::fit(&trace, &config);
-            let reference = Reference::new(profile.leaves(), strict, case);
+            let reference = Reference::new(&profile.leaves().collect::<Vec<_>>(), strict, case);
             let what = format!("fitted case {case} strict {strict}");
             let out = assert_same_stream(profile.synthesizer(case), reference, &[0], &what);
             assert_eq!(Trace::from_sorted_requests(out), profile.synthesize(case));
@@ -269,7 +269,7 @@ fn decoded_profiles_with_leaves_out_of_start_order_match() {
         assert_eq!(decoded, profile);
         for delays in DELAYS {
             let what = format!("decoded case {case} delays {delays:?}");
-            let reference = Reference::new(decoded.leaves(), true, case);
+            let reference = Reference::new(&decoded.leaves().collect::<Vec<_>>(), true, case);
             assert_same_stream(decoded.synthesizer(case), reference, delays, &what);
         }
     }

@@ -14,54 +14,21 @@
 //! goes stale: entries leave only by least-recently-*used* eviction
 //! under the capacity bound, and a fit-key alias leaves with its entry.
 //! Every resident profile has passed `Profile::validate` once, on its
-//! way in, and carries its synthesis plan ([`CachedProfile::plan`]):
-//! compiled by the first stream of the profile, shared by every later
-//! one.
+//! way in. A profile is held in the layout synthesis reads, so every
+//! stream of it shares it through `Profile::synth_plan`.
 //! The server keeps one cache behind one mutex; every operation is a
 //! few ordered-map updates, far shorter than the fit or chunk encode
 //! around it.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use mocktails_core::{Profile, SynthPlan};
-
-/// A resident profile and, once a stream has asked for it, its
-/// synthesis plan.
-#[derive(Debug)]
-pub struct CachedProfile {
-    profile: Arc<Profile>,
-    plan: OnceLock<Arc<SynthPlan>>,
-}
-
-impl CachedProfile {
-    fn new(profile: Arc<Profile>) -> Self {
-        Self {
-            profile,
-            plan: OnceLock::new(),
-        }
-    }
-
-    /// The profile.
-    pub fn profile(&self) -> &Arc<Profile> {
-        &self.profile
-    }
-
-    /// The profile's synthesis plan: compiled by the first caller (a pass
-    /// over every leaf, so call it outside the cache lock) and shared by
-    /// every later one.
-    pub fn plan(&self) -> Arc<SynthPlan> {
-        Arc::clone(
-            self.plan
-                .get_or_init(|| Arc::new(self.profile.synth_plan())),
-        )
-    }
-}
+use mocktails_core::Profile;
 
 /// One resident profile.
 #[derive(Debug)]
 struct Entry {
-    cached: Arc<CachedProfile>,
+    profile: Arc<Profile>,
     /// Recency stamp; key into the recency index.
     last_tick: u64,
     /// The fit key aliased to this profile, if it arrived via a fit.
@@ -110,45 +77,42 @@ impl ProfileCache {
     }
 
     /// Looks up a profile by content fingerprint, refreshing its recency.
-    pub fn get(&mut self, fingerprint: u64) -> Option<Arc<CachedProfile>> {
+    pub fn get(&mut self, fingerprint: u64) -> Option<Arc<Profile>> {
         let tick = self.next_tick();
         let entry = self.entries.get_mut(&fingerprint)?;
         self.recency.remove(&entry.last_tick);
         entry.last_tick = tick;
         self.recency.insert(tick, fingerprint);
-        Some(Arc::clone(&entry.cached))
+        Some(Arc::clone(&entry.profile))
     }
 
     /// Looks up a profile by fit key (trace bytes + config digest),
     /// returning its content fingerprint alongside it.
-    pub fn get_by_fit_key(&mut self, fit_key: u64) -> Option<(u64, Arc<CachedProfile>)> {
+    pub fn get_by_fit_key(&mut self, fit_key: u64) -> Option<(u64, Arc<Profile>)> {
         let fingerprint = *self.aliases.get(&fit_key)?;
-        let cached = self.get(fingerprint)?;
-        Some((fingerprint, cached))
+        let profile = self.get(fingerprint)?;
+        Some((fingerprint, profile))
     }
 
     /// Inserts a profile under its content fingerprint, optionally
     /// aliasing `fit_key` to it, evicting the least recently used entry
-    /// if the cache is full, and returns the resident entry. Re-inserting
-    /// an existing fingerprint refreshes its recency and alias and keeps
-    /// the resident entry, plan included: equal fingerprints are equal
+    /// if the cache is full, and returns the resident profile.
+    /// Re-inserting an existing fingerprint refreshes its recency and
+    /// alias and keeps the resident profile: equal fingerprints are equal
     /// profiles. The caller validates a profile before inserting it.
     pub fn insert(
         &mut self,
         fingerprint: u64,
         profile: Arc<Profile>,
         fit_key: Option<u64>,
-    ) -> Arc<CachedProfile> {
+    ) -> Arc<Profile> {
         let resident = self.entries.get(&fingerprint);
         // A re-insert without a fit key (e.g. the same profile arriving
         // inline) must not sever an existing fit-key alias.
         let fit_key = fit_key.or_else(|| resident.and_then(|entry| entry.fit_key));
-        let cached = resident.map_or_else(
-            || Arc::new(CachedProfile::new(profile)),
-            |entry| Arc::clone(&entry.cached),
-        );
+        let profile = resident.map_or(profile, |entry| Arc::clone(&entry.profile));
         if self.capacity == 0 {
-            return cached;
+            return profile;
         }
         self.remove(fingerprint);
         while self.entries.len() >= self.capacity {
@@ -168,12 +132,12 @@ impl ProfileCache {
         self.entries.insert(
             fingerprint,
             Entry {
-                cached: Arc::clone(&cached),
+                profile: Arc::clone(&profile),
                 last_tick: tick,
                 fit_key,
             },
         );
-        cached
+        profile
     }
 
     /// Removes `fingerprint` if resident (not counted as an eviction).
@@ -223,26 +187,24 @@ mod tests {
         let mut cache = ProfileCache::new(4);
         let p = profile(1);
         cache.insert(11, Arc::clone(&p), None);
-        assert_eq!(
-            cache.get(11).as_deref().map(CachedProfile::profile),
-            Some(&p)
-        );
+        assert_eq!(cache.get(11), Some(Arc::clone(&p)));
         assert!(cache.get(99).is_none());
     }
 
-    /// The first `plan` call compiles the plan; every later lookup, and a
-    /// re-insert of the same fingerprint, shares it.
+    /// Every lookup, and a re-insert of the same fingerprint, shares the
+    /// resident profile and so its synthesis plan.
     #[test]
-    fn a_resident_profile_compiles_its_plan_once() {
+    fn a_resident_profile_shares_one_plan() {
         let mut cache = ProfileCache::new(4);
         let p = profile(1);
         let inserted = cache.insert(11, Arc::clone(&p), None);
-        let plan = cache.get(11).unwrap().plan();
-        assert!(Arc::ptr_eq(&plan, &inserted.plan()));
-        let reinserted = cache.insert(11, Arc::clone(&p), Some(5));
-        assert!(Arc::ptr_eq(&plan, &reinserted.plan()));
+        let plan = cache.get(11).unwrap().synth_plan();
+        assert!(Arc::ptr_eq(&plan, &inserted.synth_plan()));
+        let copy = Arc::new(Profile::clone(&p));
+        let reinserted = cache.insert(11, copy, Some(5));
+        assert!(Arc::ptr_eq(&plan, &reinserted.synth_plan()));
         let (_, by_key) = cache.get_by_fit_key(5).unwrap();
-        assert!(Arc::ptr_eq(&plan, &by_key.plan()));
+        assert!(Arc::ptr_eq(&plan, &by_key.synth_plan()));
         assert_eq!(plan.total_requests(), p.total_requests());
     }
 
@@ -310,7 +272,7 @@ mod tests {
         cache.insert(6, Arc::clone(&p), None);
         let (fp, found) = cache.get_by_fit_key(9).unwrap();
         assert_eq!(fp, 6);
-        assert_eq!(found.profile(), &p);
+        assert_eq!(found, p);
         assert!(cache.get_by_fit_key(10).is_none());
         assert_eq!(cache.len(), 1);
     }

@@ -32,9 +32,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use mocktails_core::profile::write_profile;
-use mocktails_core::{
-    fit_key, HierarchyConfig, LayerSpec, Profile, ProfileError, ProfileRecord, Synthesizer,
-};
+use mocktails_core::{fit_key, HierarchyConfig, LayerSpec, Profile, ProfileError, ProfileRecord};
 use mocktails_dram::{DramConfig, MemorySystem};
 use mocktails_pool::bounded::{SubmitError, WorkerPool};
 use mocktails_pool::Parallelism;
@@ -42,7 +40,7 @@ use mocktails_store::{ProfileStore, StoreOptions};
 use mocktails_trace::codec::RecordEncoder;
 use mocktails_trace::{fnv1a, DecodeOptions, Fingerprinter, TraceError};
 
-use crate::cache::{CachedProfile, ProfileCache};
+use crate::cache::ProfileCache;
 use crate::conn::{ConnTx, Coupling, SynthState, WakeFlag};
 use crate::error::{ErrorCode, ServeError};
 use crate::metrics::{Clock, ServeMetrics};
@@ -588,9 +586,9 @@ fn fit_job(shared: &Shared, cycles: u64, trace_bytes: &[u8]) -> Reply {
     // A fresh fit is encoded once: the record's bytes give the
     // fingerprint, the write-ahead log entry and the reply.
     let (fingerprint, profile, record) = match cached {
-        Some((fingerprint, cached)) => {
+        Some((fingerprint, profile)) => {
             metrics.cache_hits_total.fetch_add(1, Ordering::SeqCst);
-            (fingerprint, Arc::clone(cached.profile()), None)
+            (fingerprint, profile, None)
         }
         None => {
             metrics.cache_misses_total.fetch_add(1, Ordering::SeqCst);
@@ -663,7 +661,7 @@ fn fit_job(shared: &Shared, cycles: u64, trace_bytes: &[u8]) -> Reply {
 fn resolve_profile(
     shared: &Shared,
     source: &ProfileSource,
-) -> Result<Arc<CachedProfile>, (ErrorCode, String)> {
+) -> Result<Arc<Profile>, (ErrorCode, String)> {
     match source {
         ProfileSource::Fingerprint(fp) => {
             let found = shared.with_cache(|cache| cache.get(*fp));
@@ -809,7 +807,7 @@ fn open_stream(
         return Err((ErrorCode::Malformed, "chunk_len must be positive".into()));
     }
     // The profile was validated on its way into the cache.
-    let synth = Synthesizer::from_plan(resolve_profile(shared, source)?.plan(), seed);
+    let synth = resolve_profile(shared, source)?.synthesizer(seed);
     tx.send(&Response::SynthStart {
         total_requests: synth.remaining(),
     });
@@ -865,8 +863,7 @@ fn stats_job(shared: &Shared, source: &ProfileSource) -> Reply {
         .metrics
         .stats_requests_total
         .fetch_add(1, Ordering::SeqCst);
-    let cached = resolve_profile(shared, source)?;
-    let profile = cached.profile();
+    let profile = resolve_profile(shared, source)?;
     let summary = profile.summary();
     let text = format!(
         "{summary}\nfingerprint {:#018x}\nmetadata_bytes {}\n",

@@ -38,10 +38,11 @@ fn measure(
     let synth = profile.synthesize(options.seed);
     let base = dram_run(trace, options);
     let got = dram_run(&synth, options);
+    let leaves = profile.leaves().len();
     AblationRow {
         trace: trace_name,
         label: label.to_string(),
-        leaves: profile.leaves().len(),
+        leaves,
         read_row_hit_error: pct_error(
             base.total_read_row_hits() as f64,
             got.total_read_row_hits() as f64,

@@ -371,8 +371,14 @@ fn direct_sites(f: &FileAnalysis, body: (usize, usize)) -> Vec<Site> {
                         | Some(TokenKind::Lit(_))
                         | Some(TokenKind::Punct(')' | ']'))
                 );
+                // A float literal on either side, or a left operand cast
+                // `as f64`/`as f32`, makes a float division, which
+                // yields an infinity or NaN instead of panicking.
+                let cast_to_float = matches!(prev, Some(TokenKind::Ident(ty)) if ty == "f64" || ty == "f32")
+                    && matches!(i.checked_sub(2).map(|j| &tokens[j].kind), Some(TokenKind::Ident(kw)) if kw == "as");
                 let float = matches!(prev, Some(TokenKind::FloatLit(_)))
-                    || matches!(next, Some(TokenKind::FloatLit(_)));
+                    || matches!(next, Some(TokenKind::FloatLit(_)))
+                    || cast_to_float;
                 let literal_divisor = matches!(next, Some(TokenKind::Lit(_)));
                 if binary && !float && !literal_divisor {
                     out.push(Site {

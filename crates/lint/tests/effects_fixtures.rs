@@ -71,6 +71,16 @@ fn l016_fixture_reports_the_three_hop_panic_chain() {
 }
 
 #[test]
+fn l016_reports_integer_division_but_not_division_after_a_float_cast() {
+    let scope = "crates/core/src/synth/mod.rs";
+    let got = effect_diags("effects/l016_float_div.rs", scope, "l016-float");
+    assert_eq!(got.len(), 1, "{got:?}");
+    let (line, rule, msg) = &got[0];
+    assert_eq!((*line, *rule), (17, "L016"), "{got:?}");
+    assert!(msg.contains("non-constant divisor"), "{msg}");
+}
+
+#[test]
 fn l017_fixture_reports_blocking_behind_the_sweep() {
     let scope = "crates/serve/src/reactor.rs";
     let got = effect_diags("effects/l017_block.rs", scope, "l017");

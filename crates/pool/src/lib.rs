@@ -131,8 +131,10 @@ impl Parallelism {
     /// `items.len()` and the thread count — never on scheduling — so the
     /// returned `Vec` is bit-identical to the sequential map.
     ///
-    /// A panic in `f` propagates to the caller (after all worker threads
-    /// have been joined), exactly as it would in a sequential loop.
+    /// The calling thread maps the first chunk and spawned threads the
+    /// rest. A panic in `f` propagates to the caller (after all worker
+    /// threads have been joined), exactly as it would in a sequential
+    /// loop.
     pub fn map<T, U, F>(self, items: &[T], f: F) -> Vec<U>
     where
         T: Sync,
@@ -146,11 +148,15 @@ impl Parallelism {
         let chunk_len = items.len().div_ceil(threads);
         let f = &f;
         std::thread::scope(|scope| {
-            let handles: Vec<_> = items
-                .chunks(chunk_len)
+            // The calling thread maps the first chunk itself, so `threads`
+            // workers cost `threads - 1` spawns.
+            let mut chunks = items.chunks(chunk_len);
+            let first = chunks.next().unwrap_or_default();
+            let handles: Vec<_> = chunks
                 .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Vec<U>>()))
                 .collect();
             let mut results = Vec::with_capacity(items.len());
+            results.extend(first.iter().map(f));
             for handle in handles {
                 match handle.join() {
                     Ok(chunk_results) => results.extend(chunk_results),
